@@ -190,7 +190,6 @@ def _cmd_verify(args) -> int:
         n_samples=args.samples,
         seed=args.seed,
         tol=args.tol,
-        jobs=args.jobs,
         progress=log.info,
     )
     _emit(report, args.out)
@@ -293,7 +292,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
 
     p = sub.add_parser("index", help="Conley-Zehnder index table of a principal orbit")
     common(p)

@@ -38,6 +38,8 @@ class LensParams:
     q: int
 
     def __post_init__(self):
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in (self.p, self.q)):
+            raise PreconditionViolation(f"p and q must be integers, got ({self.p!r}, {self.q!r})")
         if self.p < 1 or not (1 <= self.q <= self.p):
             raise PreconditionViolation(f"need p >= 1 and 1 <= q <= p, got ({self.p}, {self.q})")
         if math.gcd(self.p, self.q) != 1:
@@ -56,8 +58,10 @@ class ContactSystem:
     def __post_init__(self):
         if self.family not in ("round", "ellipsoid"):
             raise PreconditionViolation(f"unknown family {self.family!r}")
-        if not (self.a > 0 and self.b > 0):
-            raise PreconditionViolation("capacities a, b must be positive")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise PreconditionViolation(
+                f"capacities a, b must be positive and finite, got ({self.a}, {self.b})"
+            )
 
     @property
     def p(self) -> int:
@@ -86,13 +90,11 @@ def system_from_json(data) -> ContactSystem:
         data = json.loads(data)
     lens = None
     if data.get("lens"):
-        lens = LensParams(int(data["lens"]["p"]), int(data["lens"]["q"]))
-    return ContactSystem(
-        family=data["family"],
-        a=float(data.get("a", 1.0)),
-        b=float(data.get("b", 1.0)),
-        lens=lens,
-    )
+        lens = LensParams(data["lens"]["p"], data["lens"]["q"])
+    a, b = data.get("a", 1.0), data.get("b", 1.0)
+    if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in (a, b)):
+        raise PreconditionViolation(f"capacities a, b must be numbers, got ({a!r}, {b!r})")
+    return ContactSystem(family=data["family"], a=float(a), b=float(b), lens=lens)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +130,13 @@ def from_complex(z: complex, w: complex) -> np.ndarray:
 
 
 def ambient_rotation(v: np.ndarray) -> np.ndarray:
-    """Multiplication by i on C^2 in real coordinates."""
-    return np.array([-v[1], v[0], -v[3], v[2]])
+    """Multiplication by i on C^2 in real coordinates, on the last axis."""
+    return np.stack([-v[..., 1], v[..., 0], -v[..., 3], v[..., 2]], axis=-1)
+
+
+def section_W(pts: np.ndarray) -> np.ndarray:
+    """The global non-vanishing contact-plane section (z, w) -> (-conj w, conj z)."""
+    return np.stack([-pts[..., 2], pts[..., 3], pts[..., 0], -pts[..., 1]], axis=-1)
 
 
 def tangent_basis(pt) -> np.ndarray:
@@ -151,59 +158,79 @@ def tangent_basis(pt) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the contact form and its differential
+#
+# The kernels act on rows: ``pts``, ``us`` and ``vs`` are (n, 4) arrays of
+# base points and tangent vectors, and the result is one value per row.
+# They do not check their input; the scalar ``*_eval`` functions do.
+
+
+def _lambda0_rows(pts: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    return 0.5 * (
+        pts[:, 0] * vs[:, 1]
+        - pts[:, 1] * vs[:, 0]
+        + pts[:, 2] * vs[:, 3]
+        - pts[:, 3] * vs[:, 2]
+    )
+
+
+def _omega0_rows(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    # standard symplectic form dx1^dy1 + dx2^dy2
+    return (
+        us[:, 0] * vs[:, 1]
+        - us[:, 1] * vs[:, 0]
+        + us[:, 2] * vs[:, 3]
+        - us[:, 3] * vs[:, 2]
+    )
+
+
+def _H_rows(sys: ContactSystem, pts: np.ndarray) -> np.ndarray:
+    # lambda = lambda0 / H for the ellipsoid family
+    return (math.pi / sys.a) * (pts[:, 0] ** 2 + pts[:, 1] ** 2) + (math.pi / sys.b) * (
+        pts[:, 2] ** 2 + pts[:, 3] ** 2
+    )
+
+
+def _lambda_rows(sys: ContactSystem, pts: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    lam = _lambda0_rows(pts, vs)
+    if sys.family == "round":
+        return lam
+    return lam / _H_rows(sys, pts)
+
+
+def _dlambda_rows(
+    sys: ContactSystem, pts: np.ndarray, us: np.ndarray, vs: np.ndarray
+) -> np.ndarray:
+    om = _omega0_rows(us, vs)
+    if sys.family == "round":
+        return om
+    H = _H_rows(sys, pts)
+    grad = np.empty_like(pts)
+    grad[:, 0] = 2 * math.pi / sys.a * pts[:, 0]
+    grad[:, 1] = 2 * math.pi / sys.a * pts[:, 1]
+    grad[:, 2] = 2 * math.pi / sys.b * pts[:, 2]
+    grad[:, 3] = 2 * math.pi / sys.b * pts[:, 3]
+    dfu = -np.sum(grad * us, axis=1) / H**2
+    dfv = -np.sum(grad * vs, axis=1) / H**2
+    return dfu * _lambda0_rows(pts, vs) - dfv * _lambda0_rows(pts, us) + om / H
 
 
 def lambda0_eval(pt, v) -> float:
     """The Liouville form (x1 dy1 - y1 dx1 + x2 dy2 - y2 dx2)/2 on a tangent vector."""
     v = check_tangent(pt, v)
-    pt = np.asarray(pt, dtype=float)
-    return 0.5 * (pt[0] * v[1] - pt[1] * v[0] + pt[2] * v[3] - pt[3] * v[2])
-
-
-def _weight_H(sys: ContactSystem, pt: np.ndarray) -> float:
-    return (math.pi / sys.a) * (pt[0] ** 2 + pt[1] ** 2) + (math.pi / sys.b) * (
-        pt[2] ** 2 + pt[3] ** 2
-    )
-
-
-def weight(sys: ContactSystem, pt) -> float:
-    """Conformal factor f with lambda = f * lambda0 for this system."""
-    if sys.family == "round":
-        return 1.0
-    return 1.0 / _weight_H(sys, np.asarray(pt, dtype=float))
+    return _lambda0_rows(np.asarray(pt, dtype=float)[None], v[None])[0]
 
 
 def lambda_eval(sys: ContactSystem, pt, v) -> float:
     """The system's contact form evaluated on a tangent vector."""
-    return weight(sys, pt) * lambda0_eval(pt, v)
-
-
-def _omega0(u: np.ndarray, v: np.ndarray) -> float:
-    # standard symplectic form dx1^dy1 + dx2^dy2
-    return u[0] * v[1] - u[1] * v[0] + u[2] * v[3] - u[3] * v[2]
+    v = check_tangent(pt, v)
+    return _lambda_rows(sys, np.asarray(pt, dtype=float)[None], v[None])[0]
 
 
 def dlambda_eval(sys: ContactSystem, pt, u, v) -> float:
     """d(lambda) on a pair of tangent vectors at ``pt``."""
     u = check_tangent(pt, u)
     v = check_tangent(pt, v)
-    pt = np.asarray(pt, dtype=float)
-    if sys.family == "round":
-        return _omega0(u, v)
-    H = _weight_H(sys, pt)
-    gradH = np.array(
-        [
-            2 * math.pi / sys.a * pt[0],
-            2 * math.pi / sys.a * pt[1],
-            2 * math.pi / sys.b * pt[2],
-            2 * math.pi / sys.b * pt[3],
-        ]
-    )
-    dfu = -(gradH @ u) / H**2
-    dfv = -(gradH @ v) / H**2
-    lam_u = 0.5 * (pt[0] * u[1] - pt[1] * u[0] + pt[2] * u[3] - pt[3] * u[2])
-    lam_v = 0.5 * (pt[0] * v[1] - pt[1] * v[0] + pt[2] * v[3] - pt[3] * v[2])
-    return dfu * lam_v - dfv * lam_u + _omega0(u, v) / H
+    return _dlambda_rows(sys, np.asarray(pt, dtype=float)[None], u[None], v[None])[0]
 
 
 # ---------------------------------------------------------------------------

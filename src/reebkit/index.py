@@ -123,15 +123,7 @@ class SymplecticPath:
 
     def inverse(self) -> "SymplecticPath":
         """The pointwise inverse path t -> phi(t)^{-1}."""
-        a = self.mats[:, 0, 0]
-        b = self.mats[:, 0, 1]
-        c = self.mats[:, 1, 0]
-        d = self.mats[:, 1, 1]
-        inv = np.empty_like(self.mats)
-        inv[:, 0, 0] = d
-        inv[:, 0, 1] = -b
-        inv[:, 1, 0] = -c
-        inv[:, 1, 1] = a
+        inv = _pointwise_inverse(self.mats)
         inv[0] = np.eye(2)
         return SymplecticPath(inv)
 
@@ -547,14 +539,19 @@ def _winding_of_coeffs(coeffs: np.ndarray, ks: np.ndarray, n_grid: int = 1024):
         spec[int(k) % n_grid] = c
     u = np.fft.ifft(spec) * n_grid
     amp = np.abs(u)
+    wind = _closed_winding(u, "eigenvector winding is far from an integer; refine discretization")
+    return wind, float(amp.min()), float(amp.max())
+
+
+def _closed_winding(u: np.ndarray, coarse_msg: str) -> int:
+    """Winding number of a sampled complex loop, closed from the last sample to the first."""
     ang = np.unwrap(np.angle(u))
-    # close the loop: add the wrap from the last sample back to t=1 ~ t=0
     closing = np.angle(u[0] / u[-1])
     wind_f = (ang[-1] + closing - ang[0]) / (2.0 * math.pi)
     wind = int(round(wind_f))
     if abs(wind_f - wind) > 0.1:
-        raise GridTooCoarse("eigenvector winding is far from an integer; refine discretization")
-    return wind, float(amp.min()), float(amp.max())
+        raise GridTooCoarse(coarse_msg)
+    return wind
 
 
 def spectrum(
@@ -745,11 +742,4 @@ def wind_relative(Z, W, amp_tol: float = 1e-8) -> int:
         amp = np.abs(arr)
         if amp.min() < amp_tol * max(amp.max(), 1e-300):
             raise IllConditioned(f"section {name} is not bounded away from zero")
-    ratio = wc / zc
-    ang = np.unwrap(np.angle(ratio))
-    closing = np.angle(ratio[0] / ratio[-1])
-    wind_f = (ang[-1] + closing - ang[0]) / (2.0 * math.pi)
-    wind = int(round(wind_f))
-    if abs(wind_f - wind) > 0.1:
-        raise GridTooCoarse("relative winding is far from an integer; refine sampling")
-    return wind
+    return _closed_winding(wc / zc, "relative winding is far from an integer; refine sampling")

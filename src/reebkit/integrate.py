@@ -58,14 +58,12 @@ def dopri45(
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     t_eval: Optional[Sequence[float]] = None,
     max_step: float = np.inf,
-    record_steps: bool = False,
 ) -> IntegrationResult:
     """Integrate ``y' = rhs(t, y)`` from ``t0`` to ``t1`` (either direction).
 
     ``project`` is applied to the state after every accepted step.  When
     ``t_eval`` is given the integrator lands exactly on those times and
-    reports the state there; with ``record_steps`` every accepted step is
-    reported instead.
+    reports the state there; otherwise only the final state is reported.
     """
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
@@ -93,8 +91,6 @@ def dopri45(
     if targets and abs(targets[0] - t0) <= 1e-15 * max(1.0, abs(t0)):
         emit(t0, y)
         next_target = 1
-    if record_steps:
-        emit(t0, y)
 
     h = direction * min(span / 16.0, max_step, 0.1)
     k = np.empty((7, y.size))
@@ -124,8 +120,6 @@ def dopri45(
             if project is not None:
                 y = project(y)
             n_steps += 1
-            if record_steps:
-                emit(t, y)
             while (
                 targets
                 and next_target < len(targets)
@@ -136,7 +130,7 @@ def dopri45(
         factor = 0.9 * (max(err, 1e-16)) ** (-0.2)
         h = h * min(5.0, max(0.2, factor))
 
-    if targets is None and not record_steps:
+    if targets is None:
         emit(t, y)
     if targets and next_target < len(targets):
         # Remaining targets must coincide with the final time.

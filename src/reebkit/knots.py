@@ -5,6 +5,11 @@ bounds an explicit immersed disk whose boundary covers it p:1.  The
 self-linking number of the binding is computed both from the closed formula
 sl = p * wind and by numerical phase tracking along a boundary collar of
 that disk.
+
+``pdisk_arrays`` is the one parametrization of that disk: it gives points,
+r- and theta-derivatives on arrays, and at any w-phase it parametrizes the
+page of ``section``.  The contact form and the global section W it is
+measured against live in ``geometry``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolation
-from .geometry import LensParams, ambient_rotation, lambda0_eval
+from .geometry import LensParams, _lambda0_rows, ambient_rotation, section_W
 from .index import wind_relative
 
 
@@ -171,22 +176,38 @@ class PDisk:
         return (1.0 - s) + s * dg2 + ds * (g2 - r)
 
 
+def pdisk_arrays(disk: PDisk, r, theta, phase: float = 0.0):
+    """Lifted disk points and their r- and theta-derivatives, broadcast over (r, theta).
+
+    The lift puts the w-coordinate at phase ``phase``; the page at that
+    phase is the image of this parametrization.  Returns three arrays of
+    shape ``broadcast(r, theta).shape + (4,)``.
+    """
+    r = np.asarray(r, dtype=float)
+    if not (0.0 <= r.min() and r.max() <= 1.0):
+        raise PreconditionViolation("need 0 <= r <= 1")
+    f = disk.profile(r)
+    df = disk.profile_deriv(r)
+    g = np.sqrt(np.maximum(1.0 - f * f, 0.0))
+    dg = -f * df / np.maximum(g, 1e-15)
+    cp, sp = math.cos(phase), math.sin(phase)
+    c, s = np.cos(theta), np.sin(theta)
+    shape = np.broadcast_shapes(r.shape, c.shape) + (4,)
+    pts, d_r, d_th = np.empty(shape), np.empty(shape), np.zeros(shape)
+    pts[..., 0], pts[..., 1], pts[..., 2], pts[..., 3] = f * c, f * s, g * cp, g * sp
+    d_r[..., 0], d_r[..., 1], d_r[..., 2], d_r[..., 3] = df * c, df * s, dg * cp, dg * sp
+    d_th[..., 0], d_th[..., 1] = -pts[..., 1], pts[..., 0]
+    return pts, d_r, d_th
+
+
 def pdisk_point(disk: PDisk, r: float, theta: float) -> np.ndarray:
     """Lift to the sphere of the disk point at polar coordinates (r, theta)."""
-    if not (0.0 <= r <= 1.0):
-        raise PreconditionViolation("need 0 <= r <= 1")
-    f = float(disk.profile(r))
-    g = math.sqrt(max(0.0, 1.0 - f * f))
-    return np.array([f * math.cos(theta), f * math.sin(theta), g, 0.0])
+    return pdisk_arrays(disk, r, theta)[0]
 
 
 def pdisk_radial_tangent(disk: PDisk, r: float, theta: float) -> np.ndarray:
     """Radial derivative of the lifted parametrization at (r, theta)."""
-    f = float(disk.profile(r))
-    df = float(disk.profile_deriv(r))
-    g = math.sqrt(max(1e-300, 1.0 - f * f))
-    dg = -f * df / g
-    return np.array([df * math.cos(theta), df * math.sin(theta), dg, 0.0])
+    return pdisk_arrays(disk, r, theta)[1]
 
 
 def binding_sl_numeric(
@@ -199,20 +220,15 @@ def binding_sl_numeric(
     self-linking number is p times their relative winding.
     """
     p = disk.lens.p
-    r0 = 1.0 - collar
     thetas = 2.0 * math.pi * np.arange(n_samples) / n_samples
-    x_coords = np.empty((n_samples, 2))
-    n_coords = np.empty((n_samples, 2))
-    for j, th in enumerate(thetas):
-        pt = pdisk_point(disk, r0, th)
-        rad = pdisk_radial_tangent(disk, r0, th)
-        # project the radial vector to the contact plane along the Reeb direction
-        R = 2.0 * ambient_rotation(pt)
-        rad = rad - (rad @ pt) * pt
-        rad = rad - lambda0_eval(pt, rad) * R
-        e1 = np.array([-pt[2], pt[3], pt[0], -pt[1]])  # the global section at pt
-        e2 = ambient_rotation(e1)
-        x_coords[j] = (1.0, 0.0)
-        n_coords[j] = (rad @ e1, rad @ e2)
+    pts, rad, _ = pdisk_arrays(disk, 1.0 - collar, thetas)
+    # project the radial vector to the contact plane along the Reeb direction
+    R = 2.0 * ambient_rotation(pts)
+    rad = rad - np.sum(rad * pts, axis=1)[:, None] * pts
+    rad = rad - _lambda0_rows(pts, rad)[:, None] * R
+    e1 = section_W(pts)
+    e2 = ambient_rotation(e1)
+    x_coords = np.tile([1.0, 0.0], (n_samples, 1))
+    n_coords = np.stack([np.sum(rad * e1, axis=1), np.sum(rad * e2, axis=1)], axis=1)
     wind = wind_relative(n_coords, x_coords)
     return self_linking_from_winding(p, wind)

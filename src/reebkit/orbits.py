@@ -21,13 +21,14 @@ import numpy as np
 from .errors import DegenerateInput, IllConditioned, IntegrationFailure, PreconditionViolation
 from .geometry import (
     ContactSystem,
+    _dlambda_rows,
+    _lambda_rows,
     ambient_rotation,
     check_point,
     deck_action,
-    dlambda_eval,
     flow,
-    lambda_eval,
     reeb_vector,
+    section_W,
 )
 from .index import (
     MINUS_I,
@@ -185,12 +186,6 @@ class TransverseFrame:
         )
 
 
-def _section_W(pt: np.ndarray) -> np.ndarray:
-    """The global non-vanishing contact-plane section (z, w) -> (-conj w, conj z)."""
-    x1, y1, x2, y2 = pt
-    return np.array([-x2, y2, x1, -y1])
-
-
 def disk_frame(orbit: ClosedOrbit, n: int = 512) -> TransverseFrame:
     """Unitary frame along the orbit in the capping-disk class.
 
@@ -202,26 +197,17 @@ def disk_frame(orbit: ClosedOrbit, n: int = 512) -> TransverseFrame:
     sys = orbit.system
     T = orbit.period
     pts = np.array([flow(sys, orbit.anchor, T * j / n) for j in range(n + 1)])
-    e1 = np.empty_like(pts)
-    e2 = np.empty_like(pts)
-    for j, pt in enumerate(pts):
-        w = _section_W(pt)
-        iw = ambient_rotation(w)
-        norm = dlambda_eval(sys, pt, w, iw)
-        if norm <= 1e-12:
-            raise IllConditioned("frame section degenerates along the orbit")
-        e1[j] = w / math.sqrt(norm)
-        e2[j] = iw / math.sqrt(norm)
-    return TransverseFrame(points=pts, e1=e1, e2=e2, cls=FrameClass(0))
+    w = section_W(pts)
+    iw = ambient_rotation(w)
+    norm = _dlambda_rows(sys, pts, w, iw)
+    if np.any(norm <= 1e-12):
+        raise IllConditioned("frame section degenerates along the orbit")
+    scale = np.sqrt(norm)[:, None]
+    return TransverseFrame(points=pts, e1=w / scale, e2=iw / scale, cls=FrameClass(0))
 
 
 def frame_pairing(sys: ContactSystem, frame: TransverseFrame) -> np.ndarray:
-    return np.array(
-        [
-            dlambda_eval(sys, frame.points[j], frame.e1[j], frame.e2[j])
-            for j in range(frame.points.shape[0])
-        ]
-    )
+    return _dlambda_rows(sys, frame.points, frame.e1, frame.e2)
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +268,14 @@ def linearized_path(
         t_eval=t_eval, max_step=0.5 / max(w1, w2),
     )
 
+    pts = frame.points
+    R = np.array([reeb_vector(sys, pt) for pt in pts])
     mats = np.empty((n + 1, 2, 2))
-    for j in range(n + 1):
-        pt = frame.points[j]
-        R = reeb_vector(sys, pt)
-        for col, sl in enumerate((slice(4, 8), slice(8, 12))):
-            v = res.ys[j][sl]
-            u = v - lambda_eval(sys, pt, v) * R
-            mats[j, 0, col] = dlambda_eval(sys, pt, u, frame.e2[j])
-            mats[j, 1, col] = dlambda_eval(sys, pt, frame.e1[j], u)
+    for col, sl in enumerate((slice(4, 8), slice(8, 12))):
+        v = res.ys[:, sl]
+        u = v - _lambda_rows(sys, pts, v)[:, None] * R
+        mats[:, 0, col] = _dlambda_rows(sys, pts, u, frame.e2)
+        mats[:, 1, col] = _dlambda_rows(sys, pts, frame.e1, u)
     dets = np.linalg.det(mats)
     if np.max(np.abs(dets - 1.0)) > det_tol:
         raise IntegrationFailure(

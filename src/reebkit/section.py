@@ -6,6 +6,10 @@ Z_p the p slices {c + 2 pi j / p} project to a single page, an immersed
 disk whose boundary covers the binding p:1.  Crossings of a trajectory
 through the page are detected by monitoring the unwrapped w-phase on lifts
 and refining each bracket by root finding in time.
+
+The page is sampled through the disk parametrization ``knots.pdisk_arrays``
+and the contact form and dlambda on those samples are the row kernels of
+``geometry``; this module defines neither.
 """
 
 from __future__ import annotations
@@ -26,67 +30,17 @@ from .errors import (
 from .geometry import (
     ContactSystem,
     LensParams,
+    _dlambda_rows,
+    _lambda_rows,
     check_point,
     deck_action,
     flow,
     to_complex,
 )
-from .knots import PDisk, binding_sl_numeric, lens_binding_monodromy, pdisk_point
+from .knots import PDisk, binding_sl_numeric, lens_binding_monodromy, pdisk_arrays
 from .orbits import ClosedOrbit, catalog, orbit_index, principal_orbits
 
 PAGE_TOL = 1e-8
-
-
-# ---------------------------------------------------------------------------
-# vectorized evaluation of the contact form on sampled data
-
-
-def _lambda0_rows(pts: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    return 0.5 * (
-        pts[:, 0] * vs[:, 1]
-        - pts[:, 1] * vs[:, 0]
-        + pts[:, 2] * vs[:, 3]
-        - pts[:, 3] * vs[:, 2]
-    )
-
-
-def _omega0_rows(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    return (
-        us[:, 0] * vs[:, 1]
-        - us[:, 1] * vs[:, 0]
-        + us[:, 2] * vs[:, 3]
-        - us[:, 3] * vs[:, 2]
-    )
-
-
-def _H_rows(sys: ContactSystem, pts: np.ndarray) -> np.ndarray:
-    return (math.pi / sys.a) * (pts[:, 0] ** 2 + pts[:, 1] ** 2) + (math.pi / sys.b) * (
-        pts[:, 2] ** 2 + pts[:, 3] ** 2
-    )
-
-
-def _lambda_rows(sys: ContactSystem, pts: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    lam = _lambda0_rows(pts, vs)
-    if sys.family == "round":
-        return lam
-    return lam / _H_rows(sys, pts)
-
-
-def _dlambda_rows(
-    sys: ContactSystem, pts: np.ndarray, us: np.ndarray, vs: np.ndarray
-) -> np.ndarray:
-    om = _omega0_rows(us, vs)
-    if sys.family == "round":
-        return om
-    H = _H_rows(sys, pts)
-    grad = np.empty_like(pts)
-    grad[:, 0] = 2 * math.pi / sys.a * pts[:, 0]
-    grad[:, 1] = 2 * math.pi / sys.a * pts[:, 1]
-    grad[:, 2] = 2 * math.pi / sys.b * pts[:, 2]
-    grad[:, 3] = 2 * math.pi / sys.b * pts[:, 3]
-    dfu = -np.sum(grad * us, axis=1) / H**2
-    dfv = -np.sum(grad * vs, axis=1) / H**2
-    return dfu * _lambda0_rows(pts, vs) - dfv * _lambda0_rows(pts, us) + om / H
 
 
 # ---------------------------------------------------------------------------
@@ -109,26 +63,13 @@ class Page:
 
 
 def _page_arrays(page: Page, rs: np.ndarray, thetas: np.ndarray):
-    """Sampled points and coordinate tangents of the page parametrization."""
-    R, TH = np.meshgrid(rs, thetas, indexing="ij")
-    f = page.disk.profile(R)
-    df = page.disk.profile_deriv(R)
-    g = np.sqrt(np.clip(1.0 - f * f, 0.0, None))
-    dg = -f * df / np.maximum(g, 1e-15)
-    cp, sp = math.cos(page.phase), math.sin(page.phase)
-    pts = np.stack([f * np.cos(TH), f * np.sin(TH), g * cp, g * sp], axis=-1)
-    d_r = np.stack([df * np.cos(TH), df * np.sin(TH), dg * cp, dg * sp], axis=-1)
-    d_th = np.stack([-f * np.sin(TH), f * np.cos(TH), np.zeros_like(f), np.zeros_like(f)], axis=-1)
-    return pts, d_r, d_th
+    """Sampled points and coordinate tangents of the page on the (rs, thetas) grid."""
+    return pdisk_arrays(page.disk, rs[:, None], thetas[None, :], page.phase)
 
 
 def page_point(page: Page, r: float, theta: float) -> np.ndarray:
     """Lift of the page point with polar coordinates (r, theta)."""
-    base = pdisk_point(page.disk, r, theta)
-    g = math.hypot(base[2], base[3])
-    return np.array(
-        [base[0], base[1], g * math.cos(page.phase), g * math.sin(page.phase)]
-    )
+    return pdisk_arrays(page.disk, r, theta, page.phase)[0]
 
 
 def _profile_inverse(disk: PDisk, value: float) -> float:
@@ -382,23 +323,8 @@ def _edge_action(page: Page, a: tuple[float, float], b: tuple[float, float]) -> 
     ra, ta = a
     rb, tb = b
     s = 0.5 * (_GAUSS_X + 1.0)
-    rs = ra + (rb - ra) * s
-    ths = ta + (tb - ta) * s
-    f = page.disk.profile(rs)
-    df = page.disk.profile_deriv(rs)
-    g = np.sqrt(np.clip(1.0 - f * f, 0.0, None))
-    dg = -f * df / np.maximum(g, 1e-15)
-    cp, sp = math.cos(page.phase), math.sin(page.phase)
-    pts = np.stack([f * np.cos(ths), f * np.sin(ths), g * cp, g * sp], axis=-1)
-    vel = np.stack(
-        [
-            df * np.cos(ths) * (rb - ra) - f * np.sin(ths) * (tb - ta),
-            df * np.sin(ths) * (rb - ra) + f * np.cos(ths) * (tb - ta),
-            dg * cp * (rb - ra),
-            dg * sp * (rb - ra),
-        ],
-        axis=-1,
-    )
+    pts, d_r, d_th = pdisk_arrays(page.disk, ra + (rb - ra) * s, ta + (tb - ta) * s, page.phase)
+    vel = d_r * (rb - ra) + d_th * (tb - ta)
     vals = _lambda_rows(page.system, pts, vel)
     return float(np.sum(_GAUSS_W * vals) * 0.5)
 
@@ -489,8 +415,7 @@ def sample_starts(rng: np.random.Generator, n: int, r_lo: float = 0.05, r_hi: fl
     return [(float(math.sqrt(a)), float(b)) for a, b in zip(r2, th)]
 
 
-def _return_sample(args) -> dict:
-    page, start, tol = args
+def _return_sample(page: Page, start: tuple[float, float], tol: float) -> dict:
     fwd = return_map(page, start, "forward", tol=tol)
     bwd = return_map(page, start, "backward", tol=tol)
     return {
@@ -502,21 +427,6 @@ def _return_sample(args) -> dict:
     }
 
 
-def _run_return_batch(page: Page, starts, tol: float, jobs: int) -> list[dict]:
-    """Evaluate return samples, optionally across a worker pool.
-
-    Results are merged by input index so the output is deterministic for any
-    job count.
-    """
-    work = [(page, s, tol) for s in starts]
-    if jobs <= 1 or len(work) < 2:
-        return [_return_sample(w) for w in work]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_return_sample, work))
-
-
 def verify_gss_conditions(
     sys: ContactSystem,
     C: float,
@@ -524,7 +434,6 @@ def verify_gss_conditions(
     seed: int = 0,
     tol: float = 1e-10,
     n_quads: int = 20,
-    jobs: int = 1,
     progress: Optional[Callable[[str], None]] = None,
 ) -> tuple[dict, list[dict]]:
     """Numerically check the disk-like global surface of section conditions.
@@ -629,7 +538,7 @@ def verify_gss_conditions(
     samples: list[dict] = []
     if n_samples > 0:
         note("return sampling")
-        samples = _run_return_batch(page, sample_starts(rng, n_samples), tol, jobs)
+        samples = [_return_sample(page, s, tol) for s in sample_starts(rng, n_samples)]
         ok_fwd = sum(1 for s in samples if s["forward_time"] > 0)
         ok_bwd = sum(1 for s in samples if s["backward_time"] > 0)
         report["gss_sampling"] = {

@@ -213,3 +213,18 @@ def test_verify_jobs_flag_matches_serial(sys_file, tmp_path):
     assert main(base + ["--out", str(out1)]) == 0
     assert main(base + ["--jobs", "2", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # json.loads reads Infinity as a float
+        '{"family": "ellipsoid", "a": 1.0, "b": Infinity, "lens": {"p": 2, "q": 1}}',
+        '{"family": "ellipsoid", "a": 1.0, "b": 1.4142135623730951, "lens": {"p": 2.7, "q": 1}}',
+    ],
+    ids=["infinite-capacity", "fractional-lens-order"],
+)
+def test_hostile_config_exits_usage(config, capsys):
+    assert main(["index", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -217,7 +217,7 @@ def test_binding_sl_numeric_examples():
 
 
 def test_binding_sl_matches_formula_small_p():
-    for p in range(1, 8):
+    for p in range(1, 41):
         for q in coprime_residues(p):
             disk = rk.PDisk(rk.LensParams(p, q))
             assert rk.binding_sl_numeric(disk) == rk.self_linking_from_winding(p, -1)

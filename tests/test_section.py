@@ -188,7 +188,8 @@ def test_quad_area_matches_form_integral(ell_l21):
     corners = [(r0, th0), (r0 + s, th0), (r0 + s, th0 + s), (r0, th0 + s)]
     area = rk.quad_dlambda_area(page, corners)
     _rs, _ths, vals = page_form_samples(page, 3, 4)
-    from reebkit.section import _dlambda_rows, _page_arrays
+    from reebkit.geometry import _dlambda_rows
+    from reebkit.section import _page_arrays
 
     pts, d_r, d_th = _page_arrays(page, np.array([r0 + s / 2]), np.array([th0 + s / 2]))
     q = _dlambda_rows(page.system, pts.reshape(-1, 4), d_r.reshape(-1, 4), d_th.reshape(-1, 4))[0]
