@@ -219,37 +219,21 @@ def loop_from_json(data: Sequence) -> SymmetricLoop:
     return SymmetricLoop(np.asarray(data, dtype=float))
 
 
-def _loop_components(loop: SymmetricLoop, n_grid: int):
-    """Resample S to n_grid points and split into S = alpha*I + Re/Im mixing part.
+def _fourier_coeffs(vals: np.ndarray, n_max: int) -> np.ndarray:
+    """Coefficients c_j, |j| <= n_max, of the trigonometric interpolant of periodic samples.
 
-    Acting on u in C, S(t) u = alpha(t) u + m(t) conj(u) with alpha real and
-    m complex; this is the decomposition used by the Fourier discretization.
+    Row j + n_max holds c_j.  An even sample count splits its Nyquist term
+    evenly between j = +n/2 and j = -n/2.
     """
-    S = _resample_periodic(loop.mats, n_grid)
-    alpha = 0.5 * (S[:, 0, 0] + S[:, 1, 1])
-    mre = 0.5 * (S[:, 0, 0] - S[:, 1, 1])
-    mim = 0.5 * (S[:, 0, 1] + S[:, 1, 0])
-    return alpha, mre + 1j * mim
-
-
-def _resample_periodic(vals: np.ndarray, n_out: int) -> np.ndarray:
-    """Trigonometric resampling of uniformly sampled periodic data."""
-    n_in = vals.shape[0]
-    if n_in == n_out:
-        return vals.copy()
-    spec = np.fft.fft(vals, axis=0)
-    out_spec = np.zeros((n_out,) + vals.shape[1:], dtype=complex)
-    half = n_in // 2
-    idx_in = np.fft.fftfreq(n_in, d=1.0 / n_in).astype(int)
-    for j, k in enumerate(idx_in):
-        if abs(k) > n_out // 2 - 1:
-            continue
-        out_spec[k % n_out] += spec[j]
-        if n_in % 2 == 0 and abs(k) == half:
-            # split the Nyquist coefficient symmetrically
-            out_spec[k % n_out] -= spec[j] / 2
-            out_spec[(-k) % n_out] += spec[j] / 2
-    return np.real(np.fft.ifft(out_spec, axis=0)) * (n_out / n_in)
+    n = vals.shape[0]
+    spec = np.fft.fft(vals, axis=0) / n
+    out = np.zeros((2 * n_max + 1,) + vals.shape[1:], dtype=complex)
+    top = min(n_max, (n - 1) // 2)
+    js = np.arange(-top, top + 1)
+    out[js + n_max] = spec[js % n]
+    if n % 2 == 0 and n // 2 <= n_max:
+        out[n_max + n // 2] = out[n_max - n // 2] = spec[n // 2] / 2
+    return out
 
 
 def _trig_evaluator(loop: SymmetricLoop):
@@ -445,9 +429,7 @@ def _golden_extremum(f, x_lo: float, x_hi: float, sign: float, iters: int = 80) 
     return sign * max(fc, fd)
 
 
-def winding_interval(
-    path: SymplecticPath, n_dirs: int = 720, refine: bool = True
-) -> tuple[float, float]:
+def winding_interval(path: SymplecticPath, n_dirs: int = 720) -> tuple[float, float]:
     """The closed interval swept by the direction-twist map over all directions."""
     thetas = np.arange(n_dirs) * math.pi / n_dirs  # antipodal directions twist equally
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
@@ -457,20 +439,19 @@ def winding_interval(
     i_max = int(np.argmax(vals))
     lo = float(vals[i_min])
     hi = float(vals[i_max])
-    if refine:
-        step = math.pi / n_dirs
+    step = math.pi / n_dirs
 
-        def at(theta: float) -> float:
-            return float(
-                _delta_many(
-                    path.mats,
-                    np.array([[math.cos(theta), math.sin(theta)]]),
-                    max_jump,
-                )[0]
-            )
+    def at(theta: float) -> float:
+        return float(
+            _delta_many(
+                path.mats,
+                np.array([[math.cos(theta), math.sin(theta)]]),
+                max_jump,
+            )[0]
+        )
 
-        lo = min(lo, _golden_extremum(at, thetas[i_min] - step, thetas[i_min] + step, -1.0))
-        hi = max(hi, _golden_extremum(at, thetas[i_max] - step, thetas[i_max] + step, +1.0))
+    lo = min(lo, _golden_extremum(at, thetas[i_min] - step, thetas[i_min] + step, -1.0))
+    hi = max(hi, _golden_extremum(at, thetas[i_max] - step, thetas[i_max] + step, +1.0))
     return lo, hi
 
 
@@ -535,8 +516,7 @@ def spectral_report_json(sd: SpectralData) -> dict:
 def _winding_of_coeffs(coeffs: np.ndarray, ks: np.ndarray, n_grid: int = 1024):
     """Winding and amplitude range of sum_k c_k e^{2 pi i k t} on a fine grid."""
     spec = np.zeros(n_grid, dtype=complex)
-    for c, k in zip(coeffs, ks):
-        spec[int(k) % n_grid] = c
+    spec[ks % n_grid] = coeffs
     u = np.fft.ifft(spec) * n_grid
     amp = np.abs(u)
     wind = _closed_winding(u, "eigenvector winding is far from an integer; refine discretization")
@@ -558,33 +538,39 @@ def spectrum(
     loop: SymmetricLoop,
     window: int = 1,
     n_modes: int = 256,
-    n_grid: int = 1024,
     amp_tol: float = 1e-6,
 ) -> SpectralData:
     """Eigenvalues nearest zero of the operator -i d/dt - S(t), with windings.
 
     ``window`` counts how many winding levels on each side of the extremal
     pair are reported.  The discretization uses ``n_modes`` Fourier
-    exponentials (real dimension 2*n_modes).
+    exponentials e_k (real dimension 2*n_modes).  Acting on u in C,
+    S(t) u = alpha(t) u + m(t) conj(u) with alpha = (s11 + s22)/2 real and
+    m = (s11 - s22)/2 + i s12, so in the basis (e_k, i e_k) the operator is
+    diag(2 pi k) minus a Toeplitz part alpha_{j-k} and a Hankel part m_{j+k},
+    read from the Fourier coefficients of the loop's own samples.
     """
     if window < 1:
         raise PreconditionViolation("window must be >= 1")
     half = n_modes // 2
     ks = np.arange(-half, n_modes - half)
-    alpha, m = _loop_components(loop, n_grid)
-    ts = np.arange(n_grid) / n_grid
-
-    E = np.exp(2j * math.pi * np.outer(ts, ks))  # (n_grid, n_modes)
-    U = np.empty((n_grid, 2 * n_modes), dtype=complex)
-    U[:, 0::2] = E
-    U[:, 1::2] = 1j * E
-    kvec = np.repeat(ks, 2)
-    LU = (2.0 * math.pi * kvec)[None, :] * U - (alpha[:, None] * U + m[:, None] * np.conj(U))
-    F = np.fft.fft(LU, axis=0) / n_grid
-    rows = F[ks % n_grid, :]  # (n_modes, 2*n_modes) coefficient of e_k per column
+    S = loop.mats
+    comps = np.stack(
+        [
+            0.5 * (S[:, 0, 0] + S[:, 1, 1]),
+            0.5 * (S[:, 0, 0] - S[:, 1, 1]) + 0.5j * (S[:, 0, 1] + S[:, 1, 0]),
+        ],
+        axis=1,
+    )
+    coeffs = _fourier_coeffs(comps, n_modes)
+    toe = coeffs[ks[:, None] - ks[None, :] + n_modes, 0]
+    han = coeffs[ks[:, None] + ks[None, :] + n_modes, 1]
+    diag = np.diag(2.0 * math.pi * ks)
     M = np.empty((2 * n_modes, 2 * n_modes))
-    M[0::2, :] = rows.real
-    M[1::2, :] = rows.imag
+    M[0::2, 0::2] = diag - toe.real - han.real
+    M[1::2, 0::2] = -toe.imag - han.imag
+    M[0::2, 1::2] = toe.imag - han.imag
+    M[1::2, 1::2] = diag - toe.real + han.real
     defect = np.max(np.abs(M - M.T))
     if defect > 1e-8 * max(1.0, np.max(np.abs(M))):
         raise ReebkitError(f"discretized operator is not symmetric (defect {defect:.2e})")
@@ -678,14 +664,25 @@ def circle_map_lift(path: SymplecticPath):
 def rotation_number_with_error(
     path: SymplecticPath, iterates: int = 64, s0: float = 0.0
 ) -> tuple[float, float]:
-    """Birkhoff average of the lifted circle map with Richardson extrapolation.
+    """Rotation number of the path with an error bar.
 
-    Returns the estimate and an error bar from the last two dyadic averages.
-    The estimate is snapped to the unique monodromy-consistent value inside
-    the winding interval when one exists (those values are exact).
+    The rotation number lies in the winding interval and its class modulo 1
+    is fixed by the monodromy.  When exactly one consistent value lies in the
+    interval it is exact and returned with error 0.  Otherwise the Birkhoff
+    average of the lifted circle map (with a Richardson step) decides, with an
+    error bar from the last two dyadic averages; it is snapped to the nearest
+    consistent value when that lies within max(4 * error, 1e-6).
     """
     if iterates < 8:
         raise PreconditionViolation("need at least 8 iterates")
+    frac, spacing = _rotation_candidates(path)
+    lo, hi = winding_interval(path, n_dirs=256)
+    n_lo = math.ceil((lo - 1e-9 - frac) / spacing)
+    n_hi = math.floor((hi + 1e-9 - frac) / spacing)
+    candidates = [frac + spacing * n for n in range(n_lo, n_hi + 1)]
+    if len(candidates) == 1:
+        return candidates[0], 0.0
+
     f = circle_map_lift(path)
     k1 = iterates // 2
     s = s0
@@ -699,16 +696,6 @@ def rotation_number_with_error(
     # Richardson step for an O(1/k) tail: the window average over (k1, k2]
     est = (s - s_k1) / (iterates - k1)
     err = abs(rho_k2 - rho_k1)
-
-    frac, spacing = _rotation_candidates(path)
-    lo, hi = winding_interval(path, n_dirs=256, refine=True)
-    n_lo = math.ceil((lo - 1e-9 - frac) / spacing)
-    n_hi = math.floor((hi + 1e-9 - frac) / spacing)
-    candidates = [frac + spacing * n for n in range(n_lo, n_hi + 1)]
-    if len(candidates) == 1:
-        # the rotation number lies in the closed displacement interval, so the
-        # unique consistent value is exact
-        return candidates[0], 0.0
     if candidates:
         best = min(candidates, key=lambda c: abs(c - est))
         if abs(best - est) <= max(4.0 * err, 1e-6):

@@ -108,9 +108,9 @@ def orbit_to_json(orbit: ClosedOrbit, k_max: int = 0) -> dict:
 def principal_orbits(sys: ContactSystem) -> tuple[ClosedOrbit, ClosedOrbit]:
     """The two prime orbits: the z-circle K and the w-circle K'."""
     if sys.family != "ellipsoid":
-        raise DegenerateInput(
-            "degenerate: orbit families not isolated for the round form"
-        )
+        raise DegenerateInput("orbit families not isolated for the round form")
+    if abs(sys.a - sys.b) <= 1e-9:
+        raise DegenerateInput("orbit families not isolated for a = b")
     p, q = sys.p, sys.q
     k_anchor = np.array([1.0, 0.0, 0.0, 0.0])
     kp_anchor = np.array([0.0, 0.0, 1.0, 0.0])
@@ -129,8 +129,6 @@ def catalog(sys: ContactSystem, C: float, resolution: float = 1e-9) -> list[Clos
     """All iterates of the principal orbits with total period <= C."""
     if C <= 0:
         raise PreconditionViolation("the action bound must be positive")
-    if sys.family == "ellipsoid" and abs(sys.a - sys.b) <= resolution:
-        raise DegenerateInput("degenerate: orbit families not isolated for a = b")
     K, Kp = principal_orbits(sys)
     out: list[ClosedOrbit] = []
     for prime in (K, Kp):

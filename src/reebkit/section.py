@@ -386,11 +386,12 @@ def _page_form_integral(page: Page, n_r: int, n_th: int) -> float:
     return total
 
 
-def disk_area_bound(page: Page, rel_tol: float = 1e-6, max_level: int = 9) -> float:
+def disk_area_bound(page: Page, rel_tol: float = 1e-6, max_level: int = 5) -> float:
     """The constant 1 + integral of |pullback of dlambda| over the page.
 
     The 2d quadrature is refined by grid doubling until two successive
-    levels agree to ``rel_tol`` relative.
+    levels agree to ``rel_tol`` relative; after ``max_level`` levels (last
+    grid 512 x 1024 by default) it gives up, so memory stays bounded.
     """
     prev = None
     n_r, n_th = 32, 64

@@ -46,10 +46,20 @@ def test_index_csv_format(s3_file, capsys):
     assert lines[1].startswith("1,3,")
 
 
-def test_index_round_system_exits_degenerate(capsys):
-    code = main(["index", "--config", json.dumps({"family": "round"})])
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"family": "round"},
+        {"family": "ellipsoid", "a": 1.0, "b": 1.0},
+        {"family": "ellipsoid", "a": 1.0, "b": 1.0, "lens": {"p": 2, "q": 1}},
+    ],
+    ids=["round", "equal-capacities-s3", "equal-capacities-l21"],
+)
+def test_index_round_system_exits_degenerate(config, capsys):
+    code = main(["index", "--config", json.dumps(config), "--k", "2"])
     assert code == 2
-    assert "degenerate" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate: ") and err.count("degenerate:") == 1
 
 
 def test_index_missing_config_exits_usage(tmp_path, capsys):
@@ -216,15 +226,21 @@ def test_verify_jobs_flag_matches_serial(sys_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "argv",
     [
         # json.loads reads Infinity as a float
-        '{"family": "ellipsoid", "a": 1.0, "b": Infinity, "lens": {"p": 2, "q": 1}}',
-        '{"family": "ellipsoid", "a": 1.0, "b": 1.4142135623730951, "lens": {"p": 2.7, "q": 1}}',
+        ["index", "--config",
+         '{"family": "ellipsoid", "a": 1.0, "b": Infinity, "lens": {"p": 2, "q": 1}}'],
+        ["index", "--config",
+         '{"family": "ellipsoid", "a": 1.0, "b": 1.4142135623730951, "lens": {"p": 2.7, "q": 1}}'],
+        # the page-area quadrature must give up at a bounded grid, not exhaust memory
+        ["verify", "--config",
+         '{"family": "ellipsoid", "a": 1.0, "b": 1e6, "lens": {"p": 2, "q": 1}}',
+         "--samples", "5"],
     ],
-    ids=["infinite-capacity", "fractional-lens-order"],
+    ids=["infinite-capacity", "fractional-lens-order", "huge-capacity-verify"],
 )
-def test_hostile_config_exits_usage(config, capsys):
-    assert main(["index", "--config", config]) == 1
+def test_hostile_config_exits_usage(argv, capsys):
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -205,6 +205,15 @@ def test_rotation_number_needs_iterates():
         rk.rotation_number(rk.make_rotation_path(1.0), iterates=4)
 
 
+def test_rotation_number_birkhoff_fallback_near_zero():
+    # a tiny rigid rotation leaves no monodromy-consistent value in the winding
+    # interval, so the Birkhoff average decides and carries an error bar
+    for c in (1e-8, 1e-6):
+        rho, err = rk.rotation_number_with_error(rk.make_rotation_path(c))
+        assert rho == pytest.approx(c / (2 * math.pi), abs=1e-12)
+        assert 0.0 < err < 1e-12
+
+
 def test_rotation_limit_of_indices_on_rigid_rotations():
     # rho = lim mu(path^k) / (2k), already within 0.1 by k = 8
     for c in (0.9, 2.5, 4.4):
@@ -330,15 +339,28 @@ def test_certified_unwrap_matches_fine_sampling():
         assert np.abs(d_coarse - d_fine).max() < 1e-9
 
 
-def test_resample_periodic_exact_on_bandlimited():
-    from reebkit.index import _resample_periodic
+def _bandlimited_loop(n: int) -> rk.SymmetricLoop:
+    # highest harmonic 4: the cos(2 pi 4 t) terms are the Nyquist terms at n = 8
+    t = np.arange(n) / n
+    c4 = np.cos(8 * np.pi * t)
+    mats = np.empty((n, 2, 2))
+    mats[:, 0, 0] = 1.0 + 2.0 * np.cos(2 * np.pi * t) + 0.5 * c4
+    mats[:, 0, 1] = mats[:, 1, 0] = 0.7 * np.sin(4 * np.pi * t) + 0.3 * np.cos(6 * np.pi * t)
+    mats[:, 1, 1] = -0.5 + 1.5 * np.sin(2 * np.pi * t) - 0.4 * c4
+    return rk.SymmetricLoop(mats)
 
-    t8 = np.arange(8) / 8
-    vals = np.sin(2 * np.pi * t8) + 0.3 * np.cos(4 * np.pi * t8) + 0.1
-    out = _resample_periodic(vals[:, None], 32)[:, 0]
-    t32 = np.arange(32) / 32
-    expect = np.sin(2 * np.pi * t32) + 0.3 * np.cos(4 * np.pi * t32) + 0.1
-    assert np.abs(out - expect).max() < 1e-12
+
+def test_spectrum_independent_of_sample_count_on_bandlimited_loop():
+    ref = rk.spectrum(_bandlimited_loop(512), window=2)
+    for n in (8, 16, 2048):
+        sd = rk.spectrum(_bandlimited_loop(n), window=2)
+        assert [w for _, w, _ in sd.eigenpairs] == [w for _, w, _ in ref.eigenpairs]
+        nus = np.array([nu for nu, _, _ in sd.eigenpairs])
+        ref_nus = np.array([nu for nu, _, _ in ref.eigenpairs])
+        assert np.abs(nus - ref_nus).max() < 1e-9
+        assert (sd.wind_neg, sd.wind_nonneg, sd.parity) == (
+            ref.wind_neg, ref.wind_nonneg, ref.parity
+        )
 
 
 def test_spectral_monotonicity_on_random_loops():
