@@ -653,10 +653,11 @@ def _rotation_candidates(path: SymplecticPath):
 
 def circle_map_lift(path: SymplecticPath):
     """The lift f(s) = s + Delta(e^{2 pi i s}) of the direction circle map."""
+    max_jump = _jump_threshold(path.mats)
 
     def f(s: float) -> float:
-        zeta = np.array([math.cos(2 * math.pi * s), math.sin(2 * math.pi * s)])
-        return s + delta_phi(path, zeta)
+        zeta = np.array([[math.cos(2 * math.pi * s), math.sin(2 * math.pi * s)]])
+        return s + float(_delta_many(path.mats, zeta, max_jump)[0])
 
     return f
 

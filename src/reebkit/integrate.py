@@ -16,6 +16,10 @@ import numpy as np
 
 from .errors import IntegrationFailure
 
+# The most steps any integration or page-crossing scan may take; work beyond
+# it is refused rather than run for unbounded time.
+_MAX_STEPS = 50_000
+
 # Dormand-Prince 4(5) tableau (same pair as scipy's RK45).
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
@@ -64,6 +68,9 @@ def dopri45(
     ``project`` is applied to the state after every accepted step.  When
     ``t_eval`` is given the integrator lands exactly on those times and
     reports the state there; otherwise only the final state is reported.
+    A span that needs more than ``_MAX_STEPS`` steps of at most ``max_step``
+    is refused up front, and the integration stops after ``_MAX_STEPS``
+    accepted steps.
     """
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
@@ -73,6 +80,10 @@ def dopri45(
         ts = np.array([t0])
         ys = y[None, :].copy()
         return IntegrationResult(ts, ys, t0, y, 0, 0)
+    if span / max_step > _MAX_STEPS:
+        raise IntegrationFailure(
+            f"integration over {span:g} needs more than {_MAX_STEPS} steps of at most {max_step:g}"
+        )
 
     targets = None
     if t_eval is not None:
@@ -99,6 +110,8 @@ def dopri45(
     t_final = float(t1)
 
     while direction * (t_final - t) > 1e-15 * max(1.0, abs(t)):
+        if n_steps == _MAX_STEPS:
+            raise IntegrationFailure(f"integration needs more than {_MAX_STEPS} steps")
         h = direction * min(abs(h), max_step, abs(t_final - t))
         if targets and next_target < len(targets):
             h = direction * min(abs(h), abs(targets[next_target] - t))

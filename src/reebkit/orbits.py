@@ -342,6 +342,35 @@ def _closure_order(orbit: ClosedOrbit) -> int:
     return p // math.gcd(d, p)
 
 
+def _orbit_lift(orbit: ClosedOrbit, frame_offset: int = 0, n: int = 512):
+    """Index reader k_eff -> OrbitIndexResult for the iterates of a prime orbit.
+
+    The orbit is linearized once: the lift is the path, in the capping-disk
+    frame, of the iterate that closes on the sphere; every iterate is read
+    off it, and each lift iterate's geometric index is computed once.
+    """
+    m_close = _closure_order(orbit)
+    base = replace(orbit, multiplicity=m_close)
+    frame = disk_frame(base, n=n)
+    if frame_offset:
+        frame = frame.shifted(frame_offset)
+    lift_path = linearized_path(base, frame)
+    rho_lift = rotation_number(lift_path)
+    cz = {}
+
+    def index(k_eff: int) -> OrbitIndexResult:
+        if k_eff % m_close == 0:
+            j = k_eff // m_close
+            if j not in cz:
+                cz[j] = cz_geometric(lift_path.iterate(j) if j > 1 else lift_path)
+            return OrbitIndexResult(cz[j].index, rho_lift * j, cz[j].degenerate, "disk")
+        rho = k_eff * (rho_lift / m_close)
+        degenerate = abs(rho - round(rho)) < 1e-9
+        return OrbitIndexResult(mu_tilde((rho, rho)), rho, degenerate, "fractional-disk")
+
+    return index
+
+
 def orbit_index(
     orbit: ClosedOrbit,
     k: int = 1,
@@ -354,36 +383,22 @@ def orbit_index(
     shifted by ``frame_offset`` whole turns).  For quotient orbits the class
     is induced by the spanning disk of the iterate that closes on the
     sphere; iterates that do not close upstairs are reported in the
-    fractional-disk convention mu_tilde({k * rho_prime}).
+    fractional-disk convention mu_tilde({k * rho_prime}).  Each call
+    linearizes the orbit once; ``index_table`` shares one lift over all k.
     """
     if k < 1:
         raise PreconditionViolation("iterate exponent must be >= 1")
-    k_eff = k * orbit.multiplicity
-    m_close = _closure_order(orbit)
-    base = replace(orbit, multiplicity=m_close)
-    frame = disk_frame(base, n=n)
-    if frame_offset:
-        frame = frame.shifted(frame_offset)
-    lift_path = linearized_path(base, frame)
-    rho_lift = rotation_number(lift_path)
-
-    if k_eff % m_close == 0:
-        path = lift_path.iterate(k_eff // m_close) if k_eff > m_close else lift_path
-        mu, degenerate = cz_geometric(path)
-        rho = rho_lift * (k_eff // m_close)
-        return OrbitIndexResult(mu, rho, degenerate, "disk")
-
-    theta = rho_lift / m_close
-    rho = k_eff * theta
-    degenerate = abs(rho - round(rho)) < 1e-9
-    return OrbitIndexResult(mu_tilde((rho, rho)), rho, degenerate, "fractional-disk")
+    return _orbit_lift(orbit, frame_offset, n)(k * orbit.multiplicity)
 
 
 def index_table(orbit: ClosedOrbit, k_max: int, frame_offset: int = 0) -> list[dict]:
-    """Index/rotation table for iterates 1..k_max, as JSON-ready records."""
+    """Index/rotation table for iterates 1..k_max from one lift, as JSON-ready records."""
+    if k_max < 1:
+        return []
+    index = _orbit_lift(orbit, frame_offset)
     rows = []
     for k in range(1, k_max + 1):
-        res = orbit_index(orbit, k, frame_offset=frame_offset)
+        res = index(k * orbit.multiplicity)
         rows.append(
             {
                 "k": k,

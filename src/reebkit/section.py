@@ -37,8 +37,9 @@ from .geometry import (
     flow,
     to_complex,
 )
+from .integrate import _MAX_STEPS
 from .knots import PDisk, binding_sl_numeric, lens_binding_monodromy, pdisk_arrays
-from .orbits import ClosedOrbit, catalog, orbit_index, principal_orbits
+from .orbits import ClosedOrbit, _orbit_lift, catalog, principal_orbits
 
 PAGE_TOL = 1e-8
 
@@ -141,10 +142,15 @@ def _first_crossing(
     """First positive time at which the w-phase moves by a multiple of ``level``.
 
     Scans the trajectory with steps small against the phase rate and refines
-    the bracketing interval by root finding to ``tol`` in time.
+    the bracketing interval by root finding to ``tol`` in time.  A scan of
+    more than ``_MAX_STEPS`` steps is refused up front.
     """
     w1, w2 = sys.plane_rates()
     dt = level / max(w1, w2) / 16.0
+    if time_budget / dt > _MAX_STEPS:
+        raise IntegrationFailure(
+            f"return scan over {time_budget:g} needs more than {_MAX_STEPS} steps of {dt:g}"
+        )
 
     def phase_rel(t: float, href: float) -> float:
         # w-phase at time t, unwrapped against a reference value
@@ -206,12 +212,13 @@ def return_map(
     if direction not in ("forward", "backward"):
         raise PreconditionViolation("direction must be 'forward' or 'backward'")
     sys = page.system
-    if time_budget is None:
-        max_period = math.pi if sys.family == "round" else max(sys.a, sys.b)
-        time_budget = 100.0 * max_period
     pt0 = page_point(page, r, theta)
     sgn = 1 if direction == "forward" else -1
     level = 2.0 * math.pi / page.p
+    if time_budget is None:
+        # off the binding the w-phase turns at the constant rate w2, so every
+        # return takes level / w2; the scan gets twice that
+        time_budget = 2.0 * level / sys.plane_rates()[1]
     t_star, pt_star = _first_crossing(
         sys, pt0, sgn, level, time_budget, tol, flow_method=flow_method
     )
@@ -290,6 +297,8 @@ def linking_with_binding(
         raise PreconditionViolation("orbit coincides with the binding")
     T = orbit.period
     dt = level / max(w1, w2) / 16.0
+    if T / dt > _MAX_STEPS:
+        raise IntegrationFailure(f"linking scan over {T:g} needs more than {_MAX_STEPS} steps")
     h0_page = page.phase
     h_prev = _w_phase(pt0)
     t_prev = 0.0
@@ -445,11 +454,19 @@ def verify_gss_conditions(
     with K up to the action cutoff C, forward/backward return sampling, the
     sign of dlambda over the page interior, return-map area distortion, and
     the page area constant.  Any failed check is named in ``violated``.
+    Each principal orbit is linearized at most once per call, when first needed.
     """
 
     def note(msg: str) -> None:
         if progress is not None:
             progress(msg)
+
+    lifts: dict = {}  # label -> index reader of that principal orbit's lift
+
+    def lifted_index(orbit: ClosedOrbit, k: int = 1):
+        if orbit.label not in lifts:
+            lifts[orbit.label] = _orbit_lift(orbit)
+        return lifts[orbit.label](k * orbit.multiplicity)
 
     if sys.family != "ellipsoid":
         raise DegenerateInput("the verifier needs a nondegenerate (ellipsoid) system")
@@ -473,7 +490,7 @@ def verify_gss_conditions(
     disk = PDisk(lens)
     sl = binding_sl_numeric(disk)
     K, _Kp = principal_orbits(sys)
-    idx = orbit_index(K, p)
+    idx = lifted_index(K, p)
     report["binding"] = {
         "label": K.label,
         "prime_period": K.prime_period,
@@ -505,7 +522,7 @@ def verify_gss_conditions(
     orb_rows = []
     pstar_ok = True
     for entry in entries:
-        res = orbit_index(entry)
+        res = lifted_index(entry)
         contractible = (entry.multiplicity * entry.deck_power) % p == 0
         row = {
             "label": entry.label,

@@ -62,3 +62,17 @@ def ell_l21() -> rk.ContactSystem:
 @pytest.fixture(scope="session")
 def round_l21() -> rk.ContactSystem:
     return rk.ContactSystem("round", lens=rk.LensParams(2, 1))
+
+
+@pytest.fixture
+def linearize_calls(monkeypatch) -> list:
+    """Labels of the orbits of every ``orbits.linearized_path`` call in the test."""
+    calls = []
+    original = rk.orbits.linearized_path
+
+    def counted(orbit, *args, **kwargs):
+        calls.append(orbit.label)
+        return original(orbit, *args, **kwargs)
+
+    monkeypatch.setattr(rk.orbits, "linearized_path", counted)
+    return calls

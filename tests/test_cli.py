@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -237,10 +238,18 @@ def test_verify_jobs_flag_matches_serial(sys_file, tmp_path):
         ["verify", "--config",
          '{"family": "ellipsoid", "a": 1.0, "b": 1e6, "lens": {"p": 2, "q": 1}}',
          "--samples", "5"],
+        # return scans and the linearized flow are refused beyond a step ceiling
+        ["return-map", "--config", '{"family": "ellipsoid", "a": 1, "b": 1e6}',
+         "--start", "0.5,0"],
+        ["index", "--config", '{"family": "ellipsoid", "a": 1, "b": 1e6}',
+         "--orbit", "Kprime", "--k", "1"],
     ],
-    ids=["infinite-capacity", "fractional-lens-order", "huge-capacity-verify"],
+    ids=["infinite-capacity", "fractional-lens-order", "huge-capacity-verify",
+         "huge-capacity-return-map", "huge-capacity-index"],
 )
 def test_hostile_config_exits_usage(argv, capsys):
+    start = time.perf_counter()
     assert main(argv) == 1
+    assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -220,3 +220,31 @@ def test_index_table_rows(ell_s3):
     rows = rk.index_table(K, 3)
     assert [r["mu_cz"] for r in rows] == [3, 7, 11]
     assert rows[0]["rho"] == pytest.approx(1 + 1 / SQRT2, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the shared lift
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+@pytest.mark.parametrize("lens", [None, (2, 1), (3, 2), (5, 2)], ids=["S3", "L21", "L32", "L52"])
+def test_index_table_equals_per_k_orbit_index(lens, offset):
+    # k up to 2p + 1 reaches the fractional-disk rows, the disk rows and lift
+    # iterates above 1
+    sys_ = rk.ContactSystem(
+        "ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(*lens) if lens else None
+    )
+    k_max = 2 * sys_.p + 1
+    for orbit in rk.principal_orbits(sys_):
+        rows = rk.index_table(orbit, k_max, frame_offset=offset)
+        for row in rows:
+            res = rk.orbit_index(orbit, row["k"], frame_offset=offset)
+            assert (row["mu_cz"], row["rho"], row["degenerate"], row["convention"]) == tuple(res)
+        conventions = {row["convention"] for row in rows}
+        assert conventions == ({"disk", "fractional-disk"} if sys_.p > 1 else {"disk"})
+
+
+def test_index_table_linearizes_once(ell_s3, linearize_calls):
+    K, _ = rk.principal_orbits(ell_s3)
+    assert len(rk.index_table(K, 6)) == 6
+    assert linearize_calls == ["K"]

@@ -293,3 +293,30 @@ def test_edge_action_closes_to_boundary_period(round_l21):
         b = (1.0, 2 * math.pi * (j + 1) / n)
         total += _edge_action(page, a, b)
     assert total == pytest.approx(math.pi, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one lift per principal orbit
+
+
+def test_verifier_linearizes_each_principal_orbit_once(ell_l21, linearize_calls):
+    report, _ = rk.verify_gss_conditions(ell_l21, C=5.0, n_samples=0, seed=0, n_quads=0)
+    assert linearize_calls == ["K", "K'"]
+
+    # the shared lifts give the same rows as independent per-orbit calls
+    K, _ = rk.principal_orbits(ell_l21)
+    binding = rk.orbit_index(K, 2)
+    assert report["binding"]["mu_cz_Kp"] == binding.mu
+    assert report["binding"]["rho_Kp"] == binding.rho
+    entries = rk.catalog(ell_l21, 5.0)
+    assert len(report["pstar"]["orbits"]) == len(entries) == 17
+    for row, entry in zip(report["pstar"]["orbits"], entries):
+        res = rk.orbit_index(entry)
+        assert (row["label"], row["multiplicity"]) == (entry.label, entry.multiplicity)
+        assert (row["mu_cz"], row["rho"]) == (res.mu, res.rho)
+
+
+def test_verifier_empty_catalog_linearizes_only_the_binding(ell_l21, linearize_calls):
+    report, _ = rk.verify_gss_conditions(ell_l21, C=0.3, n_samples=0, seed=0, n_quads=0)
+    assert report["pstar"]["orbits"] == []
+    assert linearize_calls == ["K"]
