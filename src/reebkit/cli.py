@@ -53,8 +53,8 @@ class RunConfig:
     jobs: int
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise PreconditionViolation("--tol must be positive")
+        if not (0 < self.tol < math.inf):
+            raise PreconditionViolation(f"--tol must be positive and finite, got {self.tol}")
         if self.jobs < 1:
             raise PreconditionViolation("--jobs must be >= 1")
         if self.config and not self.config.strip().startswith("{"):

@@ -274,13 +274,17 @@ def reeb_vector(sys: ContactSystem, pt, method: str = "closed") -> np.ndarray:
 # flows
 
 
+def _turn(u: complex, rate: float, t: float) -> complex:
+    """The plane coordinate ``u`` rotated for time ``t`` at angular ``rate``."""
+    return u * complex(math.cos(rate * t), math.sin(rate * t))
+
+
 def flow_closed(sys: ContactSystem, pt, t: float) -> np.ndarray:
     """Closed-form Reeb flow: rotate the z- and w-planes at the family rates."""
     pt = check_point(pt)
     z, w = to_complex(pt)
     w1, w2 = sys.plane_rates()
-    return from_complex(z * complex(math.cos(w1 * t), math.sin(w1 * t)),
-                        w * complex(math.cos(w2 * t), math.sin(w2 * t)))
+    return from_complex(_turn(z, w1, t), _turn(w, w2, t))
 
 
 def _project_sphere(y: np.ndarray) -> np.ndarray:

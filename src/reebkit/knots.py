@@ -166,6 +166,12 @@ class PDisk:
         s = _smoothstep((r - self.blend_lo) / (self.blend_hi - self.blend_lo))
         return (1.0 - s) * r + s * np.cos(0.5 * math.pi * (1.0 - r))
 
+    def _profile_float(self, r: float) -> float:
+        """``profile`` at one float with the same float operations and no numpy call."""
+        u = min(max((r - self.blend_lo) / (self.blend_hi - self.blend_lo), 0.0), 1.0)
+        s = u * u * (3.0 - 2.0 * u)
+        return (1.0 - s) * r + s * math.cos(0.5 * math.pi * (1.0 - r))
+
     def profile_deriv(self, r):
         r = np.asarray(r, dtype=float)
         u = (r - self.blend_lo) / (self.blend_hi - self.blend_lo)

@@ -42,6 +42,12 @@ from .index import (
 from .integrate import dopri45
 
 CLOSURE_TOL = 1e-8
+# a catalog holds at most this many iterates; C = 1e4 on L(2,1) would build 34 142
+_MAX_CATALOG = 10_000
+# a lift iterate's path holds at most this many samples: 12 turns of the
+# 512-interval lift.  winding_interval keeps a few (samples x 720) float
+# arrays of it, so this caps the time and peak memory of an index.
+_MAX_LIFT_SAMPLES = 12 * 512 + 1
 
 
 @dataclass(frozen=True)
@@ -126,10 +132,19 @@ def principal_orbits(sys: ContactSystem) -> tuple[ClosedOrbit, ClosedOrbit]:
 
 
 def catalog(sys: ContactSystem, C: float, resolution: float = 1e-9) -> list[ClosedOrbit]:
-    """All iterates of the principal orbits with total period <= C."""
-    if C <= 0:
-        raise PreconditionViolation("the action bound must be positive")
+    """All iterates of the principal orbits with total period <= C.
+
+    A bound that is not finite, or that admits more than ``_MAX_CATALOG``
+    iterates, is refused before any orbit is built.
+    """
+    if not (0 < C < math.inf):
+        raise PreconditionViolation(f"the action bound must be positive and finite, got {C}")
     K, Kp = principal_orbits(sys)
+    size = math.floor(C / K.prime_period) + math.floor(C / Kp.prime_period)
+    if size > _MAX_CATALOG:
+        raise PreconditionViolation(
+            f"action bound {C:g} admits {size} iterates, more than {_MAX_CATALOG}"
+        )
     out: list[ClosedOrbit] = []
     for prime in (K, Kp):
         k = 1
@@ -342,12 +357,24 @@ def _closure_order(orbit: ClosedOrbit) -> int:
     return p // math.gcd(d, p)
 
 
+def _check_lift_iterate(orbit: ClosedOrbit, k_eff: int, n: int = 512) -> None:
+    """Refuse an iterate whose lift path would exceed ``_MAX_LIFT_SAMPLES`` samples."""
+    samples = k_eff // _closure_order(orbit) * n + 1
+    if samples > _MAX_LIFT_SAMPLES:
+        raise PreconditionViolation(
+            f"iterate {k_eff} of {orbit.label} needs a lift path of {samples} samples, "
+            f"more than {_MAX_LIFT_SAMPLES}"
+        )
+
+
 def _orbit_lift(orbit: ClosedOrbit, frame_offset: int = 0, n: int = 512):
     """Index reader k_eff -> OrbitIndexResult for the iterates of a prime orbit.
 
     The orbit is linearized once: the lift is the path, in the capping-disk
     frame, of the iterate that closes on the sphere; every iterate is read
     off it, and each lift iterate's geometric index is computed once.
+    The reader refuses iterates beyond the sample ceiling
+    (``_check_lift_iterate``).
     """
     m_close = _closure_order(orbit)
     base = replace(orbit, multiplicity=m_close)
@@ -359,6 +386,7 @@ def _orbit_lift(orbit: ClosedOrbit, frame_offset: int = 0, n: int = 512):
     cz = {}
 
     def index(k_eff: int) -> OrbitIndexResult:
+        _check_lift_iterate(orbit, k_eff, n)
         if k_eff % m_close == 0:
             j = k_eff // m_close
             if j not in cz:
@@ -388,6 +416,7 @@ def orbit_index(
     """
     if k < 1:
         raise PreconditionViolation("iterate exponent must be >= 1")
+    _check_lift_iterate(orbit, k * orbit.multiplicity, n)
     return _orbit_lift(orbit, frame_offset, n)(k * orbit.multiplicity)
 
 
@@ -395,6 +424,7 @@ def index_table(orbit: ClosedOrbit, k_max: int, frame_offset: int = 0) -> list[d
     """Index/rotation table for iterates 1..k_max from one lift, as JSON-ready records."""
     if k_max < 1:
         return []
+    _check_lift_iterate(orbit, k_max * orbit.multiplicity)
     index = _orbit_lift(orbit, frame_offset)
     rows = []
     for k in range(1, k_max + 1):

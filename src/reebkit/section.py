@@ -5,7 +5,10 @@ Pages live over the w-phase: on the sphere the page at phase c is the slice
 Z_p the p slices {c + 2 pi j / p} project to a single page, an immersed
 disk whose boundary covers the binding p:1.  Crossings of a trajectory
 through the page are detected by monitoring the unwrapped w-phase on lifts
-and refining each bracket by root finding in time.
+and refining each bracket by root finding in time.  On the closed-form flow
+the phase is read from the start point's w-coordinate turned in plain float
+arithmetic (``geometry._turn``, shared with ``flow_closed``), so a scan step
+costs no numpy call and gives the same bits as stepping ``flow``.
 
 The page is sampled through the disk parametrization ``knots.pdisk_arrays``
 and the contact form and dlambda on those samples are the row kernels of
@@ -32,6 +35,7 @@ from .geometry import (
     LensParams,
     _dlambda_rows,
     _lambda_rows,
+    _turn,
     check_point,
     deck_action,
     flow,
@@ -39,7 +43,7 @@ from .geometry import (
 )
 from .integrate import _MAX_STEPS
 from .knots import PDisk, binding_sl_numeric, lens_binding_monodromy, pdisk_arrays
-from .orbits import ClosedOrbit, _orbit_lift, catalog, principal_orbits
+from .orbits import ClosedOrbit, _check_lift_iterate, _orbit_lift, catalog, principal_orbits
 
 PAGE_TOL = 1e-8
 
@@ -74,16 +78,23 @@ def page_point(page: Page, r: float, theta: float) -> np.ndarray:
 
 
 def _profile_inverse(disk: PDisk, value: float) -> float:
+    """The radius r with ``disk.profile(r) == value``, by ``brentq`` to 1e-14 in r."""
     value = min(max(value, 0.0), 1.0)
     if value <= 0.0:
         return 0.0
     if value >= 1.0:
         return 1.0
-    return brentq(lambda r: float(disk.profile(r)) - value, 0.0, 1.0, xtol=1e-14)
+    return brentq(lambda r: disk._profile_float(r) - value, 0.0, 1.0, xtol=1e-14)
 
 
 def page_coords(page: Page, pt, tol: float = PAGE_TOL) -> tuple[float, float]:
-    """Polar page coordinates of a lifted point lying on the page's deck orbit."""
+    """Polar page coordinates of a lifted point lying on the page's deck orbit.
+
+    A point on another slice of the deck orbit is moved to the page's slice
+    by the deck action first.  The radius inverts the disk profile with
+    ``brentq`` on its float twin ``PDisk._profile_float``, which equals
+    ``PDisk.profile`` bit for bit.
+    """
     pt = check_point(pt)
     p = page.p
     z, w = to_complex(pt)
@@ -103,6 +114,8 @@ def page_coords(page: Page, pt, tol: float = PAGE_TOL) -> tuple[float, float]:
 
 def build_page(sys: ContactSystem, phase: float = 0.0, n_check: int = 100) -> Page:
     """Construct the page at ``phase`` and verify Reeb transversality on its interior."""
+    if not math.isfinite(phase):
+        raise PreconditionViolation(f"page phase must be finite, got {phase}")
     lens = sys.lens if sys.lens is not None else LensParams(1, 1)
     page = Page(system=sys, disk=PDisk(lens), phase=float(phase))
     rs = np.linspace(1e-3, 1.0 - 1e-3, n_check)
@@ -130,6 +143,30 @@ def _w_phase(pt: np.ndarray) -> float:
     return math.atan2(pt[3], pt[2])
 
 
+def _phase_along(
+    sys: ContactSystem, pt0: np.ndarray, direction: int, flow_method: str = "closed"
+) -> Callable[[float], float]:
+    """The w-phase of the trajectory of ``pt0`` at time ``direction * t``, as a function of t.
+
+    On the closed-form flow the point is checked once and each evaluation
+    turns its w-coordinate with ``_turn``, the arithmetic of ``flow_closed``,
+    then takes ``atan2``: the phase of ``flow(sys, pt0, direction * t)`` bit
+    for bit at t > 0, without a numpy call.  ``flow_method='numeric'``
+    integrates each time with ``flow``, as the cross-check.
+    """
+    if flow_method not in ("auto", "closed"):
+        return lambda t: _w_phase(flow(sys, pt0, direction * t, method=flow_method))
+    pt0 = check_point(pt0)
+    w0 = complex(pt0[2], pt0[3])
+    rate = sys.plane_rates()[1]
+
+    def phase(t: float) -> float:
+        w = _turn(w0, rate, direction * t)
+        return math.atan2(w.imag, w.real)
+
+    return phase
+
+
 def _first_crossing(
     sys: ContactSystem,
     pt0: np.ndarray,
@@ -142,8 +179,10 @@ def _first_crossing(
     """First positive time at which the w-phase moves by a multiple of ``level``.
 
     Scans the trajectory with steps small against the phase rate and refines
-    the bracketing interval by root finding to ``tol`` in time.  A scan of
-    more than ``_MAX_STEPS`` steps is refused up front.
+    the bracketing interval with ``brentq`` to ``tol`` in time.  Both read
+    the phase through ``_phase_along``, in float arithmetic on the closed-form
+    flow; only the crossing point itself is computed with ``flow``.  A scan
+    of more than ``_MAX_STEPS`` steps is refused up front.
     """
     w1, w2 = sys.plane_rates()
     dt = level / max(w1, w2) / 16.0
@@ -152,11 +191,11 @@ def _first_crossing(
             f"return scan over {time_budget:g} needs more than {_MAX_STEPS} steps of {dt:g}"
         )
 
+    phase_at = _phase_along(sys, pt0, direction, flow_method)
+
     def phase_rel(t: float, href: float) -> float:
         # w-phase at time t, unwrapped against a reference value
-        pt = flow(sys, pt0, direction * t, method=flow_method)
-        h = _w_phase(pt)
-        return href + math.remainder(h - href, 2.0 * math.pi)
+        return href + math.remainder(phase_at(t) - href, 2.0 * math.pi)
 
     h0 = _w_phase(pt0)
     h_prev = h0
@@ -205,10 +244,18 @@ def return_map(
     time_budget: Optional[float] = None,
     flow_method: str = "closed",
 ) -> ReturnRecord:
-    """Flow from an interior page point to its next crossing of the page."""
+    """Flow from an interior page point to its next crossing of the page.
+
+    The crossing time comes from ``_first_crossing`` (a float scan of the
+    w-phase refined by ``brentq``), the image from ``page_coords`` of the
+    flowed point.  ``flow_method='numeric'`` integrates the Reeb field
+    instead of using the closed form, as a cross-check.
+    """
     r, theta = start
     if not (0.0 < r < 1.0):
         raise PreconditionViolation("start must be an interior page point (0 < r < 1)")
+    if not math.isfinite(theta):
+        raise PreconditionViolation(f"start angle must be finite, got {theta}")
     if direction not in ("forward", "backward"):
         raise PreconditionViolation("direction must be 'forward' or 'backward'")
     sys = page.system
@@ -285,8 +332,10 @@ def linking_with_binding(
 ) -> int:
     """Signed count of page crossings of the orbit over one (total) period.
 
-    Equals the linking number of the orbit with the binding.  Tangential
-    crossings (transverse phase speed below ``tol``) are rejected.
+    Equals the linking number of the orbit with the binding.  The scan reads
+    the w-phase through ``_phase_along`` on the closed-form flow, in float
+    arithmetic.  Tangential crossings (transverse phase speed below ``tol``)
+    are rejected.
     """
     level = 2.0 * math.pi / page.p
     w1, w2 = sys.plane_rates()
@@ -299,6 +348,7 @@ def linking_with_binding(
     dt = level / max(w1, w2) / 16.0
     if T / dt > _MAX_STEPS:
         raise IntegrationFailure(f"linking scan over {T:g} needs more than {_MAX_STEPS} steps")
+    phase_at = _phase_along(sys, pt0, 1)
     h0_page = page.phase
     h_prev = _w_phase(pt0)
     t_prev = 0.0
@@ -306,8 +356,7 @@ def linking_with_binding(
     t = 0.0
     while t_prev < T:
         t = min(t_prev + dt, T + 1e-12)
-        pt = flow(sys, pt0, t)
-        h = h_prev + math.remainder(_w_phase(pt) - h_prev, 2.0 * math.pi)
+        h = h_prev + math.remainder(phase_at(t) - h_prev, 2.0 * math.pi)
         ell_prev = (h_prev - h0_page) / level
         ell = (h - h0_page) / level
         lo, hi = min(ell_prev, ell), max(ell_prev, ell)
@@ -455,6 +504,9 @@ def verify_gss_conditions(
     sign of dlambda over the page interior, return-map area distortion, and
     the page area constant.  Any failed check is named in ``violated``.
     Each principal orbit is linearized at most once per call, when first needed.
+    A negative sample count, an action cutoff that is not finite or admits
+    too many orbits, and a catalogued iterate beyond the lift's sample
+    ceiling are refused before any work.
     """
 
     def note(msg: str) -> None:
@@ -470,8 +522,13 @@ def verify_gss_conditions(
 
     if sys.family != "ellipsoid":
         raise DegenerateInput("the verifier needs a nondegenerate (ellipsoid) system")
+    if n_samples < 0:
+        raise PreconditionViolation(f"the sample count must be >= 0, got {n_samples}")
     lens = sys.lens if sys.lens is not None else LensParams(1, 1)
     p = lens.p
+    entries = catalog(sys, C)
+    for entry in entries:
+        _check_lift_iterate(entry, entry.multiplicity)
     rng = np.random.default_rng(seed)
     report: dict = {
         "system": {
@@ -518,7 +575,6 @@ def verify_gss_conditions(
     checks["dlambda_positive"] = bool(form.min() > 0.0)
 
     note("catalogued orbits and linking")
-    entries = catalog(sys, C)
     orb_rows = []
     pstar_ok = True
     for entry in entries:

@@ -243,9 +243,30 @@ def test_verify_jobs_flag_matches_serial(sys_file, tmp_path):
          "--start", "0.5,0"],
         ["index", "--config", '{"family": "ellipsoid", "a": 1, "b": 1e6}',
          "--orbit", "Kprime", "--k", "1"],
+        # non-finite numbers on the return-map path
+        ["return-map", "--config", json.dumps(ELL_L21), "--start", "0.5,0.3", "--tol", "nan"],
+        ["return-map", "--config", json.dumps(ELL_L21), "--start", "0.5,0.3", "--tol", "inf"],
+        ["return-map", "--config", json.dumps(ELL_L21), "--start", "0.5,nan"],
+        ["return-map", "--config", json.dumps(ELL_L21), "--start", "0.5,inf"],
+        ["return-map", "--config", json.dumps(ELL_L21), "--start", "0.5,0.3", "--phase", "nan"],
+        ["return-map", "--config", json.dumps(ELL_L21), "--start", "0.5,0.3", "--phase", "inf"],
+        # the catalog is refused up front when the action bound is not finite or too large
+        ["verify", "--config", json.dumps(ELL_L21), "--action-bound", "nan"],
+        ["verify", "--config", json.dumps(ELL_L21), "--action-bound", "inf"],
+        ["verify", "--config", json.dumps(ELL_L21), "--action-bound", "1e9"],
+        ["sigma", "--config", json.dumps(ELL_L21), "--action-bound", "1e9"],
+        ["verify", "--config", json.dumps(ELL_L21), "--samples", "-3"],
+        # lift iterates beyond the sample ceiling are refused before any index
+        ["index", "--config", json.dumps(ELL_S3), "--orbit", "K", "--k", "20"],
+        ["verify", "--config", json.dumps(ELL_L21), "--action-bound", "40"],
     ],
     ids=["infinite-capacity", "fractional-lens-order", "huge-capacity-verify",
-         "huge-capacity-return-map", "huge-capacity-index"],
+         "huge-capacity-return-map", "huge-capacity-index",
+         "nan-tol", "infinite-tol", "nan-start-angle", "infinite-start-angle",
+         "nan-phase", "infinite-phase",
+         "nan-action-bound", "infinite-action-bound", "huge-action-bound",
+         "huge-action-bound-sigma", "negative-samples",
+         "long-iterate-index", "long-iterate-verify"],
 )
 def test_hostile_config_exits_usage(argv, capsys):
     start = time.perf_counter()

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import reebkit as rk
-from reebkit.errors import PreconditionViolation
+import reebkit.section as section
+from reebkit.cli import main
+from reebkit.errors import IntegrationFailure, PreconditionViolation
+from reebkit.integrate import _MAX_STEPS
 from reebkit.section import _edge_action, page_form_samples, sample_starts
 
 SQRT2 = math.sqrt(2.0)
@@ -320,3 +324,122 @@ def test_verifier_empty_catalog_linearizes_only_the_binding(ell_l21, linearize_c
     report, _ = rk.verify_gss_conditions(ell_l21, C=0.3, n_samples=0, seed=0, n_quads=0)
     assert report["pstar"]["orbits"] == []
     assert linearize_calls == ["K"]
+
+
+# ---------------------------------------------------------------------------
+# float-arithmetic scans against a reference that steps ``flow``
+
+
+def _reference_first_crossing(sys, pt0, direction, level, time_budget, tol, flow_method="closed"):
+    """The crossing scan that calls ``geometry.flow`` at every phase evaluation."""
+    w1, w2 = sys.plane_rates()
+    dt = level / max(w1, w2) / 16.0
+    if time_budget / dt > _MAX_STEPS:
+        raise IntegrationFailure("scan too long")
+
+    def phase_rel(t, href):
+        pt = rk.geometry.flow(sys, pt0, direction * t, method=flow_method)
+        return href + math.remainder(math.atan2(pt[3], pt[2]) - href, 2.0 * math.pi)
+
+    h0 = math.atan2(pt0[3], pt0[2])
+    h_prev, t_prev, g_prev, t = h0, 0.0, 0.0, 0.0
+    while t < time_budget:
+        t = min(t_prev + dt, time_budget)
+        h = phase_rel(t, h_prev)
+        g = math.sin(math.pi * (h - h0) / level)
+        if t_prev > 0.0 and (
+            g == 0.0 or (g_prev != 0.0 and math.copysign(1, g) != math.copysign(1, g_prev))
+        ):
+            href = h_prev
+
+            def gfun(tc):
+                return math.sin(math.pi * (phase_rel(tc, href) - h0) / level)
+
+            t_star = brentq(gfun, t_prev, t, xtol=tol)
+            return t_star, rk.geometry.flow(sys, pt0, direction * t_star, method=flow_method)
+        t_prev, h_prev, g_prev = t, h, g
+    raise IntegrationFailure("no crossing")
+
+
+def _reference_profile_inverse(disk, value):
+    """``brentq`` on the numpy profile ``PDisk.profile``."""
+    value = min(max(value, 0.0), 1.0)
+    if value <= 0.0:
+        return 0.0
+    if value >= 1.0:
+        return 1.0
+    return brentq(lambda r: float(disk.profile(r)) - value, 0.0, 1.0, xtol=1e-14)
+
+
+def _use_reference(monkeypatch):
+    monkeypatch.setattr(section, "_first_crossing", _reference_first_crossing)
+    monkeypatch.setattr(section, "_profile_inverse", _reference_profile_inverse)
+
+
+REF_RADII = (1e-3, 0.05, 0.5, 0.999)
+REF_ANGLES = (
+    -math.pi, math.nextafter(-math.pi, 0.0), -1e-12, 0.0, 1e-12,
+    math.nextafter(math.pi, 0.0), math.pi,
+)
+
+
+@pytest.mark.parametrize("lens", [None, (2, 1), (3, 2), (5, 2)], ids=str)
+def test_return_map_equals_flow_stepping_reference(lens, monkeypatch):
+    sys_ = rk.ContactSystem(
+        "ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(*lens) if lens else None
+    )
+    page = rk.build_page(sys_, 0.0)
+    starts = [(r, th) for r in REF_RADII for th in REF_ANGLES]
+    directions = ("forward", "backward")
+    fast = [rk.return_map(page, s, d) for s in starts for d in directions]
+    with monkeypatch.context() as m:
+        _use_reference(m)
+        slow = [rk.return_map(page, s, d) for s in starts for d in directions]
+    assert fast == slow
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_phase_reader_equals_phase_of_flow(ell_l21, direction):
+    pt0 = rk.page_point(rk.build_page(ell_l21, 0.0), 0.37, 2.9)
+    phase = section._phase_along(ell_l21, pt0, direction)
+    for t in np.linspace(1e-9, 3.0, 301).tolist():
+        pt = rk.flow(ell_l21, pt0, direction * t)
+        assert phase(t) == math.atan2(pt[3], pt[2])
+
+
+def test_profile_float_twin_is_bitwise_equal():
+    disk = rk.PDisk(rk.LensParams(3, 2))
+    rs = np.linspace(0.0, 1.0, 4001).tolist() + [
+        0.0, disk.blend_lo, disk.blend_hi, 1.0,
+        math.nextafter(disk.blend_lo, 0.0), math.nextafter(disk.blend_lo, 1.0),
+        math.nextafter(disk.blend_hi, 0.0), math.nextafter(disk.blend_hi, 1.0),
+    ]
+    rs += np.random.default_rng(0).uniform(0.0, 1.0, 4000).tolist()
+    for r in rs:
+        assert disk._profile_float(r) == float(disk.profile(r)), r
+
+
+def test_profile_inverse_equals_brentq_on_numpy_profile():
+    disk = rk.PDisk(rk.LensParams(2, 1))
+    values = np.linspace(-0.1, 1.1, 241).tolist() + [1e-12, 1.0 - 1e-12]
+    values += np.random.default_rng(1).uniform(0.0, 1.0, 200).tolist()
+    for v in values:
+        assert section._profile_inverse(disk, v) == _reference_profile_inverse(disk, v), v
+
+
+def test_verify_csv_bytes_equal_flow_stepping_reference(tmp_path, monkeypatch):
+    cfg = '{"family": "ellipsoid", "a": 1.0, "b": 1.4142135623730951, "lens": {"p": 2, "q": 1}}'
+
+    def run(tag):
+        out, csv = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
+        # an action bound below the shortest period gives an empty catalog
+        assert main(["verify", "--config", cfg, "--action-bound", "0.2", "--samples", "200",
+                     "--seed", "11", "--out", str(out), "--csv", str(csv)]) == 0
+        return out.read_bytes(), csv.read_bytes()
+
+    fast = run("fast")
+    with monkeypatch.context() as m:
+        _use_reference(m)
+        slow = run("slow")
+    assert fast == slow
+    assert len(fast[1].decode().splitlines()) == 201
