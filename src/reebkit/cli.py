@@ -102,6 +102,8 @@ def _select_orbit(sys_: ContactSystem, name: str):
 
 
 def _cmd_index(args) -> int:
+    if args.k < 1:
+        raise PreconditionViolation(f"--k must be >= 1, got {args.k}")
     sys_ = _load_system(args.config)
     orbit = _select_orbit(sys_, args.orbit)
     rows = index_table(orbit, args.k)
@@ -201,8 +203,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lens(args) -> int:
-    if args.p < 2:
-        raise PreconditionViolation("lens classification needs p >= 2")
+    # the tables cost about p^3 steps: every p <= 200 finishes in about 2 s
+    if not 2 <= args.p <= 200:
+        raise PreconditionViolation(f"lens classification needs 2 <= p <= 200, got {args.p}")
     payload = classification_tables(args.p)
     payload["seed"] = args.seed
     _emit(payload, args.out)

@@ -80,6 +80,8 @@ class SymplecticPath:
         self.mats = np.asarray(self.mats, dtype=float)
         if self.mats.ndim != 3 or self.mats.shape[1:] != (2, 2):
             raise PreconditionViolation("path samples must have shape (N+1, 2, 2)")
+        if not np.all(np.isfinite(self.mats)):
+            raise PreconditionViolation("path samples must be finite")
         if self.mats.shape[0] - 1 < MIN_GRID:
             raise PreconditionViolation(f"path grid must have at least {MIN_GRID} intervals")
         if not np.array_equal(self.mats[0], np.eye(2)):
@@ -192,6 +194,8 @@ class SymmetricLoop:
         self.mats = np.asarray(self.mats, dtype=float)
         if self.mats.ndim != 3 or self.mats.shape[1:] != (2, 2):
             raise PreconditionViolation("loop samples must have shape (N, 2, 2)")
+        if not np.all(np.isfinite(self.mats)):
+            raise PreconditionViolation("loop samples must be finite")
         defect = np.max(np.abs(self.mats - np.transpose(self.mats, (0, 2, 1))))
         if defect > 1e-12:
             raise PreconditionViolation(f"loop samples must be symmetric, defect {defect:.3e}")

@@ -31,23 +31,19 @@ from .geometry import (
     section_W,
 )
 from .index import (
+    DEGENERACY_TOL,
     MINUS_I,
     FrameClass,
     SymmetricLoop,
     SymplecticPath,
-    cz_geometric,
     mu_tilde,
     rotation_number,
 )
 from .integrate import dopri45
 
 CLOSURE_TOL = 1e-8
-# a catalog holds at most this many iterates; C = 1e4 on L(2,1) would build 34 142
+# most iterates a catalog holds or an index is read for; C = 1e4 on L(2,1) would build 34 142
 _MAX_CATALOG = 10_000
-# a lift iterate's path holds at most this many samples: 12 turns of the
-# 512-interval lift.  winding_interval keeps a few (samples x 720) float
-# arrays of it, so this caps the time and peak memory of an index.
-_MAX_LIFT_SAMPLES = 12 * 512 + 1
 
 
 @dataclass(frozen=True)
@@ -357,24 +353,16 @@ def _closure_order(orbit: ClosedOrbit) -> int:
     return p // math.gcd(d, p)
 
 
-def _check_lift_iterate(orbit: ClosedOrbit, k_eff: int, n: int = 512) -> None:
-    """Refuse an iterate whose lift path would exceed ``_MAX_LIFT_SAMPLES`` samples."""
-    samples = k_eff // _closure_order(orbit) * n + 1
-    if samples > _MAX_LIFT_SAMPLES:
-        raise PreconditionViolation(
-            f"iterate {k_eff} of {orbit.label} needs a lift path of {samples} samples, "
-            f"more than {_MAX_LIFT_SAMPLES}"
-        )
-
-
 def _orbit_lift(orbit: ClosedOrbit, frame_offset: int = 0, n: int = 512):
     """Index reader k_eff -> OrbitIndexResult for the iterates of a prime orbit.
 
     The orbit is linearized once: the lift is the path, in the capping-disk
-    frame, of the iterate that closes on the sphere; every iterate is read
-    off it, and each lift iterate's geometric index is computed once.
-    The reader refuses iterates beyond the sample ceiling
-    (``_check_lift_iterate``).
+    frame, of the iterate that closes on the sphere.  Every iterate is read
+    off the lift's rotation number rho and monodromy A by the Sp(2)
+    iteration formula mu = mu_tilde({j rho}), exact when A is a rotation;
+    the j-th lift iterate is degenerate when det(A^j - I) vanishes.  A lift
+    whose A is not a rotation, and an iterate beyond ``_MAX_CATALOG``, are
+    refused.
     """
     m_close = _closure_order(orbit)
     base = replace(orbit, multiplicity=m_close)
@@ -382,19 +370,27 @@ def _orbit_lift(orbit: ClosedOrbit, frame_offset: int = 0, n: int = 512):
     if frame_offset:
         frame = frame.shifted(frame_offset)
     lift_path = linearized_path(base, frame)
+    A = lift_path.monodromy
+    if np.max(np.abs(A.T @ A - np.eye(2))) > 1e-8:
+        raise IllConditioned(f"the lift monodromy of {orbit.label} is not a rotation")
     rho_lift = rotation_number(lift_path)
-    cz = {}
+    powers = [A]  # A^j at j - 1, multiplied up and normalized as in SymplecticPath.iterate
 
     def index(k_eff: int) -> OrbitIndexResult:
-        _check_lift_iterate(orbit, k_eff, n)
-        if k_eff % m_close == 0:
-            j = k_eff // m_close
-            if j not in cz:
-                cz[j] = cz_geometric(lift_path.iterate(j) if j > 1 else lift_path)
-            return OrbitIndexResult(cz[j].index, rho_lift * j, cz[j].degenerate, "disk")
-        rho = k_eff * (rho_lift / m_close)
-        degenerate = abs(rho - round(rho)) < 1e-9
-        return OrbitIndexResult(mu_tilde((rho, rho)), rho, degenerate, "fractional-disk")
+        if k_eff > _MAX_CATALOG:
+            raise PreconditionViolation(f"iterate {k_eff} of {orbit.label} is above {_MAX_CATALOG}")
+        j, rest = divmod(k_eff, m_close)
+        if rest:
+            rho = k_eff * (rho_lift / m_close)
+            degenerate = abs(rho - round(rho)) < 1e-9
+        else:
+            while len(powers) < j:
+                powers.append(A @ powers[-1])
+            Aj = powers[j - 1] / np.sqrt(abs(np.linalg.det(powers[j - 1]))) if j > 1 else A
+            rho = rho_lift * j
+            degenerate = bool(abs(np.linalg.det(Aj - np.eye(2))) < DEGENERACY_TOL)
+        convention = "fractional-disk" if rest else "disk"
+        return OrbitIndexResult(mu_tilde((rho, rho)), rho, degenerate, convention)
 
     return index
 
@@ -412,19 +408,18 @@ def orbit_index(
     is induced by the spanning disk of the iterate that closes on the
     sphere; iterates that do not close upstairs are reported in the
     fractional-disk convention mu_tilde({k * rho_prime}).  Each call
-    linearizes the orbit once; ``index_table`` shares one lift over all k.
+    linearizes the orbit once and reads the index off that lift by the
+    iteration formula; ``index_table`` shares one lift over all k.
     """
     if k < 1:
         raise PreconditionViolation("iterate exponent must be >= 1")
-    _check_lift_iterate(orbit, k * orbit.multiplicity, n)
     return _orbit_lift(orbit, frame_offset, n)(k * orbit.multiplicity)
 
 
 def index_table(orbit: ClosedOrbit, k_max: int, frame_offset: int = 0) -> list[dict]:
-    """Index/rotation table for iterates 1..k_max from one lift, as JSON-ready records."""
+    """Index/rotation table for iterates 1..k_max, read off one lift, as JSON-ready records."""
     if k_max < 1:
         return []
-    _check_lift_iterate(orbit, k_max * orbit.multiplicity)
     index = _orbit_lift(orbit, frame_offset)
     rows = []
     for k in range(1, k_max + 1):

@@ -43,7 +43,7 @@ from .geometry import (
 )
 from .integrate import _MAX_STEPS
 from .knots import PDisk, binding_sl_numeric, lens_binding_monodromy, pdisk_arrays
-from .orbits import ClosedOrbit, _check_lift_iterate, _orbit_lift, catalog, principal_orbits
+from .orbits import ClosedOrbit, _orbit_lift, catalog, principal_orbits
 
 PAGE_TOL = 1e-8
 
@@ -503,10 +503,10 @@ def verify_gss_conditions(
     with K up to the action cutoff C, forward/backward return sampling, the
     sign of dlambda over the page interior, return-map area distortion, and
     the page area constant.  Any failed check is named in ``violated``.
-    Each principal orbit is linearized at most once per call, when first needed.
-    A negative sample count, an action cutoff that is not finite or admits
-    too many orbits, and a catalogued iterate beyond the lift's sample
-    ceiling are refused before any work.
+    Each principal orbit is linearized at most once per call, when first
+    needed, and every index is read off that lift by the iteration formula.
+    A negative sample count and an action cutoff that is not finite or
+    admits too many orbits are refused before any work.
     """
 
     def note(msg: str) -> None:
@@ -527,8 +527,6 @@ def verify_gss_conditions(
     lens = sys.lens if sys.lens is not None else LensParams(1, 1)
     p = lens.p
     entries = catalog(sys, C)
-    for entry in entries:
-        _check_lift_iterate(entry, entry.multiplicity)
     rng = np.random.default_rng(seed)
     report: dict = {
         "system": {

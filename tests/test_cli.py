@@ -256,9 +256,12 @@ def test_verify_jobs_flag_matches_serial(sys_file, tmp_path):
         ["verify", "--config", json.dumps(ELL_L21), "--action-bound", "1e9"],
         ["sigma", "--config", json.dumps(ELL_L21), "--action-bound", "1e9"],
         ["verify", "--config", json.dumps(ELL_L21), "--samples", "-3"],
-        # lift iterates beyond the sample ceiling are refused before any index
-        ["index", "--config", json.dumps(ELL_S3), "--orbit", "K", "--k", "20"],
-        ["verify", "--config", json.dumps(ELL_L21), "--action-bound", "40"],
+        # no index is read beyond iterate 10 000, and --k must be positive
+        ["index", "--config", json.dumps(ELL_S3), "--orbit", "K", "--k", "10001"],
+        ["index", "--config", json.dumps(ELL_S3), "--orbit", "K", "--k", "1000000000"],
+        ["index", "--config", json.dumps(ELL_S3), "--orbit", "K", "--k", "0"],
+        # the classification tables grow as p^3
+        ["lens", "--p", "100000"],
     ],
     ids=["infinite-capacity", "fractional-lens-order", "huge-capacity-verify",
          "huge-capacity-return-map", "huge-capacity-index",
@@ -266,7 +269,7 @@ def test_verify_jobs_flag_matches_serial(sys_file, tmp_path):
          "nan-phase", "infinite-phase",
          "nan-action-bound", "infinite-action-bound", "huge-action-bound",
          "huge-action-bound-sigma", "negative-samples",
-         "long-iterate-index", "long-iterate-verify"],
+         "iterate-above-bound", "huge-iterate", "zero-iterate", "huge-lens-order"],
 )
 def test_hostile_config_exits_usage(argv, capsys):
     start = time.perf_counter()
@@ -274,3 +277,26 @@ def test_hostile_config_exits_usage(argv, capsys):
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# long iterates are read off the lift, not refused
+
+
+def test_index_long_iterate_matches_closed_form(capsys):
+    assert main(["index", "--config", json.dumps(ELL_S3), "--orbit", "K", "--k", "20"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["k"] for r in rows] == list(range(1, 21))
+    for r in rows:
+        x = r["k"] * (1.0 + 1.0 / math.sqrt(2.0))
+        assert r["mu_cz"] == 2 * math.floor(x) + 1
+        assert r["rho"] == pytest.approx(x, abs=1e-9)
+    assert (rows[-1]["mu_cz"], rows[-1]["rho"]) == (69, 34.1421356237)
+
+
+def test_verify_long_action_bound_passes(capsys):
+    start = time.perf_counter()
+    assert main(["verify", "--config", json.dumps(ELL_L21), "--action-bound", "40"]) == 0
+    assert time.perf_counter() - start < 5.0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_pass"] and len(report["pstar"]["orbits"]) == 136

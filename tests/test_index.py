@@ -110,6 +110,14 @@ def test_path_validation():
     mats[0] = [[1.0, 1e-3], [0.0, 1.0]]
     with pytest.raises(PreconditionViolation):
         rk.SymplecticPath(mats)
+    # non-finite samples pass the determinant check (nan > tol is False)
+    for bad in (math.nan, math.inf):
+        mats = rk.make_rotation_path(1.0).mats.copy()
+        mats[7, 0, 1] = bad
+        with pytest.raises(PreconditionViolation):
+            rk.SymplecticPath(mats)
+    with np.errstate(all="ignore"), pytest.raises(PreconditionViolation):
+        rk.make_hyperbolic_path(40.0).iterate(30)  # overflows to inf and nan
 
 
 def test_path_json_round_trip():
@@ -169,6 +177,11 @@ def test_loop_symmetry_validation():
     mats[:, 0, 1] = 1.0
     with pytest.raises(PreconditionViolation):
         rk.SymmetricLoop(mats)
+    for bad in (math.nan, math.inf):
+        mats = np.zeros((64, 2, 2))
+        mats[5] = bad
+        with pytest.raises(PreconditionViolation):
+            rk.SymmetricLoop(mats)
 
 
 def test_spectral_report_json():

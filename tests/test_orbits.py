@@ -1,10 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import reebkit as rk
-from reebkit.errors import DegenerateInput, PreconditionViolation
+from reebkit.errors import DegenerateInput, IllConditioned, PreconditionViolation
+from reebkit.orbits import _MAX_CATALOG, _closure_order
 
 SQRT2 = math.sqrt(2.0)
 
@@ -248,3 +252,91 @@ def test_index_table_linearizes_once(ell_s3, linearize_calls):
     K, _ = rk.principal_orbits(ell_s3)
     assert len(rk.index_table(K, 6)) == 6
     assert linearize_calls == ["K"]
+
+
+# ---------------------------------------------------------------------------
+# the iteration formula against the geometric route
+
+
+def _geometric_rows(orbit, k_max, frame_offset):
+    """(mu, rho, degenerate, convention) for k <= k_max with cz_geometric on each lift iterate.
+
+    This is the reader's former route.  The lift is a rotation path, so its
+    twist is the same in every direction, and 8 sampled directions with the
+    golden-section refinement find the winding interval that 720 find.
+    """
+    m_close = _closure_order(orbit)
+    base = replace(orbit, multiplicity=m_close)
+    frame = rk.disk_frame(base)
+    if frame_offset:
+        frame = frame.shifted(frame_offset)
+    lift = rk.linearized_path(base, frame)
+    rho_lift = rk.rotation_number(lift)
+    rows = []
+    for k in range(1, k_max + 1):
+        if k % m_close == 0:
+            j = k // m_close
+            cz = rk.cz_geometric(lift.iterate(j) if j > 1 else lift, n_dirs=8)
+            rows.append((cz.index, rho_lift * j, cz.degenerate, "disk"))
+        else:
+            rho = k * (rho_lift / m_close)
+            degenerate = abs(rho - round(rho)) < 1e-9
+            rows.append((rk.mu_tilde((rho, rho)), rho, degenerate, "fractional-disk"))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "a,b,lens",
+    [
+        (1.0, SQRT2, None), (1.0, SQRT2, (2, 1)), (1.0, SQRT2, (3, 2)), (1.0, SQRT2, (5, 2)),
+        # resonant: some iterates of K or K' are degenerate
+        (1.0, 2.0, None), (1.0, 1.5, None), (3.0, 1.0, (2, 1)), (1.0, 3.0, (2, 1)),
+        (1.0, 1.5, (3, 2)),
+    ],
+    ids=["S3", "L21", "L32", "L52", "S3-b2", "S3-b1.5", "L21-a3", "L21-b3", "L32-b1.5"],
+)
+def test_index_table_equals_geometric_route(a, b, lens):
+    sys_ = rk.ContactSystem("ellipsoid", a=a, b=b, lens=rk.LensParams(*lens) if lens else None)
+    for orbit in rk.principal_orbits(sys_):
+        for offset in (0, 1):
+            rows = rk.index_table(orbit, 12, frame_offset=offset)
+            got = [(r["mu_cz"], r["rho"], r["degenerate"], r["convention"]) for r in rows]
+            assert got == _geometric_rows(orbit, 12, offset)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(a=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0), p=st.integers(1, 5), q_pick=st.integers(0, 3))
+def test_index_table_equals_closed_form(a, b, p, q_pick):
+    # K^k rotates k (1 + a/b) / p times and K'^k rotates k (1 + b/a) / p times;
+    # away from resonance the index is mu_tilde({x}) = 2 floor(x) + 1; near
+    # resonance rho, read off the monodromy's trace, loses digits
+    qs = [q for q in range(1, p + 1) if math.gcd(p, q) == 1]
+    k_max = 2 * p + 1
+    assume(abs(a - b) > 1e-3)
+    for ratio in (a / b, b / a):
+        xs = [k * (1 + ratio) / p for k in range(1, k_max + 1)]
+        assume(all(abs(x - round(x)) > 1e-3 for x in xs))
+    lens = rk.LensParams(p, qs[q_pick % len(qs)]) if p > 1 else None
+    K, Kp = rk.principal_orbits(rk.ContactSystem("ellipsoid", a=a, b=b, lens=lens))
+    for orbit, ratio in ((K, a / b), (Kp, b / a)):
+        for row in rk.index_table(orbit, k_max):
+            x = row["k"] * (1 + ratio) / p
+            assert row["mu_cz"] == 2 * math.floor(x) + 1
+            assert row["rho"] == pytest.approx(x, abs=1e-6)
+            assert not row["degenerate"]
+
+
+def test_index_reader_refuses_iterates_above_bound(ell_s3):
+    K, _ = rk.principal_orbits(ell_s3)
+    x = _MAX_CATALOG * (1.0 + 1.0 / SQRT2)
+    assert rk.orbit_index(K, _MAX_CATALOG).mu == 2 * math.floor(x) + 1
+    with pytest.raises(PreconditionViolation):
+        rk.orbit_index(K, _MAX_CATALOG + 1)
+
+
+def test_index_reader_refuses_non_rotation_monodromy(ell_s3, monkeypatch):
+    # the iteration formula is exact for rotations only
+    monkeypatch.setattr(rk.orbits, "linearized_path", lambda *a, **kw: rk.make_hyperbolic_path(1.0))
+    K, _ = rk.principal_orbits(ell_s3)
+    with pytest.raises(IllConditioned):
+        rk.index_table(K, 2)
