@@ -203,7 +203,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lens(args) -> int:
-    # the tables cost about p^3 steps: every p <= 200 finishes in about 2 s
+    # the tables hold p^2 entries; the cap keeps the report small
     if not 2 <= args.p <= 200:
         raise PreconditionViolation(f"lens classification needs 2 <= p <= 200, got {args.p}")
     payload = classification_tables(args.p)

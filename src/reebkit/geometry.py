@@ -237,6 +237,12 @@ def dlambda_eval(sys: ContactSystem, pt, u, v) -> float:
 # the Reeb vector field
 
 
+def _reeb_rows(sys: ContactSystem, pts: np.ndarray) -> np.ndarray:
+    """The toric rotation field at each row of ``pts``: i z and i w at the plane rates."""
+    w1, w2 = sys.plane_rates()
+    return ambient_rotation(pts) * np.array([w1, w1, w2, w2])
+
+
 def reeb_vector(sys: ContactSystem, pt, method: str = "closed") -> np.ndarray:
     """The Reeb vector field at ``pt``: i_R dlambda = 0 and lambda(R) = 1.
 
@@ -246,8 +252,7 @@ def reeb_vector(sys: ContactSystem, pt, method: str = "closed") -> np.ndarray:
     """
     pt = check_point(pt)
     if method == "closed":
-        w1, w2 = sys.plane_rates()
-        return np.array([-w1 * pt[1], w1 * pt[0], -w2 * pt[3], w2 * pt[2]])
+        return _reeb_rows(sys, pt[None])[0]
     if method != "solve":
         raise ValueError(f"unknown method {method!r}")
     # i_R dlambda = 0 against every tangent basis vector plus lambda(R) = 1;
@@ -277,6 +282,26 @@ def reeb_vector(sys: ContactSystem, pt, method: str = "closed") -> np.ndarray:
 def _turn(u: complex, rate: float, t: float) -> complex:
     """The plane coordinate ``u`` rotated for time ``t`` at angular ``rate``."""
     return u * complex(math.cos(rate * t), math.sin(rate * t))
+
+
+def _turn_grid(sys: ContactSystem, v: np.ndarray, T: float, n: int) -> np.ndarray:
+    """Rows of ``v`` turned at the family rates for the grid times T j / n, j = 0..n.
+
+    The float operations are those of ``flow(sys, v, T * j / n)``, cos and
+    sin included, so a turned point equals the scalar flow bit for bit.  The
+    flow is linear on C^2, so the same kernel turns tangent vectors: it is
+    its own linearization.
+    """
+    ts = T * np.arange(n + 1) / n
+    out = np.empty((n + 1, 4))
+    for col, rate in zip((0, 2), sys.plane_rates()):
+        angles = (rate * ts).tolist()
+        c = np.array([math.cos(t) for t in angles])
+        s = np.array([math.sin(t) for t in angles])
+        x, y = v[col], v[col + 1]
+        out[:, col] = x * c - y * s
+        out[:, col + 1] = x * s + y * c
+    return out
 
 
 def flow_closed(sys: ContactSystem, pt, t: float) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Adaptive Dormand-Prince 4(5) integrator with a post-step projection hook.
 
-The projection hook is what the rest of the package relies on: flows on the
-unit sphere are renormalized after every accepted step, and variational
-states get their determinant rescaled.  scipy's solvers do not expose a
-per-step hook, so the stepper is implemented here; tests cross-check it
-against ``scipy.integrate.solve_ivp``.
+The numeric Reeb flow, the cross-check of the closed form, relies on the
+projection hook to renormalize to the unit sphere after every accepted step;
+the linearized flow needs no integrator, as it is the closed form itself.
+scipy's solvers do not expose a per-step hook, so the stepper is implemented
+here; tests cross-check it against ``scipy.integrate.solve_ivp``.
 """
 
 from __future__ import annotations

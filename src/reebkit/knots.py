@@ -63,16 +63,14 @@ def lens_homeomorphic(p: int, q1: int, q2: int) -> bool:
     return (q1 * q2) % p in (1 % p, (-1) % p)
 
 
+def _square_multiples(p: int, q: int) -> set[int]:
+    """The residues +-k^2 q mod p for 1 <= k < p."""
+    return {(sign * k * k * q) % p for k in range(1, p) for sign in (1, -1)}
+
+
 def lens_homotopy_equivalent(p: int, q1: int, q2: int) -> bool:
     """Whether L(p, q1) and L(p, q2) are homotopy equivalent: q1 = +-k^2 q2 mod p."""
-    if p == 1:
-        return True
-    q1 %= p
-    q2 %= p
-    for k in range(1, p):
-        if (k * k * q2) % p == q1 or (-k * k * q2) % p == q1:
-            return True
-    return False
+    return p == 1 or q1 % p in _square_multiples(p, q2)
 
 
 def coprime_residues(p: int) -> list[int]:
@@ -85,7 +83,8 @@ def classification_tables(p: int) -> dict:
         raise PreconditionViolation("classification tables need p >= 2")
     qs = coprime_residues(p)
     homeo = [[lens_homeomorphic(p, a, b) for b in qs] for a in qs]
-    homot = [[lens_homotopy_equivalent(p, a, b) for b in qs] for a in qs]
+    squares = {b: _square_multiples(p, b) for b in qs}
+    homot = [[a in squares[b] for b in qs] for a in qs]
 
     def classes(matrix):
         seen: list[list[int]] = []

@@ -2,12 +2,12 @@
 
 The supported systems have exactly two prime closed orbits, the principal
 circles K = {w = 0} and K' = {z = 0}; on a quotient their prime periods
-divide by the order of the deck group.  The linearized flow along an orbit
-is integrated variationally in the ambient space, projected to the contact
-plane, and expressed in a unitary frame built from the global section
-W(z, w) = (-conj(w), conj(z)) of the contact structure.  That section
-extends over the spanning disks of the principal circles, so the frame
-represents the capping-disk trivialization class.
+divide by the order of the deck group.  The Reeb flow is linear on C^2, so
+the linearized flow along an orbit is the flow itself, in closed form; it is
+projected to the contact plane and expressed in a unitary frame built from
+the global section W(z, w) = (-conj(w), conj(z)) of the contact structure.
+That section extends over the spanning disks of the principal circles, so
+the frame represents the capping-disk trivialization class.
 """
 
 from __future__ import annotations
@@ -18,16 +18,17 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateInput, IllConditioned, IntegrationFailure, PreconditionViolation
+from .errors import DegenerateInput, GridTooCoarse, IllConditioned, PreconditionViolation
 from .geometry import (
     ContactSystem,
     _dlambda_rows,
     _lambda_rows,
+    _reeb_rows,
+    _turn_grid,
     ambient_rotation,
     check_point,
     deck_action,
     flow,
-    reeb_vector,
     section_W,
 )
 from .index import (
@@ -39,11 +40,12 @@ from .index import (
     mu_tilde,
     rotation_number,
 )
-from .integrate import dopri45
 
 CLOSURE_TOL = 1e-8
 # most iterates a catalog holds or an index is read for; C = 1e4 on L(2,1) would build 34 142
 _MAX_CATALOG = 10_000
+# intervals of the time grid every orbit's frame and linearized path are sampled on
+_GRID_INTERVALS = 512
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,7 @@ class TransverseFrame:
         )
 
 
-def disk_frame(orbit: ClosedOrbit, n: int = 512) -> TransverseFrame:
+def disk_frame(orbit: ClosedOrbit, n: int = _GRID_INTERVALS) -> TransverseFrame:
     """Unitary frame along the orbit in the capping-disk class.
 
     The first section is the global section W normalized so that the frame
@@ -204,8 +206,7 @@ def disk_frame(orbit: ClosedOrbit, n: int = 512) -> TransverseFrame:
     so the induced class is the disk class (offset 0).
     """
     sys = orbit.system
-    T = orbit.period
-    pts = np.array([flow(sys, orbit.anchor, T * j / n) for j in range(n + 1)])
+    pts = _turn_grid(sys, orbit.anchor, orbit.period, n)
     w = section_W(pts)
     iw = ambient_rotation(w)
     norm = _dlambda_rows(sys, pts, w, iw)
@@ -223,71 +224,41 @@ def frame_pairing(sys: ContactSystem, frame: TransverseFrame) -> np.ndarray:
 # linearized flow
 
 
-def _dreeb_matrix(sys: ContactSystem) -> np.ndarray:
-    """Ambient Jacobian of the Reeb field (a constant matrix for these families)."""
-    w1, w2 = sys.plane_rates()
-    A = np.zeros((4, 4))
-    A[0, 1] = -w1
-    A[1, 0] = w1
-    A[2, 3] = -w2
-    A[3, 2] = w2
-    return A
-
-
 def linearized_path(
     orbit: ClosedOrbit,
     frame: Optional[TransverseFrame] = None,
-    rtol: float = 1e-11,
     det_tol: float = 1e-6,
 ) -> SymplecticPath:
     """The transverse linearized flow over one period, expressed in the frame.
 
-    The variational equations are integrated alongside the flow in a single
-    12-dimensional state; the images of the frame vectors are projected to
-    the contact plane along the Reeb direction and re-expanded in the frame.
+    The flow is linear, so the frame's first vectors are carried along by
+    turning them with the points; their images are projected to the contact
+    plane along the Reeb direction and re-expanded in the frame.  A grid on
+    which the disk-frame path turns more than pi/2 per interval, (w1 + w2) T / n,
+    is refused before any frame is built: there the index layer's phase
+    unwrapping refuses a rotation path, and past pi the turns alias.
     """
     sys = orbit.system
+    n = _GRID_INTERVALS if frame is None else frame.n_intervals
+    turn = sum(sys.plane_rates()) * orbit.period / n
+    if turn > math.pi / 2:
+        raise GridTooCoarse(
+            f"the linearized flow of {orbit.label} turns {turn:.3g} rad per interval "
+            f"of the {n}-interval grid, more than pi/2"
+        )
     if frame is None:
         frame = disk_frame(orbit)
-    n = frame.n_intervals
-    T = orbit.period
-    A = _dreeb_matrix(sys)
-
-    def rhs(_t, y):
-        pt = y[:4]
-        out = np.empty(12)
-        out[:4] = reeb_vector(sys, pt / np.linalg.norm(pt))
-        out[4:8] = A @ y[4:8]
-        out[8:12] = A @ y[8:12]
-        return out
-
-    def project(y):
-        y = y.copy()
-        pt = y[:4]
-        y[:4] = pt / np.linalg.norm(pt)
-        for sl in (slice(4, 8), slice(8, 12)):
-            y[sl] -= (y[sl] @ y[:4]) * y[:4]
-        return y
-
-    y0 = np.concatenate([orbit.anchor, frame.e1[0], frame.e2[0]])
-    t_eval = np.linspace(0.0, T, n + 1)
-    w1, w2 = sys.plane_rates()
-    res = dopri45(
-        rhs, 0.0, y0, T, rtol=rtol, atol=rtol, project=project,
-        t_eval=t_eval, max_step=0.5 / max(w1, w2),
-    )
-
     pts = frame.points
-    R = np.array([reeb_vector(sys, pt) for pt in pts])
+    R = _reeb_rows(sys, pts)
     mats = np.empty((n + 1, 2, 2))
-    for col, sl in enumerate((slice(4, 8), slice(8, 12))):
-        v = res.ys[:, sl]
+    for col, v0 in enumerate((frame.e1[0], frame.e2[0])):
+        v = _turn_grid(sys, v0, orbit.period, n)
         u = v - _lambda_rows(sys, pts, v)[:, None] * R
         mats[:, 0, col] = _dlambda_rows(sys, pts, u, frame.e2)
         mats[:, 1, col] = _dlambda_rows(sys, pts, frame.e1, u)
     dets = np.linalg.det(mats)
     if np.max(np.abs(dets - 1.0)) > det_tol:
-        raise IntegrationFailure(
+        raise IllConditioned(
             f"determinant drift {np.max(np.abs(dets - 1.0)):.3e} exceeds {det_tol}"
         )
     mats /= np.sqrt(dets)[:, None, None]
@@ -353,7 +324,15 @@ def _closure_order(orbit: ClosedOrbit) -> int:
     return p // math.gcd(d, p)
 
 
-def _orbit_lift(orbit: ClosedOrbit, frame_offset: int = 0, n: int = 512):
+def _check_iterate(orbit: ClosedOrbit, k: int) -> None:
+    """Refuse the k-th iterate of ``orbit`` beyond iterate ``_MAX_CATALOG`` of its prime orbit."""
+    if k * orbit.multiplicity > _MAX_CATALOG:
+        raise PreconditionViolation(
+            f"iterate {k} of {orbit.label} is above {_MAX_CATALOG // orbit.multiplicity}"
+        )
+
+
+def _orbit_lift(orbit: ClosedOrbit, frame_offset: int = 0):
     """Index reader k_eff -> OrbitIndexResult for the iterates of a prime orbit.
 
     The orbit is linearized once: the lift is the path, in the capping-disk
@@ -361,14 +340,11 @@ def _orbit_lift(orbit: ClosedOrbit, frame_offset: int = 0, n: int = 512):
     off the lift's rotation number rho and monodromy A by the Sp(2)
     iteration formula mu = mu_tilde({j rho}), exact when A is a rotation;
     the j-th lift iterate is degenerate when det(A^j - I) vanishes.  A lift
-    whose A is not a rotation, and an iterate beyond ``_MAX_CATALOG``, are
-    refused.
+    whose A is not a rotation is refused; callers bound k with ``_check_iterate``.
     """
     m_close = _closure_order(orbit)
     base = replace(orbit, multiplicity=m_close)
-    frame = disk_frame(base, n=n)
-    if frame_offset:
-        frame = frame.shifted(frame_offset)
+    frame = disk_frame(base).shifted(frame_offset) if frame_offset else None
     lift_path = linearized_path(base, frame)
     A = lift_path.monodromy
     if np.max(np.abs(A.T @ A - np.eye(2))) > 1e-8:
@@ -377,8 +353,6 @@ def _orbit_lift(orbit: ClosedOrbit, frame_offset: int = 0, n: int = 512):
     powers = [A]  # A^j at j - 1, multiplied up and normalized as in SymplecticPath.iterate
 
     def index(k_eff: int) -> OrbitIndexResult:
-        if k_eff > _MAX_CATALOG:
-            raise PreconditionViolation(f"iterate {k_eff} of {orbit.label} is above {_MAX_CATALOG}")
         j, rest = divmod(k_eff, m_close)
         if rest:
             rho = k_eff * (rho_lift / m_close)
@@ -395,12 +369,7 @@ def _orbit_lift(orbit: ClosedOrbit, frame_offset: int = 0, n: int = 512):
     return index
 
 
-def orbit_index(
-    orbit: ClosedOrbit,
-    k: int = 1,
-    frame_offset: int = 0,
-    n: int = 512,
-) -> OrbitIndexResult:
+def orbit_index(orbit: ClosedOrbit, k: int = 1, frame_offset: int = 0) -> OrbitIndexResult:
     """Conley-Zehnder index and rotation number of the k-th iterate.
 
     Both are computed in the capping-disk trivialization class (optionally
@@ -413,13 +382,15 @@ def orbit_index(
     """
     if k < 1:
         raise PreconditionViolation("iterate exponent must be >= 1")
-    return _orbit_lift(orbit, frame_offset, n)(k * orbit.multiplicity)
+    _check_iterate(orbit, k)
+    return _orbit_lift(orbit, frame_offset)(k * orbit.multiplicity)
 
 
 def index_table(orbit: ClosedOrbit, k_max: int, frame_offset: int = 0) -> list[dict]:
     """Index/rotation table for iterates 1..k_max, read off one lift, as JSON-ready records."""
     if k_max < 1:
         return []
+    _check_iterate(orbit, k_max)
     index = _orbit_lift(orbit, frame_offset)
     rows = []
     for k in range(1, k_max + 1):

@@ -43,7 +43,7 @@ from .geometry import (
 )
 from .integrate import _MAX_STEPS
 from .knots import PDisk, binding_sl_numeric, lens_binding_monodromy, pdisk_arrays
-from .orbits import ClosedOrbit, _orbit_lift, catalog, principal_orbits
+from .orbits import ClosedOrbit, _check_iterate, _orbit_lift, catalog, principal_orbits
 
 PAGE_TOL = 1e-8
 
@@ -516,6 +516,7 @@ def verify_gss_conditions(
     lifts: dict = {}  # label -> index reader of that principal orbit's lift
 
     def lifted_index(orbit: ClosedOrbit, k: int = 1):
+        _check_iterate(orbit, k)
         if orbit.label not in lifts:
             lifts[orbit.label] = _orbit_lift(orbit)
         return lifts[orbit.label](k * orbit.multiplicity)

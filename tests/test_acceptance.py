@@ -80,8 +80,8 @@ def test_criterion_4_ellipsoid_index_table():
         # closed-form oracle: the disk-frame path is the rigid rotation by
         # 2 pi k theta, so the index is mu_tilde of the point {k theta}
         mu_oracle = rk.mu_tilde((k * theta, k * theta))
-        # full numerical pipeline: flow -> variational integration -> S(t)
-        # -> spectrum -> 2 wind + parity
+        # full numerical pipeline: closed-form linearized flow in the disk
+        # frame -> S(t) -> spectrum -> 2 wind + parity
         orbit_k = K.iterate(k)
         path = rk.linearized_path(orbit_k)
         loop = rk.asymptotic_loop(orbit_k, path=path)

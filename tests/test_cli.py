@@ -238,7 +238,8 @@ def test_verify_jobs_flag_matches_serial(sys_file, tmp_path):
         ["verify", "--config",
          '{"family": "ellipsoid", "a": 1.0, "b": 1e6, "lens": {"p": 2, "q": 1}}',
          "--samples", "5"],
-        # return scans and the linearized flow are refused beyond a step ceiling
+        # return scans are refused beyond a step ceiling, and the linearized
+        # flow when it turns more than pi/2 per interval of its 512-interval grid
         ["return-map", "--config", '{"family": "ellipsoid", "a": 1, "b": 1e6}',
          "--start", "0.5,0"],
         ["index", "--config", '{"family": "ellipsoid", "a": 1, "b": 1e6}',
@@ -260,7 +261,7 @@ def test_verify_jobs_flag_matches_serial(sys_file, tmp_path):
         ["index", "--config", json.dumps(ELL_S3), "--orbit", "K", "--k", "10001"],
         ["index", "--config", json.dumps(ELL_S3), "--orbit", "K", "--k", "1000000000"],
         ["index", "--config", json.dumps(ELL_S3), "--orbit", "K", "--k", "0"],
-        # the classification tables grow as p^3
+        # the classification tables are capped at p = 200
         ["lens", "--p", "100000"],
     ],
     ids=["infinite-capacity", "fractional-lens-order", "huge-capacity-verify",
@@ -277,6 +278,42 @@ def test_hostile_config_exits_usage(argv, capsys):
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_huge_iterate_named_and_refused_before_linearizing(capsys, linearize_calls):
+    argv = ["index", "--config", json.dumps(ELL_S3), "--orbit", "K", "--k", "1000000000"]
+    assert main(argv) == 1
+    assert "1000000000" in capsys.readouterr().err
+    assert linearize_calls == []
+
+
+@pytest.mark.parametrize("b", [100.0, 117.3, 126.0, 126.5, 127.0, 128.0, 129.0, 250.0,
+                               400.37, 1e3, 1e4, 1e6])
+@pytest.mark.parametrize("lens", [None, {"p": 2, "q": 1}], ids=["S3", "L21"])
+def test_index_at_large_capacity_ratio_is_closed_form_or_refused(lens, b, capsys):
+    # K^k turns k (1 + a/b) / p times and K'^k turns k (1 + b/a) / p times;
+    # past b/a = 127 the 512-interval grid cannot resolve K' and the run is
+    # refused, never answered with another number
+    config = {"family": "ellipsoid", "a": 1.0, "b": b}
+    if lens:
+        config["lens"] = lens
+    p = lens["p"] if lens else 1
+    for orbit, ratio in (("K", 1.0 / b), ("Kprime", b)):
+        code = main(["index", "--config", json.dumps(config), "--orbit", orbit, "--k", "4"])
+        out, err = capsys.readouterr()
+        if code == 1:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            continue
+        assert code == 0 and err == ""
+        for row in json.loads(out)["rows"]:
+            x = row["k"] * (1.0 + ratio) / p
+            assert row["rho"] == pytest.approx(x, rel=1e-9)
+            if x == round(x):
+                # resonant: the row is flagged and its index sits at 2x or beside it,
+                # on the side of the integer the read rho falls
+                assert row["degenerate"] and abs(row["mu_cz"] - 2 * x) <= 1
+            else:
+                assert row["mu_cz"] == 2 * math.floor(x) + 1
 
 
 # ---------------------------------------------------------------------------

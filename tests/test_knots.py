@@ -121,6 +121,31 @@ def test_lens_homotopy_matches_brute_force():
                 assert rk.lens_homotopy_equivalent(p, q1, q2) == _brute_homotopy(p, q1, q2)
 
 
+def _scan_homotopy(p, q1, q2):
+    """The former per-pair scan over k, kept as the reference for the residue sets."""
+    if p == 1:
+        return True
+    q1 %= p
+    q2 %= p
+    for k in range(1, p):
+        if (k * k * q2) % p == q1 or (-k * k * q2) % p == q1:
+            return True
+    return False
+
+
+def test_classification_tables_match_per_pair_scan():
+    for p in range(2, 61):
+        tables = rk.classification_tables(p)
+        qs = tables["residues"]
+        assert tables["homotopy_equivalent"] == [[_scan_homotopy(p, a, b) for b in qs] for a in qs]
+    # every residue pair, coprime or not, and residues outside 0..p-1
+    for p in range(2, 31):
+        for q1 in range(-1, p + 1):
+            for q2 in range(-1, p + 1):
+                assert rk.lens_homotopy_equivalent(p, q1, q2) == _scan_homotopy(p, q1, q2)
+    assert rk.lens_homotopy_equivalent(1, 0, 0)
+
+
 def test_equivalence_relation_axioms_small():
     for p in range(2, 21):
         qs = coprime_residues(p)

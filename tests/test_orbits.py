@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reebkit as rk
-from reebkit.errors import DegenerateInput, IllConditioned, PreconditionViolation
+from reebkit.errors import DegenerateInput, GridTooCoarse, IllConditioned, PreconditionViolation
+from reebkit.geometry import _dlambda_rows, _lambda_rows
+from reebkit.integrate import dopri45
 from reebkit.orbits import _MAX_CATALOG, _closure_order
 
 SQRT2 = math.sqrt(2.0)
@@ -99,6 +101,93 @@ def test_linearized_short_orbit_disk_frame_rotation(ell_s3):
     ang = 2 * math.pi * (1 + 1 / SQRT2)
     rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
     assert np.abs(path.monodromy - rot).max() < 1e-9
+
+
+def _integrated_path(orbit, frame):
+    """The linearized flow by dopri45 on the 12-dimensional variational system.
+
+    This is the former route: the point and both frame vectors are
+    integrated together under the ambient Jacobian of the Reeb field, then
+    projected to the contact plane and re-expanded in the frame.
+    """
+    sys_ = orbit.system
+    w1, w2 = sys_.plane_rates()
+    A = np.zeros((4, 4))
+    A[0, 1], A[1, 0], A[2, 3], A[3, 2] = -w1, w1, -w2, w2
+
+    def rhs(_t, y):
+        out = np.empty(12)
+        out[:4] = rk.reeb_vector(sys_, y[:4] / np.linalg.norm(y[:4]))
+        out[4:8] = A @ y[4:8]
+        out[8:12] = A @ y[8:12]
+        return out
+
+    def project(y):
+        y = y.copy()
+        y[:4] /= np.linalg.norm(y[:4])
+        for sl in (slice(4, 8), slice(8, 12)):
+            y[sl] -= (y[sl] @ y[:4]) * y[:4]
+        return y
+
+    n = frame.n_intervals
+    y0 = np.concatenate([orbit.anchor, frame.e1[0], frame.e2[0]])
+    res = dopri45(
+        rhs, 0.0, y0, orbit.period, rtol=1e-11, atol=1e-11, project=project,
+        t_eval=np.linspace(0.0, orbit.period, n + 1), max_step=0.5 / max(w1, w2),
+    )
+    pts = frame.points
+    R = np.array([rk.reeb_vector(sys_, pt) for pt in pts])
+    mats = np.empty((n + 1, 2, 2))
+    for col, sl in enumerate((slice(4, 8), slice(8, 12))):
+        v = res.ys[:, sl]
+        u = v - _lambda_rows(sys_, pts, v)[:, None] * R
+        mats[:, 0, col] = _dlambda_rows(sys_, pts, u, frame.e2)
+        mats[:, 1, col] = _dlambda_rows(sys_, pts, frame.e1, u)
+    mats /= np.sqrt(np.linalg.det(mats))[:, None, None]
+    mats[0] = np.eye(2)
+    return mats
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+@pytest.mark.parametrize(
+    "b,lens", [(SQRT2, None), (SQRT2, (2, 1)), (17 + math.pi / 7, (12, 5))],
+    ids=["S3", "L21", "L125"],
+)
+def test_linearized_path_equals_integrated_variational_flow(b, lens, offset):
+    sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=b, lens=rk.LensParams(*lens) if lens else None)
+    for orbit in rk.principal_orbits(sys_):
+        base = replace(orbit, multiplicity=_closure_order(orbit))
+        frame = rk.disk_frame(base).shifted(offset)
+        path = rk.linearized_path(base, frame)
+        assert np.abs(path.mats - _integrated_path(base, frame)).max() < 1e-9
+
+
+@pytest.mark.parametrize("lens", [None, (2, 1), (12, 5)], ids=["S3", "L21", "L125"])
+def test_disk_frame_points_equal_scalar_flow(lens):
+    sys_ = rk.ContactSystem(
+        "ellipsoid", a=1.0, b=17 + math.pi / 7, lens=rk.LensParams(*lens) if lens else None
+    )
+    for orbit in rk.principal_orbits(sys_):
+        for m in (1, 3):
+            it = orbit.iterate(m)
+            n = 512
+            pts = np.array([rk.flow(sys_, it.anchor, it.period * j / n) for j in range(n + 1)])
+            assert np.array_equal(rk.disk_frame(it).points, pts)
+
+
+def test_linearized_path_refuses_coarse_grid_up_front(ell_s3, monkeypatch):
+    # (w1 + w2) T / n above pi/2: refused before a frame is built
+    monkeypatch.setattr(rk.orbits, "disk_frame", None)
+    _, Kp = rk.principal_orbits(rk.ContactSystem("ellipsoid", a=1.0, b=128.0))
+    with pytest.raises(GridTooCoarse):
+        rk.linearized_path(Kp)
+    with pytest.raises(GridTooCoarse):
+        rk.index_table(Kp, 1)
+    # a given frame's grid counts: 2 intervals over K^2 turn about 5.4 rad each
+    K, _ = rk.principal_orbits(ell_s3)
+    zeros = np.zeros((3, 4))
+    with pytest.raises(GridTooCoarse):
+        rk.linearized_path(K.iterate(2), rk.TransverseFrame(zeros, zeros, zeros))
 
 
 def test_disk_frame_pairing_normalized(ell_s3):
@@ -332,6 +421,18 @@ def test_index_reader_refuses_iterates_above_bound(ell_s3):
     assert rk.orbit_index(K, _MAX_CATALOG).mu == 2 * math.floor(x) + 1
     with pytest.raises(PreconditionViolation):
         rk.orbit_index(K, _MAX_CATALOG + 1)
+
+
+def test_large_iterates_refused_before_linearizing(ell_l21, linearize_calls):
+    K, Kp = rk.principal_orbits(ell_l21)
+    with pytest.raises(PreconditionViolation, match="iterate 10001 of K is"):
+        rk.index_table(K, _MAX_CATALOG + 1)
+    with pytest.raises(PreconditionViolation, match="iterate 10001 of K' is"):
+        rk.orbit_index(Kp, _MAX_CATALOG + 1)
+    # the bound is on the prime orbit's iterate: the 5001st iterate of K^2 is K^10002
+    with pytest.raises(PreconditionViolation, match="iterate 5001 of K is above 5000"):
+        rk.orbit_index(K.iterate(2), 5001)
+    assert linearize_calls == []
 
 
 def test_index_reader_refuses_non_rotation_monodromy(ell_s3, monkeypatch):
