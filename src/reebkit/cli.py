@@ -36,8 +36,8 @@ EXIT_VERIFICATION = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's default 2
-        self.print_usage(_sys.stderr)
+    def error(self, message):  # one line saying what is wrong; exit 1, not argparse's 2
+        _sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
 
 

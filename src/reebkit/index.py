@@ -641,18 +641,18 @@ def cz_spectral(loop: SymmetricLoop, n_modes: int = 256) -> CzResult:
 # rotation numbers
 
 
-def _rotation_candidates(path: SymplecticPath):
-    """Values the rotation number can take, from the conjugacy class of phi(1)."""
+def _rotation_candidates(path: SymplecticPath) -> float:
+    """The rotation number mod 1, from the conjugacy class of phi(1)."""
     A = path.monodromy
     tr = A[0, 0] + A[1, 1]
     if abs(tr) < 2.0 - 1e-12:
         omega = math.acos(max(-1.0, min(1.0, tr / 2.0))) / (2.0 * math.pi)
         if A[1, 0] < 0:
             omega = -omega
-        return omega % 1.0, 1.0  # fractional part, candidate spacing
+        return omega % 1.0
     if tr >= 2.0 - 1e-12:
-        return 0.0, 1.0  # eigendirections fixed: integer rotation number
-    return 0.5, 1.0  # orientation-reversing on directions: half-integer
+        return 0.0  # eigendirections fixed: integer rotation number
+    return 0.5  # orientation-reversing on directions: half-integer
 
 
 def circle_map_lift(path: SymplecticPath):
@@ -680,11 +680,11 @@ def rotation_number_with_error(
     """
     if iterates < 8:
         raise PreconditionViolation("need at least 8 iterates")
-    frac, spacing = _rotation_candidates(path)
+    frac = _rotation_candidates(path)
     lo, hi = winding_interval(path, n_dirs=256)
-    n_lo = math.ceil((lo - 1e-9 - frac) / spacing)
-    n_hi = math.floor((hi + 1e-9 - frac) / spacing)
-    candidates = [frac + spacing * n for n in range(n_lo, n_hi + 1)]
+    n_lo = math.ceil(lo - 1e-9 - frac)
+    n_hi = math.floor(hi + 1e-9 - frac)
+    candidates = [frac + n for n in range(n_lo, n_hi + 1)]
     if len(candidates) == 1:
         return candidates[0], 0.0
 

@@ -7,7 +7,9 @@ the linearized flow along an orbit is the flow itself, in closed form; it is
 projected to the contact plane and expressed in a unitary frame built from
 the global section W(z, w) = (-conj(w), conj(z)) of the contact structure.
 That section extends over the spanning disks of the principal circles, so
-the frame represents the capping-disk trivialization class.
+the frame represents the capping-disk trivialization class.  In it the linearized
+path is a rotation path: its rotation number is read off its monodromy and the
+turns of one direction, and every iterate's index off that rotation number.
 """
 
 from __future__ import annotations
@@ -37,11 +39,14 @@ from .index import (
     FrameClass,
     SymmetricLoop,
     SymplecticPath,
+    _rotation_candidates,
+    delta_phi,
     mu_tilde,
-    rotation_number,
 )
 
 CLOSURE_TOL = 1e-8
+_PERIOD_RESOLUTION = 1e-9  # K and K' iterates with closer catalog periods are refused
+_DET_TOL = 1e-6  # largest |det - 1| of a linearized path's samples before normalizing
 # most iterates a catalog holds or an index is read for; C = 1e4 on L(2,1) would build 34 142
 _MAX_CATALOG = 10_000
 # intervals of the time grid every orbit's frame and linearized path are sampled on
@@ -129,7 +134,7 @@ def principal_orbits(sys: ContactSystem) -> tuple[ClosedOrbit, ClosedOrbit]:
     return K, Kp
 
 
-def catalog(sys: ContactSystem, C: float, resolution: float = 1e-9) -> list[ClosedOrbit]:
+def catalog(sys: ContactSystem, C: float) -> list[ClosedOrbit]:
     """All iterates of the principal orbits with total period <= C.
 
     A bound that is not finite, or that admits more than ``_MAX_CATALOG``
@@ -151,7 +156,7 @@ def catalog(sys: ContactSystem, C: float, resolution: float = 1e-9) -> list[Clos
             k += 1
     out.sort(key=lambda o: o.period)
     for o1, o2 in zip(out, out[1:]):
-        if o2.period - o1.period < resolution and o1.label != o2.label:
+        if o2.period - o1.period < _PERIOD_RESOLUTION and o1.label != o2.label:
             raise DegenerateInput(
                 f"periods {o1.period} and {o2.period} are numerically indistinguishable"
             )
@@ -224,11 +229,7 @@ def frame_pairing(sys: ContactSystem, frame: TransverseFrame) -> np.ndarray:
 # linearized flow
 
 
-def linearized_path(
-    orbit: ClosedOrbit,
-    frame: Optional[TransverseFrame] = None,
-    det_tol: float = 1e-6,
-) -> SymplecticPath:
+def linearized_path(orbit: ClosedOrbit, frame: Optional[TransverseFrame] = None) -> SymplecticPath:
     """The transverse linearized flow over one period, expressed in the frame.
 
     The flow is linear, so the frame's first vectors are carried along by
@@ -257,10 +258,9 @@ def linearized_path(
         mats[:, 0, col] = _dlambda_rows(sys, pts, u, frame.e2)
         mats[:, 1, col] = _dlambda_rows(sys, pts, frame.e1, u)
     dets = np.linalg.det(mats)
-    if np.max(np.abs(dets - 1.0)) > det_tol:
-        raise IllConditioned(
-            f"determinant drift {np.max(np.abs(dets - 1.0)):.3e} exceeds {det_tol}"
-        )
+    drift = np.max(np.abs(dets - 1.0))
+    if drift > _DET_TOL:
+        raise IllConditioned(f"determinant drift {drift:.3e} exceeds {_DET_TOL}")
     mats /= np.sqrt(dets)[:, None, None]
     mats[0] = np.eye(2)
     return SymplecticPath(mats)
@@ -336,20 +336,27 @@ def _orbit_lift(orbit: ClosedOrbit, frame_offset: int = 0):
     """Index reader k_eff -> OrbitIndexResult for the iterates of a prime orbit.
 
     The orbit is linearized once: the lift is the path, in the capping-disk
-    frame, of the iterate that closes on the sphere.  Every iterate is read
-    off the lift's rotation number rho and monodromy A by the Sp(2)
-    iteration formula mu = mu_tilde({j rho}), exact when A is a rotation;
-    the j-th lift iterate is degenerate when det(A^j - I) vanishes.  A lift
-    whose A is not a rotation is refused; callers bound k with ``_check_iterate``.
+    frame, of the iterate that closes on the sphere; a lift with a sample that
+    is not a rotation is refused.  Every direction turns alike, so rho is the
+    monodromy's class mod 1 moved by the whole turns of one direction, or the
+    turns themselves where a trace snapped to +-2 puts that class over 1e-9 off.
+    Every iterate is read off rho and the monodromy A by the Sp(2) iteration
+    formula mu = mu_tilde({j rho}); the j-th lift iterate is degenerate when
+    det(A^j - I) vanishes.  Callers bound k with ``_check_iterate``.
     """
     m_close = _closure_order(orbit)
     base = replace(orbit, multiplicity=m_close)
     frame = disk_frame(base).shifted(frame_offset) if frame_offset else None
     lift_path = linearized_path(base, frame)
+    mats = lift_path.mats
+    if np.max(np.abs(np.transpose(mats, (0, 2, 1)) @ mats - np.eye(2))) > 1e-8:
+        raise IllConditioned(f"the lift of {orbit.label} is not a rotation path")
+    frac = _rotation_candidates(lift_path)
+    turns = delta_phi(lift_path, (1.0, 0.0))
+    rho_lift = frac + round(turns - frac)
+    if abs(rho_lift - turns) > 1e-9:
+        rho_lift = turns
     A = lift_path.monodromy
-    if np.max(np.abs(A.T @ A - np.eye(2))) > 1e-8:
-        raise IllConditioned(f"the lift monodromy of {orbit.label} is not a rotation")
-    rho_lift = rotation_number(lift_path)
     powers = [A]  # A^j at j - 1, multiplied up and normalized as in SymplecticPath.iterate
 
     def index(k_eff: int) -> OrbitIndexResult:
@@ -395,13 +402,6 @@ def index_table(orbit: ClosedOrbit, k_max: int, frame_offset: int = 0) -> list[d
     rows = []
     for k in range(1, k_max + 1):
         res = index(k * orbit.multiplicity)
-        rows.append(
-            {
-                "k": k,
-                "mu_cz": res.mu,
-                "rho": res.rho,
-                "degenerate": res.degenerate,
-                "convention": res.convention,
-            }
-        )
+        rows.append({"k": k, "mu_cz": res.mu, "rho": res.rho, "degenerate": res.degenerate,
+                     "convention": res.convention})
     return rows

@@ -263,6 +263,11 @@ def test_verify_jobs_flag_matches_serial(sys_file, tmp_path):
         ["index", "--config", json.dumps(ELL_S3), "--orbit", "K", "--k", "0"],
         # the classification tables are capped at p = 200
         ["lens", "--p", "100000"],
+        # argparse's usage errors say what is wrong on one line
+        ["index", "--config", json.dumps(ELL_L21), "--bogus"],
+        ["index", "--config", json.dumps(ELL_L21), "--k", "x"],
+        ["index", "--config", json.dumps(ELL_L21), "--format", "xml"],
+        ["index", "--k", "2"],
     ],
     ids=["infinite-capacity", "fractional-lens-order", "huge-capacity-verify",
          "huge-capacity-return-map", "huge-capacity-index",
@@ -270,7 +275,8 @@ def test_verify_jobs_flag_matches_serial(sys_file, tmp_path):
          "nan-phase", "infinite-phase",
          "nan-action-bound", "infinite-action-bound", "huge-action-bound",
          "huge-action-bound-sigma", "negative-samples",
-         "iterate-above-bound", "huge-iterate", "zero-iterate", "huge-lens-order"],
+         "iterate-above-bound", "huge-iterate", "zero-iterate", "huge-lens-order",
+         "unknown-flag", "non-integer-iterate", "unknown-format", "missing-config"],
 )
 def test_hostile_config_exits_usage(argv, capsys):
     start = time.perf_counter()

@@ -381,8 +381,11 @@ def _geometric_rows(orbit, k_max, frame_offset):
         # resonant: some iterates of K or K' are degenerate
         (1.0, 2.0, None), (1.0, 1.5, None), (3.0, 1.0, (2, 1)), (1.0, 3.0, (2, 1)),
         (1.0, 1.5, (3, 2)),
+        # K' turns 18.45 and 101 times over its lift
+        (1.0, 17.0 + math.pi / 7, (12, 5)), (1.0, 100.0, None),
     ],
-    ids=["S3", "L21", "L32", "L52", "S3-b2", "S3-b1.5", "L21-a3", "L21-b3", "L32-b1.5"],
+    ids=["S3", "L21", "L32", "L52", "S3-b2", "S3-b1.5", "L21-a3", "L21-b3", "L32-b1.5",
+         "L125-b17", "S3-b100"],
 )
 def test_index_table_equals_geometric_route(a, b, lens):
     sys_ = rk.ContactSystem("ellipsoid", a=a, b=b, lens=rk.LensParams(*lens) if lens else None)
@@ -441,3 +444,46 @@ def test_index_reader_refuses_non_rotation_monodromy(ell_s3, monkeypatch):
     K, _ = rk.principal_orbits(ell_s3)
     with pytest.raises(IllConditioned):
         rk.index_table(K, 2)
+
+
+def test_index_reader_refuses_lift_that_is_not_a_rotation_path(ell_s3, monkeypatch):
+    # the monodromy is the rotation by theta, but the interior samples are sheared
+    theta = 2.0 * math.pi * 0.3
+    ts = np.linspace(0.0, 1.0, 513)
+    rot = np.array([[np.cos(theta * ts), -np.sin(theta * ts)],
+                    [np.sin(theta * ts), np.cos(theta * ts)]]).transpose(2, 0, 1)
+    shear = np.tile(np.eye(2), (ts.size, 1, 1))
+    shear[:, 0, 1] = 0.5 * np.sin(math.pi * ts)
+    mats = rot @ shear
+    mats[0] = np.eye(2)
+    path = rk.SymplecticPath(mats)
+    assert np.max(np.abs(path.monodromy.T @ path.monodromy - np.eye(2))) < 1e-15
+    monkeypatch.setattr(rk.orbits, "linearized_path", lambda *a, **kw: path)
+    K, _ = rk.principal_orbits(ell_s3)
+    with pytest.raises(IllConditioned, match="not a rotation path"):
+        rk.index_table(K, 2)
+
+
+def test_orbit_indices_read_no_winding_interval(ell_l21, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the general rotation-number route ran")
+
+    monkeypatch.setattr(rk.index, "winding_interval", refuse)
+    monkeypatch.setattr(rk.index, "rotation_number_with_error", refuse)
+    for orbit in rk.principal_orbits(ell_l21):
+        assert len(rk.index_table(orbit, 5)) == 5
+    report, samples = rk.verify_gss_conditions(ell_l21, C=5.0, n_samples=2)
+    assert len(samples) == 2
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-7])
+def test_lift_rho_keeps_the_turns_near_an_integer(eps):
+    # K' turns 3 + eps times; the trace is within 1e-12 of 2, so the monodromy's
+    # class mod 1 reads 0 and the rotation number must come from the turns
+    _, Kp = rk.principal_orbits(rk.ContactSystem("ellipsoid", a=1.0, b=2.0 + eps))
+    lift = rk.linearized_path(Kp)
+    rows = rk.index_table(Kp, 2)
+    for row in rows:
+        assert row["rho"] == pytest.approx(row["k"] * (3.0 + eps), abs=1e-12)
+        assert row["rho"] == pytest.approx(row["k"] * rk.rotation_number(lift), abs=1e-12)
+        assert row["mu_cz"] == 2 * math.floor(row["k"] * (3.0 + eps)) + 1
