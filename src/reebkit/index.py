@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     GridTooCoarse,
@@ -268,7 +267,13 @@ def _trig_evaluator(loop: SymmetricLoop):
 
 
 def path_from_loop(loop: SymmetricLoop, n: int = 512, rtol: float = 1e-12) -> SymplecticPath:
-    """Solve phi' = i S(t) phi, phi(0) = I, sampling the solution on a grid."""
+    """Solve phi' = i S(t) phi, phi(0) = I, sampling the solution on a grid.
+
+    The one user of scipy: ``solve_ivp`` is imported on the first call, so
+    ``import reebkit`` loads numpy alone.
+    """
+    from scipy.integrate import solve_ivp
+
     S_at = _trig_evaluator(loop)
 
     def rhs(t, y):

@@ -205,9 +205,19 @@ def pdisk_arrays(disk: PDisk, r, theta, phase: float = 0.0):
     return pts, d_r, d_th
 
 
-def pdisk_point(disk: PDisk, r: float, theta: float) -> np.ndarray:
-    """Lift to the sphere of the disk point at polar coordinates (r, theta)."""
-    return pdisk_arrays(disk, r, theta)[0]
+def pdisk_point(disk: PDisk, r: float, theta: float, phase: float = 0.0) -> np.ndarray:
+    """Lift to the sphere of the disk point at polar coordinates (r, theta).
+
+    The float twin of ``pdisk_arrays(disk, r, theta, phase)[0]``: the same
+    float operations on ``PDisk._profile_float`` and ``math`` functions, the
+    same point bit for bit, and none of the tangents.
+    """
+    if not 0.0 <= r <= 1.0:
+        raise PreconditionViolation("need 0 <= r <= 1")
+    f = disk._profile_float(r)
+    g = math.sqrt(max(1.0 - f * f, 0.0))
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([f * c, f * s, g * math.cos(phase), g * math.sin(phase)])
 
 
 def pdisk_radial_tangent(disk: PDisk, r: float, theta: float) -> np.ndarray:

@@ -5,13 +5,15 @@ Pages live over the w-phase: on the sphere the page at phase c is the slice
 Z_p the p slices {c + 2 pi j / p} project to a single page, an immersed
 disk whose boundary covers the binding p:1.  Crossings of a trajectory
 through the page are detected by monitoring the unwrapped w-phase on lifts
-and refining each bracket by root finding in time.  On the closed-form flow
-the phase is read from the start point's w-coordinate turned in plain float
-arithmetic (``geometry._turn``, shared with ``flow_closed``), so a scan step
-costs no numpy call and gives the same bits as stepping ``flow``.
+and refining each bracket in time with ``brentq``, this module's port of
+scipy's Brent solver, so the package imports no scipy.  On the closed-form
+flow the phase is read from the start point's w-coordinate turned in plain
+float arithmetic (``geometry._turn``, shared with ``flow_closed``), so a
+scan step costs no numpy call and gives the same bits as stepping ``flow``.
 
 The page is sampled through the disk parametrization ``knots.pdisk_arrays``
-and the contact form and dlambda on those samples are the row kernels of
+(a single point through its float twin ``knots.pdisk_point``), and the
+contact form and dlambda on those samples are the row kernels of
 ``geometry``; this module defines neither.
 """
 
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DegenerateInput,
@@ -42,7 +43,13 @@ from .geometry import (
     to_complex,
 )
 from .integrate import _MAX_STEPS
-from .knots import PDisk, binding_sl_numeric, lens_binding_monodromy, pdisk_arrays
+from .knots import (
+    PDisk,
+    binding_sl_numeric,
+    lens_binding_monodromy,
+    pdisk_arrays,
+    pdisk_point,
+)
 from .orbits import ClosedOrbit, _check_iterate, _orbit_lift, catalog, principal_orbits
 
 PAGE_TOL = 1e-8
@@ -73,8 +80,88 @@ def _page_arrays(page: Page, rs: np.ndarray, thetas: np.ndarray):
 
 
 def page_point(page: Page, r: float, theta: float) -> np.ndarray:
-    """Lift of the page point with polar coordinates (r, theta)."""
-    return pdisk_arrays(page.disk, r, theta, page.phase)[0]
+    """Lift of the page point with polar coordinates (r, theta), by ``pdisk_point``."""
+    return pdisk_point(page.disk, r, theta, page.phase)
+
+
+# ---------------------------------------------------------------------------
+# root finding
+
+_BRENT_RTOL = 4.0 * 2.0**-52  # 4 * eps
+_BRENT_ITER = 100
+
+
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12) -> float:
+    """A root of ``f`` in the bracket [a, b] by Brent's method.
+
+    A line-for-line port of scipy's ``brentq.c`` (R. P. Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 4) with scipy's
+    defaults: relative tolerance 4·eps and 100 iterations.  It evaluates f
+    at the same points in the same order and returns the same root, bit
+    for bit, while scipy's C build does no FMA contraction.  It raises
+    ``ValueError`` for ``xtol <= 0``, a bracket whose ends have the same
+    sign and a NaN value of f, and ``RuntimeError`` when it does not
+    converge.  A division by zero, where C gets an infinity or NaN and so
+    rejects the step, takes the bisection step.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+
+    def fval(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = fval(xpre)
+    fcur = fval(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        step = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                bound = 3 * abs(sbis) - delta
+                step = 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound)
+            except ZeroDivisionError:
+                pass
+        if step:
+            # good short step
+            spre, scur = scur, stry
+        else:
+            # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fval(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_ITER} iterations.")
 
 
 def _profile_inverse(disk: PDisk, value: float) -> float:
@@ -91,9 +178,9 @@ def page_coords(page: Page, pt, tol: float = PAGE_TOL) -> tuple[float, float]:
     """Polar page coordinates of a lifted point lying on the page's deck orbit.
 
     A point on another slice of the deck orbit is moved to the page's slice
-    by the deck action first.  The radius inverts the disk profile with
-    ``brentq`` on its float twin ``PDisk._profile_float``, which equals
-    ``PDisk.profile`` bit for bit.
+    by the deck action first.  The radius inverts the disk profile with the
+    in-package ``brentq`` on its float twin ``PDisk._profile_float``, which
+    equals ``PDisk.profile`` bit for bit.
     """
     pt = check_point(pt)
     p = page.p
@@ -179,10 +266,10 @@ def _first_crossing(
     """First positive time at which the w-phase moves by a multiple of ``level``.
 
     Scans the trajectory with steps small against the phase rate and refines
-    the bracketing interval with ``brentq`` to ``tol`` in time.  Both read
-    the phase through ``_phase_along``, in float arithmetic on the closed-form
-    flow; only the crossing point itself is computed with ``flow``.  A scan
-    of more than ``_MAX_STEPS`` steps is refused up front.
+    the bracketing interval with the in-package ``brentq`` to ``tol`` in
+    time.  Both read the phase through ``_phase_along``, in float arithmetic
+    on the closed-form flow; only the crossing point itself is computed with
+    ``flow``.  A scan of more than ``_MAX_STEPS`` steps is refused up front.
     """
     w1, w2 = sys.plane_rates()
     dt = level / max(w1, w2) / 16.0

@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
+from scipy.optimize import brentq
 
+import reebkit
 import reebkit.section
 from reebkit.cli import main
 
@@ -214,6 +221,61 @@ def test_return_map_command(sys_file, capsys):
 
 def test_return_map_bad_start(sys_file, capsys):
     assert main(["return-map", "--config", sys_file, "--start", "nope"]) == 1
+
+
+@pytest.mark.parametrize("tol, code", [("5e-324", 0), ("1e-300", 0), ("1e300", 1)])
+def test_return_map_hostile_tolerances(tol, code, capsys, monkeypatch):
+    # tolerances at the ends of the float range go straight to the root finder
+    cfg = json.dumps({"family": "ellipsoid", "a": 1.0, "b": 1.4, "lens": {"p": 2, "q": 1}})
+    argv = ["return-map", "--config", cfg, "--start", "0.5,0.3", "--tol", tol]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out)["return_time"] > 0 and err == ""
+    else:
+        assert out == "" and err == "error: point does not lie on the page\n"
+    # the same bytes as with scipy's brentq
+    monkeypatch.setattr(reebkit.section, "brentq", brentq)
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """``import reebkit`` and the README commands load no scipy module.
+
+    Only ``path_from_loop`` (the acceptance-corpus generator) imports
+    ``scipy.integrate``, on its first call.
+    """
+    src = Path(reebkit.__file__).resolve().parents[1]
+    l21 = json.dumps(ELL_L21)
+    script = textwrap.dedent(f"""
+        import json, sys
+        import numpy as np
+        import reebkit
+        from reebkit.cli import main
+        runs = [
+            ["verify", "--config", {l21!r}, "--samples", "10", "--out", {str(tmp_path / "v.json")!r},
+             "--csv", {str(tmp_path / "v.csv")!r}],
+            ["index", "--config", {l21!r}, "--k", "5", "--out", {str(tmp_path / "i.json")!r}],
+            ["return-map", "--config", {l21!r}, "--start", "0.5,0.3",
+             "--out", {str(tmp_path / "r.json")!r}],
+            ["lens", "--p", "7", "--out", {str(tmp_path / "l.json")!r}],
+        ]
+        codes = [main(argv) for argv in runs]
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        path = reebkit.path_from_loop(reebkit.random_symmetric_loop(np.random.default_rng(0)))
+        print(json.dumps({{"codes": codes, "scipy": loaded, "samples": len(path.mats),
+                          "integrate": "scipy.integrate" in sys.modules}}))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["scipy"] == []
+    # the lazy import stays reachable
+    assert result["samples"] == 513 and result["integrate"]
 
 
 def test_verify_jobs_flag_matches_serial(sys_file, tmp_path):

@@ -9,6 +9,7 @@ import reebkit.section as section
 from reebkit.cli import main
 from reebkit.errors import IntegrationFailure, PreconditionViolation
 from reebkit.integrate import _MAX_STEPS
+from reebkit.knots import pdisk_arrays
 from reebkit.section import _edge_action, page_form_samples, sample_starts
 
 SQRT2 = math.sqrt(2.0)
@@ -443,3 +444,116 @@ def test_verify_csv_bytes_equal_flow_stepping_reference(tmp_path, monkeypatch):
         slow = run("slow")
     assert fast == slow
     assert len(fast[1].decode().splitlines()) == 201
+
+
+def test_page_point_float_twin_is_bitwise_equal():
+    rng = np.random.default_rng(2)
+    for lens in ((1, 1), (2, 1), (3, 2), (5, 2)):
+        disk = rk.PDisk(rk.LensParams(*lens))
+        rs = rng.uniform(0.0, 1.0, 1500).tolist() + [
+            0.0, 1e-300, disk.blend_lo, disk.blend_hi, 1.0, math.nextafter(1.0, 0.0),
+            math.nextafter(disk.blend_lo, 0.0), math.nextafter(disk.blend_lo, 1.0),
+            math.nextafter(disk.blend_hi, 0.0), math.nextafter(disk.blend_hi, 1.0),
+        ]
+        thetas = rng.uniform(-10.0, 10.0, len(rs)).tolist()
+        for phase in (0.0, 1.3, -2.0 * math.pi / 3):
+            page = rk.build_page(
+                rk.ContactSystem("ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(*lens)),
+                phase,
+            )
+            for r, th in zip(rs, thetas):
+                twin = rk.page_point(page, r, th)
+                ref = pdisk_arrays(disk, r, th, phase)[0]
+                assert twin.shape == ref.shape and twin.tobytes() == ref.tobytes(), (r, th)
+    with pytest.raises(PreconditionViolation):
+        rk.pdisk_point(disk, math.nextafter(1.0, 2.0), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the Brent port against scipy's brentq
+
+
+def _brent_run(solver, f, a, b, xtol):
+    """Root bits (or error type and message) and the evaluation points of one solve."""
+    xs = []
+
+    def counted(x):
+        xs.append(x)
+        return f(x)
+
+    try:
+        out = solver(counted, a, b, xtol=xtol).hex()
+    except (ValueError, RuntimeError) as exc:
+        out = (type(exc), str(exc))
+    return out, [x.hex() for x in xs]
+
+
+def test_brentq_port_equals_scipy_on_random_brackets():
+    """The port is exact while scipy's C build does no FMA contraction.
+
+    Same root bits and the same evaluation points, in order, on functions
+    of varied scale, including values so small that the product of two of
+    them underflows, and step functions.
+    """
+    rng = np.random.default_rng(5)
+    families = [
+        lambda c, s: (lambda x: math.sin(s * (x - c))),
+        lambda c, s: (lambda x: s * (x - c) ** 3 - 1e-3),
+        lambda c, s: (lambda x: math.atan(s * (x - c))),
+        lambda c, s: (lambda x: math.expm1(x - c)),
+        lambda c, s: (lambda x: math.tanh(x - c) ** 3),
+        lambda c, s: (lambda x: (x - c) * 1e-300),
+        lambda c, s: (lambda x: (x - c) * s * 1e290),
+        # plateaus: equal values at distinct points divide by zero in the step
+        lambda c, s: (lambda x: math.floor(s * (x - c)) + 0.5),
+    ]
+    converged = 0
+    for _ in range(300):
+        c, s = rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-3.0, 3.0)
+        f = families[rng.integers(len(families))](c, s)
+        a, b = rng.uniform(-5.0, 5.0, 2)
+        for xtol in (1e-14, 2e-12, 1e-10, 1e-6):
+            port = _brent_run(section.brentq, f, a, b, xtol)
+            assert port == _brent_run(brentq, f, a, b, xtol), (a, b, xtol)
+            converged += isinstance(port[0], str)
+    assert converged > 300
+
+
+def test_brentq_port_equals_scipy_inside_return_maps(monkeypatch):
+    """Every bracket of the crossing refinement and the profile inverse."""
+    calls = []
+    port_brentq = section.brentq
+
+    def both(f, a, b, xtol=2e-12):
+        port = _brent_run(port_brentq, f, a, b, xtol)
+        assert port == _brent_run(brentq, f, a, b, xtol)
+        calls.append(len(port[1]))
+        return float.fromhex(port[0])
+
+    monkeypatch.setattr(section, "brentq", both)
+    for lens in (None, (2, 1), (3, 2)):
+        page = rk.build_page(rk.ContactSystem(
+            "ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(*lens) if lens else None))
+        for start in sample_starts(np.random.default_rng(3), 20):
+            for direction in ("forward", "backward"):
+                for tol in (1e-14, 2e-12, 1e-10):
+                    rk.return_map(page, start, direction, tol=tol)
+    # two solves per return map: the crossing time and the radius of the image
+    assert len(calls) == 2 * 3 * 20 * 2 * 3 and min(calls) >= 3
+
+
+@pytest.mark.parametrize(
+    "f, a, b, xtol",
+    [
+        (lambda x: x * x + 1.0, -1.0, 1.0, 1e-12),      # same-sign bracket
+        (lambda x: math.nan if x > 0.2 else x - 0.5, 0.0, 1.0, 1e-12),  # NaN value
+        (lambda x: x - 0.5, 0.0, 1.0, 0.0),             # xtol = 0
+        (lambda x: x - 0.5, 0.0, 1.0, -1e-12),          # xtol < 0
+        (lambda x: 1.0 if x > 0.3 else -1.0, -1e300, 1e300, 1e-12),  # bisection only: no convergence
+    ],
+    ids=["same-sign", "nan-value", "zero-xtol", "negative-xtol", "no-convergence"],
+)
+def test_brentq_port_raises_as_scipy(f, a, b, xtol):
+    port = _brent_run(section.brentq, f, a, b, xtol)
+    assert isinstance(port[0], tuple)
+    assert port == _brent_run(brentq, f, a, b, xtol)
