@@ -86,15 +86,31 @@ def system_to_json(sys: ContactSystem) -> dict:
 
 
 def system_from_json(data) -> ContactSystem:
+    """The system of a JSON config; a missing or null ``lens`` means S^3.
+
+    Configs come from outside the program, so every wrong shape raises
+    ``PreconditionViolation``.
+    """
     if isinstance(data, str):
-        data = json.loads(data)
-    lens = None
-    if data.get("lens"):
-        lens = LensParams(data["lens"]["p"], data["lens"]["q"])
+        try:
+            data = json.loads(data)
+        except ValueError as exc:
+            raise PreconditionViolation(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict) or "family" not in data:
+        raise PreconditionViolation("config must be a JSON object with a 'family'")
+    lens = data.get("lens")
+    if lens is not None:
+        if not isinstance(lens, dict) or not {"p", "q"} <= lens.keys():
+            raise PreconditionViolation(f"lens must be an object with p and q, got {lens!r}")
+        lens = LensParams(lens["p"], lens["q"])
     a, b = data.get("a", 1.0), data.get("b", 1.0)
     if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in (a, b)):
         raise PreconditionViolation(f"capacities a, b must be numbers, got ({a!r}, {b!r})")
-    return ContactSystem(family=data["family"], a=float(a), b=float(b), lens=lens)
+    try:
+        a, b = float(a), float(b)
+    except OverflowError as exc:
+        raise PreconditionViolation("capacities a, b must be finite numbers") from exc
+    return ContactSystem(family=data["family"], a=a, b=b, lens=lens)
 
 
 # ---------------------------------------------------------------------------

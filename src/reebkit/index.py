@@ -8,9 +8,9 @@ with phi(0) = I are implemented.
   discretized in a truncated Fourier basis, and the index is
   2*wind(largest negative eigenvalue) + parity.
 * geometric: the winding interval I = image of the direction-twist map
-  Delta(zeta) over the circle of directions is computed by sampling plus
-  golden-section refinement, and the index is the integer invariant
-  mu_tilde(I) of that interval.
+  Delta(zeta) over the circle of directions is Delta of one sampled
+  direction plus the closed-form extremes of the monodromy's turn, and the
+  index is the integer invariant mu_tilde(I) of that interval.
 
 Both definitions agree on nondegenerate paths; the test-suite enforces exact
 integer agreement on a randomized corpus.
@@ -386,23 +386,28 @@ def _pointwise_inverse(mats: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _jump_threshold(mats: np.ndarray) -> float:
-    """Largest trustworthy per-sample phase jump for this sampling of the path.
+def _transitions_and_threshold(mats: np.ndarray) -> tuple[np.ndarray, float]:
+    """Left transitions phi_{j+1} phi_j^{-1} and the largest trustworthy per-sample phase jump.
 
-    When consecutive left transitions phi_{j+1} phi_j^{-1} are close to the
-    identity the direction speed is bounded and jumps are small anyway.  When
-    the right transitions phi_j^{-1} phi_{j+1} are close to the identity (the
-    pointwise inverse of a finely sampled path), each segment's image stays
-    inside an arc of width < pi around the segment start, so the principal
-    value of the jump is the exact sweep; jumps may then approach pi.
+    When the left transitions are close to the identity the direction speed
+    is bounded and jumps are small anyway.  When the right transitions
+    phi_j^{-1} phi_{j+1} are close to the identity (the pointwise inverse of a
+    finely sampled path), each segment's image stays inside an arc of width
+    < pi around the segment start, so the principal value of the jump is the
+    exact sweep; jumps may then approach pi.
     """
     inv = _pointwise_inverse(mats[:-1])
+    left_steps = np.einsum("nij,njk->nik", mats[1:], inv)
     eye = np.eye(2)
-    left = np.max(np.abs(np.einsum("nij,njk->nik", mats[1:], inv) - eye))
+    left = np.max(np.abs(left_steps - eye))
     right = np.max(np.abs(np.einsum("nij,njk->nik", inv, mats[1:]) - eye))
     if min(left, right) <= 0.3:
-        return math.pi - 1e-9
-    return math.pi / 2
+        return left_steps, math.pi - 1e-9
+    return left_steps, math.pi / 2
+
+
+def _jump_threshold(mats: np.ndarray) -> float:
+    return _transitions_and_threshold(mats)[1]
 
 
 def _delta_many(
@@ -417,58 +422,52 @@ def _delta_many(
     return diffs.sum(axis=0) / (2.0 * math.pi)
 
 
-def _golden_extremum(f, x_lo: float, x_hi: float, sign: float, iters: int = 80) -> float:
-    """Golden-section optimizer returning the extremal value of sign*f."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = x_lo, x_hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = sign * f(c), sign * f(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = sign * f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = sign * f(d)
-        if b - a < 1e-13:
-            break
-    return sign * max(fc, fd)
+def _turn_range(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and half-width of the angles each 2x2 matrix turns the directions by.
+
+    On R^2 = C the matrix acts as z -> alpha z + beta conj(z), so it turns
+    e^{i theta} by arg(alpha + beta e^{-2 i theta}): the argument of a circle of
+    centre alpha and radius |beta| < |alpha| (the determinant is |alpha|^2 -
+    |beta|^2 > 0).  That argument sweeps arg(alpha) -+ asin(|beta|/|alpha|)
+    and takes its extremes at the tangent directions, where |A u|^2 = det A.
+    The half-width is written atan2(|beta|, sqrt(det)) so that it keeps its
+    digits on strongly hyperbolic matrices, where |beta|/|alpha| is close to 1.
+    """
+    a, b, c, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
+    centre = np.arctan2(c - b, a + d)
+    half = np.arctan2(np.hypot(a - d, b + c), 2.0 * np.sqrt(a * d - b * c))
+    return centre, half
 
 
-def winding_interval(path: SymplecticPath, n_dirs: int = 720) -> tuple[float, float]:
-    """The closed interval swept by the direction-twist map over all directions."""
-    thetas = np.arange(n_dirs) * math.pi / n_dirs  # antipodal directions twist equally
-    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    max_jump = _jump_threshold(path.mats)
-    vals = _delta_many(path.mats, dirs, max_jump)
-    i_min = int(np.argmin(vals))
-    i_max = int(np.argmax(vals))
-    lo = float(vals[i_min])
-    hi = float(vals[i_max])
-    step = math.pi / n_dirs
+def winding_interval(path: SymplecticPath) -> tuple[float, float]:
+    """The closed interval swept by the direction-twist map over all directions.
 
-    def at(theta: float) -> float:
-        return float(
-            _delta_many(
-                path.mats,
-                np.array([[math.cos(theta), math.sin(theta)]]),
-                max_jump,
-            )[0]
-        )
+    The jump from phi_j u to phi_{j+1} u is the turn of the left transition
+    phi_{j+1} phi_j^{-1} on the direction phi_j u, so its largest size over
+    all directions u is read off the transition (``_turn_range``), and a
+    step whose largest jump passes the trustworthy bound raises
+    ``GridTooCoarse``.  Below the bound the sampled twist Delta(u) is
+    continuous in u, so 2 pi Delta(u) minus the turn of the monodromy A on u
+    is a constant multiple of 2 pi.  Delta(e_1) is summed over the samples
+    once, and the extremes of the turn of A give the interval.
+    """
+    steps, max_jump = _transitions_and_threshold(path.mats)
+    centre, half = _turn_range(steps)
+    if not np.all(np.abs(centre) + half <= max_jump):
+        raise GridTooCoarse("phase jump between samples is too large; refine the path grid")
+    start = float(_delta_many(path.mats, np.array([[1.0, 0.0]]), max_jump)[0])
+    A = path.monodromy
+    centre_a, half_a = (float(v) for v in _turn_range(A))
+    mid = math.remainder(centre_a - math.atan2(A[1, 0], A[0, 0]), 2.0 * math.pi)
+    return (
+        start + (mid - half_a) / (2.0 * math.pi),
+        start + (mid + half_a) / (2.0 * math.pi),
+    )
 
-    lo = min(lo, _golden_extremum(at, thetas[i_min] - step, thetas[i_min] + step, -1.0))
-    hi = max(hi, _golden_extremum(at, thetas[i_max] - step, thetas[i_max] + step, +1.0))
-    return lo, hi
 
-
-def cz_geometric(
-    path: SymplecticPath, n_dirs: int = 720, tol: float = DEGENERACY_TOL
-) -> CzResult:
-    """Conley-Zehnder index via the winding interval of the path."""
-    lo, hi = winding_interval(path, n_dirs=n_dirs)
+def cz_geometric(path: SymplecticPath, tol: float = DEGENERACY_TOL) -> CzResult:
+    """Conley-Zehnder index mu_tilde of the winding interval of the path."""
+    lo, hi = winding_interval(path)
     if hi - lo >= 0.5:
         raise ReebkitError(
             f"computed winding interval has length {hi - lo:.6f} >= 1/2; input is not a valid path"
@@ -677,16 +676,18 @@ def rotation_number_with_error(
     """Rotation number of the path with an error bar.
 
     The rotation number lies in the winding interval and its class modulo 1
-    is fixed by the monodromy.  When exactly one consistent value lies in the
-    interval it is exact and returned with error 0.  Otherwise the Birkhoff
-    average of the lifted circle map (with a Richardson step) decides, with an
-    error bar from the last two dyadic averages; it is snapped to the nearest
-    consistent value when that lies within max(4 * error, 1e-6).
+    is fixed by the monodromy.  The interval is read in closed form
+    (``winding_interval``), so the candidate set costs one sampled direction.
+    When exactly one consistent value lies in the interval it is exact and
+    returned with error 0.  Otherwise the Birkhoff average of the lifted
+    circle map (with a Richardson step) decides, with an error bar from the
+    last two dyadic averages; it is snapped to the nearest consistent value
+    when that lies within max(4 * error, 1e-6).
     """
     if iterates < 8:
         raise PreconditionViolation("need at least 8 iterates")
     frac = _rotation_candidates(path)
-    lo, hi = winding_interval(path, n_dirs=256)
+    lo, hi = winding_interval(path)
     n_lo = math.ceil(lo - 1e-9 - frac)
     n_hi = math.floor(hi + 1e-9 - frac)
     candidates = [frac + n for n in range(n_lo, n_hi + 1)]

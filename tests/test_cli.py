@@ -8,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import reebkit
@@ -330,6 +332,15 @@ def test_verify_jobs_flag_matches_serial(sys_file, tmp_path):
         ["index", "--config", json.dumps(ELL_L21), "--k", "x"],
         ["index", "--config", json.dumps(ELL_L21), "--format", "xml"],
         ["index", "--k", "2"],
+        # configs of the wrong shape
+        ["sigma", "--config", '{"a": 1, "b": 1.4}', "--action-bound", "3"],
+        ["sigma", "--config", '{"family": "ellipsoid", "a": 1, "b": 1.4, "lens": [2, 1]}'],
+        ["sigma", "--config", '{"family": "ellipsoid", "a": 1, "b": 1.4, "lens": {"p": 2}}'],
+        ["index", "--config", '{"family": "ellipsoid", "a": 1, "b": 1.4, "lens": "L(2,1)"}'],
+        ["index", "--config", '{"family": "ellipsoid", "a": 1, "b": 1.4, "lens": true}'],
+        ["index", "--config", '{"family": "ellipsoid", "a": 1, "b": 1.4, "lens": 2}'],
+        ["index", "--config", '{"family": "ellipsoid", "a": 1, "b": 1.4'],
+        ["index", "--config", '{"family": "ellipsoid", "a": 1' + "0" * 400 + ', "b": 1.4}'],
     ],
     ids=["infinite-capacity", "fractional-lens-order", "huge-capacity-verify",
          "huge-capacity-return-map", "huge-capacity-index",
@@ -338,7 +349,9 @@ def test_verify_jobs_flag_matches_serial(sys_file, tmp_path):
          "nan-action-bound", "infinite-action-bound", "huge-action-bound",
          "huge-action-bound-sigma", "negative-samples",
          "iterate-above-bound", "huge-iterate", "zero-iterate", "huge-lens-order",
-         "unknown-flag", "non-integer-iterate", "unknown-format", "missing-config"],
+         "unknown-flag", "non-integer-iterate", "unknown-format", "missing-config",
+         "no-family", "list-lens", "lens-without-q", "string-lens", "true-lens", "number-lens",
+         "truncated-json", "capacity-beyond-float"],
 )
 def test_hostile_config_exits_usage(argv, capsys):
     start = time.perf_counter()
@@ -346,6 +359,51 @@ def test_hostile_config_exits_usage(argv, capsys):
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_JSON_SCALARS = st.one_of(
+    st.floats(),  # inf and nan included; json writes them as Infinity and NaN
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+)
+_HOSTILE = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3))
+
+
+@st.composite
+def _configs(draw):
+    """A plausible config with some of a, b, lens, p and q replaced by hostile values."""
+    p = draw(st.integers(1, 6))
+    lens = {"p": p, "q": draw(st.sampled_from([q for q in range(1, p + 1) if math.gcd(p, q) == 1]))}
+    config = {"family": draw(st.sampled_from(["ellipsoid", "round", "other"])),
+              "a": draw(st.floats(0.3, 3.0)), "b": draw(st.floats(0.3, 3.0)), "lens": lens}
+    for key in ("a", "b", "lens", "p", "q"):
+        if draw(st.integers(0, 4)) == 0:
+            (lens if key in ("p", "q") else config)[key] = draw(_HOSTILE)
+    if draw(st.booleans()):
+        del config["lens"]
+    return config
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_configs())
+def test_fuzzed_configs_exit_with_one_line(config, capsys):
+    cfg = json.dumps(config)
+    for argv in (
+        ["sigma", "--action-bound", "3"],
+        ["index", "--k", "2"],
+        ["index", "--k", "2", "--orbit", "Kprime"],
+        ["return-map", "--start", "0.5,0.3"],
+        ["verify", "--samples", "3"],
+    ):
+        code = main(argv + ["--config", cfg])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (argv, cfg)
+        assert "Traceback" not in err
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n"), (argv, cfg, err)
 
 
 def test_huge_iterate_named_and_refused_before_linearizing(capsys, linearize_calls):

@@ -7,6 +7,54 @@ from hypothesis import strategies as st
 
 import reebkit as rk
 from reebkit.errors import GridTooCoarse, IllConditioned, PreconditionViolation
+from reebkit.index import _delta_many, _jump_threshold
+
+
+def _golden_extremum(f, x_lo: float, x_hi: float, sign: float, iters: int = 80) -> float:
+    """Golden-section optimizer returning the extremal value of sign*f."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = x_lo, x_hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = sign * f(c), sign * f(d)
+    for _ in range(iters):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = sign * f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = sign * f(d)
+        if b - a < 1e-13:
+            break
+    return sign * max(fc, fd)
+
+
+def _scanned_winding_interval(path: rk.SymplecticPath, n_dirs: int = 720) -> tuple[float, float]:
+    """Reference winding interval: twist ``n_dirs`` directions, refine both extremes.
+
+    The former library route.  It sums every direction's sampled jumps and
+    checks them against the same bound, but only on the scanned directions.
+    """
+    thetas = np.arange(n_dirs) * math.pi / n_dirs  # antipodal directions twist equally
+    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    max_jump = _jump_threshold(path.mats)
+    vals = _delta_many(path.mats, dirs, max_jump)
+    i_min = int(np.argmin(vals))
+    i_max = int(np.argmax(vals))
+    lo = float(vals[i_min])
+    hi = float(vals[i_max])
+    step = math.pi / n_dirs
+
+    def at(theta: float) -> float:
+        return float(
+            _delta_many(path.mats, np.array([[math.cos(theta), math.sin(theta)]]), max_jump)[0]
+        )
+
+    lo = min(lo, _golden_extremum(at, thetas[i_min] - step, thetas[i_min] + step, -1.0))
+    hi = max(hi, _golden_extremum(at, thetas[i_max] - step, thetas[i_max] + step, +1.0))
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +149,77 @@ def test_cz_geometric_degenerate_flag():
     res = rk.cz_geometric(rk.make_rotation_path(2 * math.pi))
     assert res.degenerate
     assert res.index == 1  # one-sided limit convention
+
+
+def _reference_paths(corpus):
+    for rec in corpus.records:
+        yield rec.path
+        yield rec.path.inverse()
+        yield rk.prepend_loop(rec.path, 1)
+    for angle in (0.4, math.pi, 1.9, 5.1, 2 * math.pi, 3 * math.pi):
+        path = rk.make_rotation_path(angle)
+        for k in (1, 2, 3, 5):
+            yield path.iterate(k) if k > 1 else path
+    yield rk.make_hyperbolic_path(1.0)
+    yield rk.make_hyperbolic_path(3.0)
+
+
+def _candidate_set(path, lo, hi):
+    frac = rk.index._rotation_candidates(path)
+    return [frac + n for n in range(math.ceil(lo - 1e-9 - frac), math.floor(hi + 1e-9 - frac) + 1)]
+
+
+def test_closed_form_winding_interval_matches_scan(corpus):
+    for path in _reference_paths(corpus):
+        lo, hi = rk.winding_interval(path)
+        ref_lo, ref_hi = _scanned_winding_interval(path)
+        assert abs(lo - ref_lo) < 1e-11 and abs(hi - ref_hi) < 1e-11
+        assert rk.mu_tilde((lo, hi)) == rk.mu_tilde((ref_lo, ref_hi))
+        assert _candidate_set(path, lo, hi) == _candidate_set(path, ref_lo, ref_hi)
+
+
+def _sheared_path(peak: float, n: int = 512) -> rk.SymplecticPath:
+    """A slow hyperbolic stretch after a first segment that turns one direction by ``peak``.
+
+    The first transition is R(c) S R(-c), with the shear S = [[1, s], [0, 1]]
+    and s = 2 tan(peak / 2).  S turns the directions by between -peak and 0,
+    and by -peak at the angle pi - atan(2 / s).  The conjugation moves that
+    angle to pi/1440, halfway between the first two of 720 scanned directions.
+    The stretch diag(e^{2t}, e^{-2t}) that follows moves the extremes of the
+    twist away from that direction.
+    """
+    s = 2.0 * math.tan(peak / 2.0)
+    c = math.pi / 1440 - (math.pi - math.atan(2.0 / s))
+    rot = np.array([[math.cos(c), -math.sin(c)], [math.sin(c), math.cos(c)]])
+    step = rot @ np.array([[1.0, s], [0.0, 1.0]]) @ rot.T
+    mats = rk.make_hyperbolic_path(2.0, n=n).mats
+    mats[1:] = np.einsum("nij,jk->nik", mats[:-1], step)
+    return rk.SymplecticPath(mats)
+
+
+def test_winding_interval_guards_every_direction():
+    # the first segment turns some direction by more than the pi/2 bound,
+    # and none of the 720 scanned directions by that much
+    path = _sheared_path(math.pi / 2 + 1e-6)
+    assert _jump_threshold(path.mats) == math.pi / 2
+
+    def first_jumps(n_dirs):
+        thetas = np.arange(n_dirs) * math.pi / n_dirs
+        dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        turned = dirs @ path.mats[1].T
+        jump = np.arctan2(turned[:, 1], turned[:, 0]) - thetas
+        return np.abs(np.remainder(jump + math.pi, 2 * math.pi) - math.pi)
+
+    assert first_jumps(720).max() < math.pi / 2 < first_jumps(720 * 64).max()
+    with pytest.raises(GridTooCoarse):
+        rk.winding_interval(path)
+    with pytest.raises(GridTooCoarse):
+        rk.cz_geometric(path)
+    # just under the bound the same construction is read, and agrees with the scan
+    below = _sheared_path(math.pi / 2 - 1e-3)
+    lo, hi = rk.winding_interval(below)
+    ref_lo, ref_hi = _scanned_winding_interval(below)
+    assert abs(lo - ref_lo) < 1e-11 and abs(hi - ref_hi) < 1e-11
 
 
 def test_path_validation():

@@ -11,6 +11,7 @@ from reebkit.errors import DegenerateInput, GridTooCoarse, IllConditioned, Preco
 from reebkit.geometry import _dlambda_rows, _lambda_rows
 from reebkit.integrate import dopri45
 from reebkit.orbits import _MAX_CATALOG, _closure_order
+from test_index import _scanned_winding_interval
 
 SQRT2 = math.sqrt(2.0)
 
@@ -348,11 +349,13 @@ def test_index_table_linearizes_once(ell_s3, linearize_calls):
 
 
 def _geometric_rows(orbit, k_max, frame_offset):
-    """(mu, rho, degenerate, convention) for k <= k_max with cz_geometric on each lift iterate.
+    """(mu, rho, degenerate, convention) for k <= k_max from each lift iterate's winding interval.
 
-    This is the reader's former route.  The lift is a rotation path, so its
-    twist is the same in every direction, and 8 sampled directions with the
-    golden-section refinement find the winding interval that 720 find.
+    This is the reader's former route, with the interval scanned as the
+    library once did (``test_index._scanned_winding_interval``).  The lift
+    is a rotation path, so its twist is the same in every direction, and 8
+    sampled directions with the golden-section refinement find the winding
+    interval that 720 find.
     """
     m_close = _closure_order(orbit)
     base = replace(orbit, multiplicity=m_close)
@@ -365,8 +368,9 @@ def _geometric_rows(orbit, k_max, frame_offset):
     for k in range(1, k_max + 1):
         if k % m_close == 0:
             j = k // m_close
-            cz = rk.cz_geometric(lift.iterate(j) if j > 1 else lift, n_dirs=8)
-            rows.append((cz.index, rho_lift * j, cz.degenerate, "disk"))
+            path = lift.iterate(j) if j > 1 else lift
+            interval = _scanned_winding_interval(path, n_dirs=8)
+            rows.append((rk.mu_tilde(interval), rho_lift * j, not path.nondegenerate(), "disk"))
         else:
             rho = k * (rho_lift / m_close)
             degenerate = abs(rho - round(rho)) < 1e-9
