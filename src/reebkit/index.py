@@ -13,7 +13,8 @@ with phi(0) = I are implemented.
   index is the integer invariant mu_tilde(I) of that interval.
 
 Both definitions agree on nondegenerate paths; the test-suite enforces exact
-integer agreement on a randomized corpus.
+integer agreement on a randomized corpus.  The rotation number is the one value
+in the winding interval of its class mod 1, read exactly off the monodromy.
 """
 
 from __future__ import annotations
@@ -214,14 +215,6 @@ class SymmetricLoop:
         return cls(np.repeat(mat[None, :, :], n, axis=0))
 
 
-def loop_to_json(loop: SymmetricLoop) -> list:
-    return [[[float(v) for v in row] for row in m] for m in loop.mats]
-
-
-def loop_from_json(data: Sequence) -> SymmetricLoop:
-    return SymmetricLoop(np.asarray(data, dtype=float))
-
-
 def _fourier_coeffs(vals: np.ndarray, n_max: int) -> np.ndarray:
     """Coefficients c_j, |j| <= n_max, of the trigonometric interpolant of periodic samples.
 
@@ -413,8 +406,9 @@ def _jump_threshold(mats: np.ndarray) -> float:
 def _delta_many(
     mats: np.ndarray, dirs: np.ndarray, max_jump: float = math.pi / 2
 ) -> np.ndarray:
-    vecs = np.einsum("nij,dj->ndi", mats, dirs)
-    ang = np.arctan2(vecs[..., 1], vecs[..., 0])
+    (m00, m01), (m10, m11) = np.moveaxis(mats, 0, -1)[..., None]  # each (samples, 1)
+    d0, d1 = dirs[:, 0], dirs[:, 1]
+    ang = np.arctan2(m10 * d0 + m11 * d1, m00 * d0 + m01 * d1)
     diffs = np.diff(ang, axis=0)
     diffs = (diffs + math.pi) % (2.0 * math.pi) - math.pi
     if np.max(np.abs(diffs)) > max_jump:
@@ -646,78 +640,42 @@ def cz_spectral(loop: SymmetricLoop, n_modes: int = 256) -> CzResult:
 
 
 def _rotation_candidates(path: SymplecticPath) -> float:
-    """The rotation number mod 1, from the conjugacy class of phi(1)."""
-    A = path.monodromy
-    tr = A[0, 0] + A[1, 1]
-    if abs(tr) < 2.0 - 1e-12:
-        omega = math.acos(max(-1.0, min(1.0, tr / 2.0))) / (2.0 * math.pi)
-        if A[1, 0] < 0:
-            omega = -omega
-        return omega % 1.0
-    if tr >= 2.0 - 1e-12:
-        return 0.0  # eigendirections fixed: integer rotation number
-    return 0.5  # orientation-reversing on directions: half-integer
+    """The rotation number's class mod 1: the exact turn of phi(1) over 2 pi, not reduced.
 
-
-def circle_map_lift(path: SymplecticPath):
-    """The lift f(s) = s + Delta(e^{2 pi i s}) of the direction circle map."""
-    max_jump = _jump_threshold(path.mats)
-
-    def f(s: float) -> float:
-        zeta = np.array([[math.cos(2 * math.pi * s), math.sin(2 * math.pi * s)]])
-        return s + float(_delta_many(path.mats, zeta, max_jump)[0])
-
-    return f
-
-
-def rotation_number_with_error(
-    path: SymplecticPath, iterates: int = 64, s0: float = 0.0
-) -> tuple[float, float]:
-    """Rotation number of the path with an error bar.
-
-    The rotation number lies in the winding interval and its class modulo 1
-    is fixed by the monodromy.  The interval is read in closed form
-    (``winding_interval``), so the candidate set costs one sampled direction.
-    When exactly one consistent value lies in the interval it is exact and
-    returned with error 0.  Otherwise the Birkhoff average of the lifted
-    circle map (with a Richardson step) decides, with an error bar from the
-    last two dyadic averages; it is snapped to the nearest consistent value
-    when that lies within max(4 * error, 1e-6).
+    On C, phi(1) is z -> alpha z + beta conj(z).  When |Im alpha| > |beta| it is
+    elliptic and turns by atan2(+-sqrt(Im alpha^2 - |beta|^2), Re alpha), the
+    root taken in product form so the digits survive near +-I; otherwise it
+    fixes (tr > 0, class 0) or reverses (tr < 0, class 1/2) an eigendirection.
     """
-    if iterates < 8:
-        raise PreconditionViolation("need at least 8 iterates")
+    (a, b), (c, d) = path.monodromy.tolist()
+    im, beta = 0.5 * (c - b), 0.5 * math.hypot(a - d, b + c)
+    if abs(im) <= beta:
+        return 0.0 if a + d > 0 else 0.5
+    sin = math.copysign(math.sqrt((abs(im) - beta) * (abs(im) + beta)), im)
+    return math.atan2(sin, 0.5 * (a + d)) / (2.0 * math.pi)
+
+
+def rotation_number_with_error(path: SymplecticPath, *, iterates=None) -> tuple[float, float]:
+    """The one value of the monodromy's class mod 1 in the winding interval, with error 0.
+
+    An interval (shorter than 1/2) that holds no value of the class, or
+    several within 1e-9, raises ``IllConditioned``.  ``iterates`` is accepted
+    for compatibility and has no effect.
+    """
     frac = _rotation_candidates(path)
     lo, hi = winding_interval(path)
-    n_lo = math.ceil(lo - 1e-9 - frac)
-    n_hi = math.floor(hi + 1e-9 - frac)
-    candidates = [frac + n for n in range(n_lo, n_hi + 1)]
-    if len(candidates) == 1:
-        return candidates[0], 0.0
-
-    f = circle_map_lift(path)
-    k1 = iterates // 2
-    s = s0
-    s_k1 = s0
-    for j in range(iterates):
-        s = f(s)
-        if j + 1 == k1:
-            s_k1 = s
-    rho_k1 = (s_k1 - s0) / k1
-    rho_k2 = (s - s0) / iterates
-    # Richardson step for an O(1/k) tail: the window average over (k1, k2]
-    est = (s - s_k1) / (iterates - k1)
-    err = abs(rho_k2 - rho_k1)
-    if candidates:
-        best = min(candidates, key=lambda c: abs(c - est))
-        if abs(best - est) <= max(4.0 * err, 1e-6):
-            return best, err
-    return est, err
+    n_lo, n_hi = math.ceil(lo - 1e-9 - frac), math.floor(hi + 1e-9 - frac)
+    if n_lo != n_hi:
+        raise IllConditioned(
+            f"the winding interval [{lo:.12g}, {hi:.12g}] holds {max(0, n_hi - n_lo + 1)} "
+            f"values of the monodromy's class {frac:.12g} mod 1"
+        )
+    return frac + n_lo, 0.0
 
 
-def rotation_number(path: SymplecticPath, iterates: int = 64, s0: float = 0.0) -> float:
-    """Rotation number of the path: lim f^k(s)/k for the lifted circle map."""
-    value, _ = rotation_number_with_error(path, iterates=iterates, s0=s0)
-    return value
+def rotation_number(path: SymplecticPath) -> float:
+    """Rotation number of the path; see ``rotation_number_with_error``."""
+    return rotation_number_with_error(path)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ projected to the contact plane and expressed in a unitary frame built from
 the global section W(z, w) = (-conj(w), conj(z)) of the contact structure.
 That section extends over the spanning disks of the principal circles, so
 the frame represents the capping-disk trivialization class.  In it the linearized
-path is a rotation path: its rotation number is read off its monodromy and the
-turns of one direction, and every iterate's index off that rotation number.
+path is a rotation path: its rotation number is the monodromy's exact class
+mod 1 moved by the whole turns of one direction, and every iterate's index is read off it.
 """
 
 from __future__ import annotations
@@ -338,8 +338,8 @@ def _orbit_lift(orbit: ClosedOrbit, frame_offset: int = 0):
     The orbit is linearized once: the lift is the path, in the capping-disk
     frame, of the iterate that closes on the sphere; a lift with a sample that
     is not a rotation is refused.  Every direction turns alike, so rho is the
-    monodromy's class mod 1 moved by the whole turns of one direction, or the
-    turns themselves where a trace snapped to +-2 puts that class over 1e-9 off.
+    monodromy's exact class mod 1 (``index._rotation_candidates``) moved by the
+    whole turns of one direction, and turns over 1e-9 off that class are refused.
     Every iterate is read off rho and the monodromy A by the Sp(2) iteration
     formula mu = mu_tilde({j rho}); the j-th lift iterate is degenerate when
     det(A^j - I) vanishes.  Callers bound k with ``_check_iterate``.
@@ -355,7 +355,7 @@ def _orbit_lift(orbit: ClosedOrbit, frame_offset: int = 0):
     turns = delta_phi(lift_path, (1.0, 0.0))
     rho_lift = frac + round(turns - frac)
     if abs(rho_lift - turns) > 1e-9:
-        rho_lift = turns
+        raise IllConditioned(f"{orbit.label}'s lift turns {turns:.12g}, off its class {frac:.12g}")
     A = lift_path.monodromy
     powers = [A]  # A^j at j - 1, multiplied up and normalized as in SymplecticPath.iterate
 

@@ -336,8 +336,10 @@ def return_map(
     The crossing time comes from ``_first_crossing`` (a float scan of the
     w-phase refined by ``brentq``), the image from ``page_coords`` of the
     flowed point.  ``flow_method='numeric'`` integrates the Reeb field
-    instead of using the closed form, as a cross-check.
+    instead of using the closed form, as a cross-check.  A ``tol`` above ``PAGE_TOL`` is refused.
     """
+    if tol > PAGE_TOL:
+        raise PreconditionViolation(f"tol {tol:g} is coarser than the page tolerance {PAGE_TOL:g}")
     r, theta = start
     if not (0.0 < r < 1.0):
         raise PreconditionViolation("start must be an interior page point (0 < r < 1)")

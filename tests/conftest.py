@@ -40,7 +40,7 @@ def corpus() -> Corpus:
         path, loop = rk.random_nondegenerate_path(rng)
         g = rk.cz_geometric(path)
         s = rk.cz_spectral(loop)
-        rho, err = rk.rotation_number_with_error(path, iterates=64)
+        rho, err = rk.rotation_number_with_error(path)
         out.records.append(
             CorpusRecord(path, loop, g.index, g.degenerate, s.index, s.degenerate, rho, err)
         )

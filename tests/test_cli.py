@@ -225,9 +225,10 @@ def test_return_map_bad_start(sys_file, capsys):
     assert main(["return-map", "--config", sys_file, "--start", "nope"]) == 1
 
 
-@pytest.mark.parametrize("tol, code", [("5e-324", 0), ("1e-300", 0), ("1e300", 1)])
+@pytest.mark.parametrize("tol, code", [("5e-324", 0), ("1e-300", 0), ("1e-7", 1), ("1e300", 1)])
 def test_return_map_hostile_tolerances(tol, code, capsys, monkeypatch):
-    # tolerances at the ends of the float range go straight to the root finder
+    # tiny tolerances go straight to the root finder; one above the page
+    # tolerance is refused, since the crossing it refines may miss the page
     cfg = json.dumps({"family": "ellipsoid", "a": 1.0, "b": 1.4, "lens": {"p": 2, "q": 1}})
     argv = ["return-map", "--config", cfg, "--start", "0.5,0.3", "--tol", tol]
     assert main(argv) == code
@@ -235,11 +236,21 @@ def test_return_map_hostile_tolerances(tol, code, capsys, monkeypatch):
     if code == 0:
         assert json.loads(out)["return_time"] > 0 and err == ""
     else:
-        assert out == "" and err == "error: point does not lie on the page\n"
+        assert out == "" and err == (
+            f"error: tol {float(tol):g} is coarser than the page tolerance 1e-08\n"
+        )
     # the same bytes as with scipy's brentq
     monkeypatch.setattr(reebkit.section, "brentq", brentq)
     assert main(argv) == code
     assert capsys.readouterr() == (out, err)
+
+
+def test_index_refuses_turns_off_the_class(capsys, monkeypatch):
+    original = reebkit.orbits.delta_phi
+    monkeypatch.setattr(reebkit.orbits, "delta_phi", lambda path, zeta: original(path, zeta) + 0.3)
+    assert main(["index", "--config", json.dumps(ELL_L21), "--k", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: K's lift turns") and err.count("\n") == 1
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -332,18 +332,23 @@ def test_rotation_number_iterate_additive():
         assert rk.rotation_number(path.iterate(k)) == pytest.approx(k * rho, abs=1e-6)
 
 
-def test_rotation_number_needs_iterates():
-    with pytest.raises(PreconditionViolation):
-        rk.rotation_number(rk.make_rotation_path(1.0), iterates=4)
-
-
-def test_rotation_number_birkhoff_fallback_near_zero():
-    # a tiny rigid rotation leaves no monodromy-consistent value in the winding
-    # interval, so the Birkhoff average decides and carries an error bar
-    for c in (1e-8, 1e-6):
+def test_rotation_number_keeps_the_digits_of_a_tiny_turn():
+    # the class is the monodromy's rotation angle, not reduced mod 1, so a
+    # turn of 1e-12 keeps its digits and no estimate is needed
+    for c in (1e-12, 1e-10, 1e-8, 1e-6, -1e-8):
         rho, err = rk.rotation_number_with_error(rk.make_rotation_path(c))
-        assert rho == pytest.approx(c / (2 * math.pi), abs=1e-12)
-        assert 0.0 < err < 1e-12
+        assert rho == pytest.approx(c / (2 * math.pi), rel=1e-14, abs=0.0)
+        assert err == 0.0
+
+
+@pytest.mark.parametrize("interval, count", [((1.45, 1.55), 0), ((0.3, 1.5), 2)])
+def test_rotation_number_refuses_interval_without_one_value_of_the_class(
+    interval, count, monkeypatch
+):
+    path = rk.make_rotation_path(0.4 * 2 * math.pi)  # class 0.4
+    monkeypatch.setattr(rk.index, "winding_interval", lambda path: interval)
+    with pytest.raises(IllConditioned, match=f"holds {count} values"):
+        rk.rotation_number_with_error(path)
 
 
 def test_rotation_limit_of_indices_on_rigid_rotations():

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -491,3 +492,29 @@ def test_lift_rho_keeps_the_turns_near_an_integer(eps):
         assert row["rho"] == pytest.approx(row["k"] * (3.0 + eps), abs=1e-12)
         assert row["rho"] == pytest.approx(row["k"] * rk.rotation_number(lift), abs=1e-12)
         assert row["mu_cz"] == 2 * math.floor(row["k"] * (3.0 + eps)) + 1
+
+
+def test_index_reader_refuses_turns_off_the_class(ell_s3, monkeypatch):
+    original = rk.orbits.delta_phi
+    monkeypatch.setattr(rk.orbits, "delta_phi", lambda path, zeta: original(path, zeta) + 0.3)
+    K, _ = rk.principal_orbits(ell_s3)
+    with pytest.raises(IllConditioned, match="off its class"):
+        rk.index_table(K, 2)
+
+
+def test_index_table_near_resonance_matches_closed_form():
+    # b = b0 +- 10^u puts the lift's monodromy 1e-12 to 1e-6 turns from +-I,
+    # where tr/2 holds only half the digits of the turn; the exact class keeps
+    # every row's rho at the closed form x = k (1 + ratio) / p
+    rng = random.Random(20240915)
+    for _ in range(300):
+        p = rng.choice((1, 2, 3, 5, 7))
+        q = rng.choice([q for q in range(1, p + 1) if math.gcd(p, q) == 1])
+        b0 = rng.choice((1.5, 2.0, 3.0, 4.0, 5.0 / 3.0))
+        b = b0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -6.0)
+        lens = rk.LensParams(p, q) if p > 1 else None
+        K, Kp = rk.principal_orbits(rk.ContactSystem("ellipsoid", a=1.0, b=b, lens=lens))
+        for orbit, ratio in ((K, 1.0 / b), (Kp, b)):
+            for row in rk.index_table(orbit, 4):
+                x = row["k"] * (1.0 + ratio) / p
+                assert abs(row["rho"] - x) <= 1e-13 * max(1.0, abs(x)), (p, q, b, orbit.label, row)
