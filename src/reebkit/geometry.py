@@ -145,9 +145,12 @@ def from_complex(z: complex, w: complex) -> np.ndarray:
     return np.array([z.real, z.imag, w.real, w.imag])
 
 
+_I_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])
+
+
 def ambient_rotation(v: np.ndarray) -> np.ndarray:
     """Multiplication by i on C^2 in real coordinates, on the last axis."""
-    return np.stack([-v[..., 1], v[..., 0], -v[..., 3], v[..., 2]], axis=-1)
+    return v[..., [1, 0, 3, 2]] * _I_SIGNS
 
 
 def section_W(pts: np.ndarray) -> np.ndarray:
@@ -350,7 +353,8 @@ def flow(sys: ContactSystem, pt, t: float, tol: float = 1e-10, method: str = "au
         raise ValueError(f"unknown method {method!r}")
 
     def rhs(_t, y):
-        return reeb_vector(sys, _project_sphere(y))
+        # the projected point is on the sphere: no need for reeb_vector's check
+        return _reeb_rows(sys, _project_sphere(y))
 
     w1, w2 = sys.plane_rates()
     res = dopri45(

@@ -379,6 +379,15 @@ def _pointwise_inverse(mats: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _mul_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products a_n b_n of two stacks of 2x2 matrices, as explicit 2x2 products.
+
+    Each entry is summed from 0.0 as ``np.einsum("nij,njk->nik", a, b)``
+    sums it, so the bits are einsum's, signed zeros included.
+    """
+    return 0.0 + a[:, :, :1] * b[:, None, 0] + a[:, :, 1:] * b[:, None, 1]
+
+
 def _transitions_and_threshold(mats: np.ndarray) -> tuple[np.ndarray, float]:
     """Left transitions phi_{j+1} phi_j^{-1} and the largest trustworthy per-sample phase jump.
 
@@ -390,10 +399,10 @@ def _transitions_and_threshold(mats: np.ndarray) -> tuple[np.ndarray, float]:
     exact sweep; jumps may then approach pi.
     """
     inv = _pointwise_inverse(mats[:-1])
-    left_steps = np.einsum("nij,njk->nik", mats[1:], inv)
+    left_steps = _mul_stacks(mats[1:], inv)
     eye = np.eye(2)
     left = np.max(np.abs(left_steps - eye))
-    right = np.max(np.abs(np.einsum("nij,njk->nik", inv, mats[1:]) - eye))
+    right = np.max(np.abs(_mul_stacks(inv, mats[1:]) - eye))
     if min(left, right) <= 0.3:
         return left_steps, math.pi - 1e-9
     return left_steps, math.pi / 2

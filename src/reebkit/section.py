@@ -3,13 +3,17 @@
 Pages live over the w-phase: on the sphere the page at phase c is the slice
 {arg(w) = c} closed up with the binding circle {w = 0}; on a quotient by
 Z_p the p slices {c + 2 pi j / p} project to a single page, an immersed
-disk whose boundary covers the binding p:1.  Crossings of a trajectory
-through the page are detected by monitoring the unwrapped w-phase on lifts
-and refining each bracket in time with ``brentq``, this module's port of
-scipy's Brent solver, so the package imports no scipy.  On the closed-form
-flow the phase is read from the start point's w-coordinate turned in plain
-float arithmetic (``geometry._turn``, shared with ``flow_closed``), so a
-scan step costs no numpy call and gives the same bits as stepping ``flow``.
+disk whose boundary covers the binding p:1.  Off the binding the Reeb flow
+turns the w-plane at the constant rate w2, so on the closed-form flow every
+first return to the page takes level / w2 with level = 2 pi / p: the return
+map flows there once and ``page_coords`` checks that the point landed on
+the page.  The numeric flow finds its crossings by the independent route,
+monitoring the unwrapped w-phase and refining each bracket in time with
+``brentq``, this module's port of scipy's Brent solver, so the package
+imports no scipy.  The same scan over the closed-form flow reads the phase
+from the start point's w-coordinate turned in plain float arithmetic
+(``geometry._turn``, shared with ``flow_closed``), so a scan step costs no
+numpy call and gives the same bits as stepping ``flow``.
 
 The page is sampled through the disk parametrization ``knots.pdisk_arrays``
 (a single point through its float twin ``knots.pdisk_point``), and the
@@ -254,6 +258,27 @@ def _phase_along(
     return phase
 
 
+def _scan_step(sys: ContactSystem, level: float, time_budget: float) -> float:
+    """The crossing scan's time step, small against the phase rate.
+
+    A scan of ``time_budget`` that needs more than ``_MAX_STEPS`` steps is
+    refused.
+    """
+    w1, w2 = sys.plane_rates()
+    dt = level / max(w1, w2) / 16.0
+    if time_budget / dt > _MAX_STEPS:
+        raise IntegrationFailure(
+            f"return scan over {time_budget:g} needs more than {_MAX_STEPS} steps of {dt:g}"
+        )
+    return dt
+
+
+def _no_crossing(time_budget: float) -> IntegrationFailure:
+    return IntegrationFailure(
+        f"return failure: no page crossing within time budget {time_budget:g}"
+    )
+
+
 def _first_crossing(
     sys: ContactSystem,
     pt0: np.ndarray,
@@ -263,21 +288,17 @@ def _first_crossing(
     tol: float,
     flow_method: str = "closed",
 ) -> tuple[float, np.ndarray]:
-    """First positive time at which the w-phase moves by a multiple of ``level``.
+    """First positive time at which the w-phase moves by a multiple of ``level``, by a scan.
 
     Scans the trajectory with steps small against the phase rate and refines
     the bracketing interval with the in-package ``brentq`` to ``tol`` in
     time.  Both read the phase through ``_phase_along``, in float arithmetic
     on the closed-form flow; only the crossing point itself is computed with
-    ``flow``.  A scan of more than ``_MAX_STEPS`` steps is refused up front.
+    ``flow``.  ``return_map`` runs it on the numeric flow only, as the
+    cross-check of the closed-form return time level / w2.  A scan of more
+    than ``_MAX_STEPS`` steps is refused up front.
     """
-    w1, w2 = sys.plane_rates()
-    dt = level / max(w1, w2) / 16.0
-    if time_budget / dt > _MAX_STEPS:
-        raise IntegrationFailure(
-            f"return scan over {time_budget:g} needs more than {_MAX_STEPS} steps of {dt:g}"
-        )
-
+    dt = _scan_step(sys, level, time_budget)
     phase_at = _phase_along(sys, pt0, direction, flow_method)
 
     def phase_rel(t: float, href: float) -> float:
@@ -304,9 +325,7 @@ def _first_crossing(
             pt_star = flow(sys, pt0, direction * t_star, method=flow_method)
             return t_star, pt_star
         t_prev, h_prev, g_prev = t, h, g
-    raise IntegrationFailure(
-        f"return failure: no page crossing within time budget {time_budget:g}"
-    )
+    raise _no_crossing(time_budget)
 
 
 @dataclass
@@ -333,10 +352,16 @@ def return_map(
 ) -> ReturnRecord:
     """Flow from an interior page point to its next crossing of the page.
 
-    The crossing time comes from ``_first_crossing`` (a float scan of the
-    w-phase refined by ``brentq``), the image from ``page_coords`` of the
-    flowed point.  ``flow_method='numeric'`` integrates the Reeb field
-    instead of using the closed form, as a cross-check.  A ``tol`` above ``PAGE_TOL`` is refused.
+    On the closed-form flow (``flow_method`` 'auto' or 'closed') the w-phase
+    turns at the constant rate w2 off the binding, so the return time is
+    level / w2 exactly, with level = 2 pi / p; the start point is flowed
+    there once.  ``flow_method='numeric'`` integrates the Reeb field instead
+    and finds the crossing with ``_first_crossing`` (a scan of the w-phase
+    refined by ``brentq`` to ``tol``), as a cross-check.  Either way the
+    image comes from ``page_coords`` of the flowed point, which refuses a
+    landing more than ``PAGE_TOL`` off the page.  A ``tol`` above
+    ``PAGE_TOL``, a ``time_budget`` whose scan would need more than
+    ``_MAX_STEPS`` steps and one shorter than the return time are refused.
     """
     if tol > PAGE_TOL:
         raise PreconditionViolation(f"tol {tol:g} is coarser than the page tolerance {PAGE_TOL:g}")
@@ -351,13 +376,21 @@ def return_map(
     pt0 = page_point(page, r, theta)
     sgn = 1 if direction == "forward" else -1
     level = 2.0 * math.pi / page.p
+    w2 = sys.plane_rates()[1]
     if time_budget is None:
-        # off the binding the w-phase turns at the constant rate w2, so every
-        # return takes level / w2; the scan gets twice that
-        time_budget = 2.0 * level / sys.plane_rates()[1]
-    t_star, pt_star = _first_crossing(
-        sys, pt0, sgn, level, time_budget, tol, flow_method=flow_method
-    )
+        # every return takes level / w2; a numeric scan gets twice that
+        time_budget = 2.0 * level / w2
+    if flow_method in ("auto", "closed"):
+        # a budget the numeric scan would refuse is refused on this route too
+        _scan_step(sys, level, time_budget)
+        t_star = level / w2
+        if not t_star <= time_budget:
+            raise _no_crossing(time_budget)
+        pt_star = flow(sys, pt0, sgn * t_star)
+    else:
+        t_star, pt_star = _first_crossing(
+            sys, pt0, sgn, level, time_budget, tol, flow_method=flow_method
+        )
     image = page_coords(page, pt_star)
     return ReturnRecord(start=(r, theta), return_time=t_star, image=image, direction=direction)
 

@@ -245,6 +245,21 @@ def test_return_map_hostile_tolerances(tol, code, capsys, monkeypatch):
     assert capsys.readouterr() == (out, err)
 
 
+@pytest.mark.parametrize("b, p, q", [(1.4, 2, 1), (math.sqrt(2.0), 2, 1), (1.05, 3, 2)])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_return_map_at_the_page_tolerance(b, p, q, direction, capsys):
+    # a crossing refined in time to tol misses the page by about w2 * tol, so
+    # scanned returns at tol = 1e-8 were refused as off the page; the return
+    # time is level / w2 in closed form and the landing is on the page
+    cfg = json.dumps({"family": "ellipsoid", "a": 1.0, "b": b, "lens": {"p": p, "q": q}})
+    argv = ["return-map", "--config", cfg, "--start", "0.5,0.3", "--tol", "1e-8",
+            "--direction", direction]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["return_time"] == float(f"{2.0 * math.pi / (p * (2.0 * math.pi / b)):.12g}")
+
+
 def test_index_refuses_turns_off_the_class(capsys, monkeypatch):
     original = reebkit.orbits.delta_phi
     monkeypatch.setattr(reebkit.orbits, "delta_phi", lambda path, zeta: original(path, zeta) + 0.3)

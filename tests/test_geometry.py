@@ -130,6 +130,26 @@ def test_flow_numeric_matches_closed_form():
             assert np.linalg.norm(closed - numeric) < tol * 100 * max(1.0, t)
 
 
+def test_flow_numeric_integrates_reeb_vector_bitwise():
+    """The numeric flow's field is ``reeb_vector`` at the projected point, bit for bit."""
+    rng = np.random.default_rng(4)
+    pts = random_sphere_points(rng, 20)
+    pts[0] = [0.0, -0.0, 1.0, 0.0]
+    for v in pts:
+        ref = np.stack([-v[..., 1], v[..., 0], -v[..., 3], v[..., 2]], axis=-1)
+        assert rk.geometry.ambient_rotation(v).tobytes() == ref.tobytes()
+    for lens in (None, rk.LensParams(3, 2)):
+        sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=1.9, lens=lens)
+        w1, w2 = sys_.plane_rates()
+        for pt in pts[:4]:
+            ref = dopri45(
+                lambda _t, y: rk.reeb_vector(sys_, y / np.linalg.norm(y)), 0.0, pt, 2.3,
+                rtol=1e-10, atol=1e-10, project=lambda y: y / np.linalg.norm(y),
+                max_step=0.5 / max(w1, w2),
+            ).y_end
+            assert rk.flow(sys_, pt, 2.3, method="numeric").tobytes() == ref.tobytes()
+
+
 def test_flow_preserves_lambda_along_transported_vectors():
     # transport a tangent vector with the variational equations; the value of
     # the contact form on it must be constant

@@ -222,6 +222,42 @@ def test_winding_interval_guards_every_direction():
     assert abs(lo - ref_lo) < 1e-11 and abs(hi - ref_hi) < 1e-11
 
 
+def _lift_shaped_stacks(corpus):
+    for rec in corpus.records[:6]:
+        yield rec.path.mats
+        yield rec.path.inverse().mats
+    for lens in (None, (2, 1), (3, 2)):
+        sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=math.sqrt(2.0),
+                                lens=rk.LensParams(*lens) if lens else None)
+        for orbit in rk.principal_orbits(sys_):
+            yield rk.linearized_path(orbit).mats
+    for angle in (0.4, math.pi, 2 * math.pi):
+        yield rk.make_rotation_path(angle).iterate(3).mats
+    yield rk.make_hyperbolic_path(3.0).mats
+    yield _sheared_path(math.pi / 2 - 1e-3).mats
+
+
+def test_stack_products_equal_einsum_bitwise(corpus):
+    rng = np.random.default_rng(8)
+    pairs = []
+    for n in (1, 2, 7, 512):
+        for scale in (1e-300, 1e-3, 1.0, 1e5, 1e300):
+            a, b = rng.standard_normal((2, n, 2, 2)) * scale
+            # signed zeros: einsum sums from +0.0, so two -0.0 products give +0.0
+            a[rng.random(a.shape) < 0.2] = -0.0
+            b[rng.random(b.shape) < 0.2] = 0.0
+            pairs.append((a, b))
+    for mats in _lift_shaped_stacks(corpus):
+        inv = rk.index._pointwise_inverse(mats[:-1])
+        pairs += [(mats[1:], inv), (inv, mats[1:])]
+        steps, _ = rk.index._transitions_and_threshold(mats)
+        assert steps.tobytes() == np.einsum("nij,njk->nik", mats[1:], inv).tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):  # the 1e300 stacks overflow
+        for a, b in pairs:
+            ref = np.einsum("nij,njk->nik", a, b)
+            assert rk.index._mul_stacks(a, b).tobytes() == ref.tobytes()
+
+
 def test_path_validation():
     with pytest.raises(PreconditionViolation):
         rk.SymplecticPath(np.repeat(2 * np.eye(2)[None], 100, axis=0))

@@ -110,6 +110,44 @@ def test_return_map_numeric_flow_agrees(ell_l21):
     assert a.image[0] == pytest.approx(b.image[0], abs=1e-6)
 
 
+DIFF_LENSES = [None, (2, 1), (3, 2), (5, 2), (12, 5)]
+DIFF_B = (1.05, SQRT2, 1.9, 3.7)
+
+
+@pytest.mark.parametrize("lens", DIFF_LENSES, ids=str)
+def test_closed_return_map_equals_numeric(lens):
+    """The closed-form return time and image against the numeric flow's scanned crossing."""
+    rng = np.random.default_rng(7)
+    for b in DIFF_B:
+        sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=b, lens=rk.LensParams(*lens) if lens else None)
+        page = rk.build_page(sys_, 0.0)
+        start = sample_starts(rng, 1)[0]
+        for direction in ("forward", "backward"):
+            closed = rk.return_map(page, start, direction)
+            numeric = rk.return_map(page, start, direction, flow_method="numeric")
+            assert closed.return_time == 2.0 * math.pi / page.p / sys_.plane_rates()[1]
+            assert abs(closed.return_time - numeric.return_time) < 1e-6, (b, direction)
+            assert abs(closed.image[0] - numeric.image[0]) < 1e-6, (b, direction)
+            assert abs(math.remainder(closed.image[1] - numeric.image[1], 2.0 * math.pi)) < 1e-6
+
+
+@pytest.mark.parametrize("flow_method", ["closed", "numeric"])
+def test_return_map_refuses_a_budget_below_the_return_time(ell_l21, flow_method):
+    page = rk.build_page(ell_l21, 0.0)
+    t_return = math.pi / ell_l21.plane_rates()[1]
+    rk.return_map(page, (0.5, 0.3), time_budget=1.01 * t_return, flow_method=flow_method)
+    with pytest.raises(IntegrationFailure, match="no page crossing within time budget"):
+        rk.return_map(page, (0.5, 0.3), time_budget=0.99 * t_return, flow_method=flow_method)
+
+
+@pytest.mark.parametrize("flow_method", ["closed", "numeric"])
+def test_return_map_refuses_a_scan_beyond_the_step_ceiling(flow_method):
+    # b/a = 1e6: the default budget would take about 3.2e7 scan steps
+    page = rk.build_page(rk.ContactSystem("ellipsoid", a=1.0, b=1e6), 0.0)
+    with pytest.raises(IntegrationFailure, match=f"needs more than {_MAX_STEPS} steps"):
+        rk.return_map(page, (0.5, 0.0), flow_method=flow_method)
+
+
 def test_return_map_deck_equivariance(ell_l21):
     L = ell_l21.lens
     page = rk.build_page(ell_l21, 0.0)
@@ -372,8 +410,23 @@ def _reference_profile_inverse(disk, value):
     return brentq(lambda r: float(disk.profile(r)) - value, 0.0, 1.0, xtol=1e-14)
 
 
+def _reference_return_map(page, start, direction="forward", tol=1e-10):
+    """The return map of the crossing scan that steps ``flow``, with the numpy profile."""
+    r, theta = start
+    sgn = 1 if direction == "forward" else -1
+    level = 2.0 * math.pi / page.p
+    budget = 2.0 * level / page.system.plane_rates()[1]
+    t_star, pt = _reference_first_crossing(
+        page.system, rk.page_point(page, r, theta), sgn, level, budget, tol
+    )
+    return section.ReturnRecord(
+        start=(r, theta), return_time=t_star, image=section.page_coords(page, pt),
+        direction=direction,
+    )
+
+
 def _use_reference(monkeypatch):
-    monkeypatch.setattr(section, "_first_crossing", _reference_first_crossing)
+    monkeypatch.setattr(section, "return_map", _reference_return_map)
     monkeypatch.setattr(section, "_profile_inverse", _reference_profile_inverse)
 
 
@@ -385,18 +438,30 @@ REF_ANGLES = (
 
 
 @pytest.mark.parametrize("lens", [None, (2, 1), (3, 2), (5, 2)], ids=str)
-def test_return_map_equals_flow_stepping_reference(lens, monkeypatch):
+def test_return_map_equals_flow_stepping_reference(lens):
+    """The float phase scan steps ``flow`` bit for bit; the closed return time is level / w2.
+
+    The scan, which ``return_map`` runs only on the numeric flow, is driven
+    here with the closed-form phase reader and compared with the reference
+    that calls ``flow`` at every phase evaluation.  Its crossing lies within
+    ``tol`` of the closed-form return time, which is level / w2 exactly.
+    """
     sys_ = rk.ContactSystem(
         "ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(*lens) if lens else None
     )
     page = rk.build_page(sys_, 0.0)
-    starts = [(r, th) for r in REF_RADII for th in REF_ANGLES]
-    directions = ("forward", "backward")
-    fast = [rk.return_map(page, s, d) for s in starts for d in directions]
-    with monkeypatch.context() as m:
-        _use_reference(m)
-        slow = [rk.return_map(page, s, d) for s in starts for d in directions]
-    assert fast == slow
+    level = 2.0 * math.pi / page.p
+    w2 = sys_.plane_rates()[1]
+    budget, tol = 2.0 * level / w2, 1e-10
+    for start in [(r, th) for r in REF_RADII for th in REF_ANGLES]:
+        pt0 = rk.page_point(page, *start)
+        for sgn, direction in ((1, "forward"), (-1, "backward")):
+            t, pt = section._first_crossing(sys_, pt0, sgn, level, budget, tol)
+            t_ref, pt_ref = _reference_first_crossing(sys_, pt0, sgn, level, budget, tol)
+            assert t == t_ref and pt.tobytes() == pt_ref.tobytes(), (start, direction)
+            rec = rk.return_map(page, start, direction)
+            assert rec.return_time == level / w2
+            assert abs(t - rec.return_time) <= tol
 
 
 @pytest.mark.parametrize("direction", [1, -1])
@@ -536,10 +601,17 @@ def test_brentq_port_equals_scipy_inside_return_maps(monkeypatch):
             "ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(*lens) if lens else None))
         for start in sample_starts(np.random.default_rng(3), 20):
             for direction in ("forward", "backward"):
-                for tol in (1e-14, 2e-12, 1e-10):
-                    rk.return_map(page, start, direction, tol=tol)
-    # two solves per return map: the crossing time and the radius of the image
-    assert len(calls) == 2 * 3 * 20 * 2 * 3 and min(calls) >= 3
+                rk.return_map(page, start, direction)
+    # one solve per closed-form return: the radius of the image
+    assert len(calls) == 3 * 20 * 2 and min(calls) >= 3
+    # the numeric flow's returns refine the crossing time as well
+    calls.clear()
+    page = rk.build_page(rk.ContactSystem("ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(12, 5)))
+    for start in sample_starts(np.random.default_rng(4), 2):
+        for direction in ("forward", "backward"):
+            for tol in (1e-14, 2e-12, 1e-10):
+                rk.return_map(page, start, direction, tol=tol, flow_method="numeric")
+    assert len(calls) == 2 * 2 * 2 * 3 and min(calls) >= 3
 
 
 @pytest.mark.parametrize(
