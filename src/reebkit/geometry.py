@@ -335,22 +335,23 @@ def _project_sphere(y: np.ndarray) -> np.ndarray:
     return y / np.linalg.norm(y)
 
 
-def flow(sys: ContactSystem, pt, t: float, tol: float = 1e-10, method: str = "auto") -> np.ndarray:
+def flow(sys: ContactSystem, pt, t: float, tol: float = 1e-10, method: str = "closed") -> np.ndarray:
     """Time-``t`` Reeb flow of ``pt``.
 
-    ``method='auto'`` uses the closed form available for both families;
-    ``'numeric'`` integrates the Reeb field with the adaptive stepper and
-    post-step renormalization to the sphere (error bound ~ tol per unit time).
+    ``method='closed'`` (the default) uses the closed form available for both
+    families; ``'numeric'`` integrates the Reeb field with the adaptive
+    stepper and post-step renormalization to the sphere (error bound ~ tol
+    per unit time).  Any other method is a ``ValueError``.
     """
+    if method not in ("closed", "numeric"):
+        raise ValueError(f"unknown method {method!r}")
     if tol <= 0:
         raise PreconditionViolation("tol must be positive")
     pt = check_point(pt)
     if t == 0.0:
         return pt.copy()
-    if method in ("auto", "closed"):
+    if method == "closed":
         return flow_closed(sys, pt, t)
-    if method != "numeric":
-        raise ValueError(f"unknown method {method!r}")
 
     def rhs(_t, y):
         # the projected point is on the sphere: no need for reeb_vector's check

@@ -39,8 +39,6 @@ _B4 = np.array(
 
 @dataclass
 class IntegrationResult:
-    ts: np.ndarray          # times where the solution was sampled
-    ys: np.ndarray          # states at ts, shape (len(ts), dim)
     t_end: float
     y_end: np.ndarray
     n_steps: int
@@ -60,48 +58,25 @@ def dopri45(
     rtol: float = 1e-10,
     atol: float = 1e-10,
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    t_eval: Optional[Sequence[float]] = None,
     max_step: float = np.inf,
 ) -> IntegrationResult:
     """Integrate ``y' = rhs(t, y)`` from ``t0`` to ``t1`` (either direction).
 
-    ``project`` is applied to the state after every accepted step.  When
-    ``t_eval`` is given the integrator lands exactly on those times and
-    reports the state there; otherwise only the final state is reported.
-    A span that needs more than ``_MAX_STEPS`` steps of at most ``max_step``
-    is refused up front, and the integration stops after ``_MAX_STEPS``
-    accepted steps.
+    ``project`` is applied to the state after every accepted step; the state
+    at the end time is reported.  A span that needs more than ``_MAX_STEPS``
+    steps of at most ``max_step`` is refused up front, and the integration
+    stops after ``_MAX_STEPS`` accepted steps.
     """
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
     if span == 0.0:
-        ts = np.array([t0])
-        ys = y[None, :].copy()
-        return IntegrationResult(ts, ys, t0, y, 0, 0)
+        return IntegrationResult(t0, y, 0, 0)
     if span / max_step > _MAX_STEPS:
         raise IntegrationFailure(
             f"integration over {span:g} needs more than {_MAX_STEPS} steps of at most {max_step:g}"
         )
-
-    targets = None
-    if t_eval is not None:
-        targets = list(np.asarray(t_eval, dtype=float))
-        if any(direction * (b - a) < 0 for a, b in zip(targets, targets[1:])):
-            raise ValueError("t_eval must be monotone in the integration direction")
-
-    out_t: list[float] = []
-    out_y: list[np.ndarray] = []
-
-    def emit(tc: float, yc: np.ndarray) -> None:
-        out_t.append(tc)
-        out_y.append(yc.copy())
-
-    next_target = 0
-    if targets and abs(targets[0] - t0) <= 1e-15 * max(1.0, abs(t0)):
-        emit(t0, y)
-        next_target = 1
 
     h = direction * min(span / 16.0, max_step, 0.1)
     k = np.empty((7, y.size))
@@ -113,8 +88,6 @@ def dopri45(
         if n_steps == _MAX_STEPS:
             raise IntegrationFailure(f"integration needs more than {_MAX_STEPS} steps")
         h = direction * min(abs(h), max_step, abs(t_final - t))
-        if targets and next_target < len(targets):
-            h = direction * min(abs(h), abs(targets[next_target] - t))
         if abs(h) < 1e-14 * max(1.0, abs(t)):
             raise IntegrationFailure(f"step size underflow at t={t!r}")
 
@@ -133,25 +106,7 @@ def dopri45(
             if project is not None:
                 y = project(y)
             n_steps += 1
-            while (
-                targets
-                and next_target < len(targets)
-                and abs(targets[next_target] - t) <= 1e-12 * max(1.0, abs(t)) + 1e-15
-            ):
-                emit(targets[next_target], y)
-                next_target += 1
         factor = 0.9 * (max(err, 1e-16)) ** (-0.2)
         h = h * min(5.0, max(0.2, factor))
 
-    if targets is None:
-        emit(t, y)
-    if targets and next_target < len(targets):
-        # Remaining targets must coincide with the final time.
-        for tc in targets[next_target:]:
-            if abs(tc - t) > 1e-9 * max(1.0, abs(t)):
-                raise IntegrationFailure("integration ended before reaching t_eval points")
-            emit(tc, y)
-
-    ts = np.array(out_t)
-    ys = np.array(out_y)
-    return IntegrationResult(ts, ys, t, y, n_steps, n_fev)
+    return IntegrationResult(t, y, n_steps, n_fev)

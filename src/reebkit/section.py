@@ -5,15 +5,13 @@ Pages live over the w-phase: on the sphere the page at phase c is the slice
 Z_p the p slices {c + 2 pi j / p} project to a single page, an immersed
 disk whose boundary covers the binding p:1.  Off the binding the Reeb flow
 turns the w-plane at the constant rate w2, so on the closed-form flow every
-first return to the page takes level / w2 with level = 2 pi / p: the return
-map flows there once and ``page_coords`` checks that the point landed on
-the page.  The numeric flow finds its crossings by the independent route,
-monitoring the unwrapped w-phase and refining each bracket in time with
-``brentq``, this module's port of scipy's Brent solver, so the package
-imports no scipy.  The same scan over the closed-form flow reads the phase
-from the start point's w-coordinate turned in plain float arithmetic
-(``geometry._turn``, shared with ``flow_closed``), so a scan step costs no
-numpy call and gives the same bits as stepping ``flow``.
+first return to the page takes level / w2 with level = 2 pi / p, and an
+orbit of period T crosses the page w2 T / level times, its linking number
+with the binding.  The return map flows there once and ``page_coords``
+checks that the point landed on the page.  Only the numeric flow scans for
+its crossings, as the independent route: it steps the w-phase from one
+scan point to the next and refines each bracket in time with ``brentq``,
+this module's port of scipy's Brent solver, so the package imports no scipy.
 
 The page is sampled through the disk parametrization ``knots.pdisk_arrays``
 (a single point through its float twin ``knots.pdisk_point``), and the
@@ -31,6 +29,7 @@ import numpy as np
 
 from .errors import (
     DegenerateInput,
+    IllConditioned,
     IntegrationFailure,
     PreconditionViolation,
     ReebkitError,
@@ -40,7 +39,6 @@ from .geometry import (
     LensParams,
     _dlambda_rows,
     _lambda_rows,
-    _turn,
     check_point,
     deck_action,
     flow,
@@ -234,30 +232,6 @@ def _w_phase(pt: np.ndarray) -> float:
     return math.atan2(pt[3], pt[2])
 
 
-def _phase_along(
-    sys: ContactSystem, pt0: np.ndarray, direction: int, flow_method: str = "closed"
-) -> Callable[[float], float]:
-    """The w-phase of the trajectory of ``pt0`` at time ``direction * t``, as a function of t.
-
-    On the closed-form flow the point is checked once and each evaluation
-    turns its w-coordinate with ``_turn``, the arithmetic of ``flow_closed``,
-    then takes ``atan2``: the phase of ``flow(sys, pt0, direction * t)`` bit
-    for bit at t > 0, without a numpy call.  ``flow_method='numeric'``
-    integrates each time with ``flow``, as the cross-check.
-    """
-    if flow_method not in ("auto", "closed"):
-        return lambda t: _w_phase(flow(sys, pt0, direction * t, method=flow_method))
-    pt0 = check_point(pt0)
-    w0 = complex(pt0[2], pt0[3])
-    rate = sys.plane_rates()[1]
-
-    def phase(t: float) -> float:
-        w = _turn(w0, rate, direction * t)
-        return math.atan2(w.imag, w.real)
-
-    return phase
-
-
 def _scan_step(sys: ContactSystem, level: float, time_budget: float) -> float:
     """The crossing scan's time step, small against the phase rate.
 
@@ -286,45 +260,42 @@ def _first_crossing(
     level: float,
     time_budget: float,
     tol: float,
-    flow_method: str = "closed",
 ) -> tuple[float, np.ndarray]:
-    """First positive time at which the w-phase moves by a multiple of ``level``, by a scan.
+    """First positive time at which the numeric flow's w-phase moves by a multiple of ``level``.
 
-    Scans the trajectory with steps small against the phase rate and refines
-    the bracketing interval with the in-package ``brentq`` to ``tol`` in
-    time.  Both read the phase through ``_phase_along``, in float arithmetic
-    on the closed-form flow; only the crossing point itself is computed with
-    ``flow``.  ``return_map`` runs it on the numeric flow only, as the
-    cross-check of the closed-form return time level / w2.  A scan of more
-    than ``_MAX_STEPS`` steps is refused up front.
+    Scans the trajectory with steps small against the phase rate, each
+    integrated by ``flow(..., method='numeric')`` from the previous scan
+    point, and refines the bracketing step with the in-package ``brentq`` to
+    ``tol`` in time, each evaluation integrated from the bracket's left end,
+    so a scan costs O(time_budget) of integration.  ``return_map`` runs it
+    as the cross-check of the closed-form return time level / w2.  A scan of
+    more than ``_MAX_STEPS`` steps is refused up front.
     """
     dt = _scan_step(sys, level, time_budget)
-    phase_at = _phase_along(sys, pt0, direction, flow_method)
 
-    def phase_rel(t: float, href: float) -> float:
-        # w-phase at time t, unwrapped against a reference value
-        return href + math.remainder(phase_at(t) - href, 2.0 * math.pi)
+    def flow_for(pt: np.ndarray, t: float) -> np.ndarray:
+        return flow(sys, pt, direction * t, method="numeric")
+
+    def phase_and_g(pt: np.ndarray, href: float) -> tuple[float, float]:
+        # the w-phase of pt unwrapped against href, and sin(pi * levels moved)
+        h = href + math.remainder(_w_phase(pt) - href, 2.0 * math.pi)
+        return h, math.sin(math.pi * (h - h0) / level)
 
     h0 = _w_phase(pt0)
-    h_prev = h0
-    t_prev = 0.0
-    g_prev = 0.0
+    pt_prev, t_prev, h_prev, g_prev = pt0, 0.0, h0, 0.0
     t = 0.0
     while t < time_budget:
         t = min(t_prev + dt, time_budget)
-        h = phase_rel(t, h_prev)
-        ell = (h - h0) / level
-        g = math.sin(math.pi * ell)
+        pt = flow_for(pt_prev, t - t_prev)
+        h, g = phase_and_g(pt, h_prev)
         if t_prev > 0.0 and (g == 0.0 or (g_prev != 0.0 and math.copysign(1, g) != math.copysign(1, g_prev))):
-            href = h_prev
-
-            def gfun(tc: float) -> float:
-                return math.sin(math.pi * (phase_rel(tc, href) - h0) / level)
-
-            t_star = brentq(gfun, t_prev, t, xtol=tol)
-            pt_star = flow(sys, pt0, direction * t_star, method=flow_method)
-            return t_star, pt_star
-        t_prev, h_prev, g_prev = t, h, g
+            # the bracket [t_prev, t] is integrated from its left end, pt_prev
+            t_star = brentq(
+                lambda tc: phase_and_g(flow_for(pt_prev, tc - t_prev), h_prev)[1],
+                t_prev, t, xtol=tol,
+            )
+            return t_star, flow_for(pt_prev, t_star - t_prev)
+        pt_prev, t_prev, h_prev, g_prev = pt, t, h, g
     raise _no_crossing(time_budget)
 
 
@@ -352,17 +323,20 @@ def return_map(
 ) -> ReturnRecord:
     """Flow from an interior page point to its next crossing of the page.
 
-    On the closed-form flow (``flow_method`` 'auto' or 'closed') the w-phase
-    turns at the constant rate w2 off the binding, so the return time is
-    level / w2 exactly, with level = 2 pi / p; the start point is flowed
+    On the closed-form flow (``flow_method='closed'``, the default) the
+    w-phase turns at the constant rate w2 off the binding, so the return time
+    is level / w2 exactly, with level = 2 pi / p; the start point is flowed
     there once.  ``flow_method='numeric'`` integrates the Reeb field instead
     and finds the crossing with ``_first_crossing`` (a scan of the w-phase
-    refined by ``brentq`` to ``tol``), as a cross-check.  Either way the
-    image comes from ``page_coords`` of the flowed point, which refuses a
-    landing more than ``PAGE_TOL`` off the page.  A ``tol`` above
-    ``PAGE_TOL``, a ``time_budget`` whose scan would need more than
-    ``_MAX_STEPS`` steps and one shorter than the return time are refused.
+    refined by ``brentq`` to ``tol``), as a cross-check; any other value is
+    a ``ValueError``.  Either way the image comes from ``page_coords`` of the
+    flowed point, which refuses a landing more than ``PAGE_TOL`` off the
+    page.  A ``tol`` above ``PAGE_TOL``, a ``time_budget`` whose scan would
+    need more than ``_MAX_STEPS`` steps and one shorter than the return time
+    are refused.
     """
+    if flow_method not in ("closed", "numeric"):
+        raise ValueError(f"unknown flow method {flow_method!r}")
     if tol > PAGE_TOL:
         raise PreconditionViolation(f"tol {tol:g} is coarser than the page tolerance {PAGE_TOL:g}")
     r, theta = start
@@ -380,7 +354,7 @@ def return_map(
     if time_budget is None:
         # every return takes level / w2; a numeric scan gets twice that
         time_budget = 2.0 * level / w2
-    if flow_method in ("auto", "closed"):
+    if flow_method == "closed":
         # a budget the numeric scan would refuse is refused on this route too
         _scan_step(sys, level, time_budget)
         t_star = level / w2
@@ -388,9 +362,7 @@ def return_map(
             raise _no_crossing(time_budget)
         pt_star = flow(sys, pt0, sgn * t_star)
     else:
-        t_star, pt_star = _first_crossing(
-            sys, pt0, sgn, level, time_budget, tol, flow_method=flow_method
-        )
+        t_star, pt_star = _first_crossing(sys, pt0, sgn, level, time_budget, tol)
     image = page_coords(page, pt_star)
     return ReturnRecord(start=(r, theta), return_time=t_star, image=image, direction=direction)
 
@@ -408,7 +380,9 @@ def fixed_point(
     and the displacement d(zeta) = F(zeta) - zeta is driven to zero by a
     damped iteration accelerated with complex secant jumps; for
     rotation-like return maps the secant model is exact and convergence
-    takes a couple of returns even when the rotation angle is tiny.
+    takes a couple of returns even when the rotation angle is tiny.  A fixed
+    point within 1e-12 of the page centre, where ``displacement`` already
+    stops, is the centre (0, 0), not an angle of rounding noise.
     """
 
     def displacement(zeta: complex) -> complex:
@@ -425,6 +399,8 @@ def fixed_point(
     trace: list[float] = [abs(disp)]
     for _ in range(max_iter):
         if abs(disp) < tol:
+            if abs(zeta) < 1e-12:
+                return 0.0, 0.0
             return abs(zeta), math.atan2(zeta.imag, zeta.real)
         zeta2 = zeta + damping * disp
         if abs(zeta2) >= 0.98:
@@ -446,48 +422,23 @@ def fixed_point(
     )
 
 
-def linking_with_binding(
-    sys: ContactSystem,
-    orbit: ClosedOrbit,
-    page: Page,
-    tol: float = 1e-6,
-) -> int:
-    """Signed count of page crossings of the orbit over one (total) period.
+def linking_with_binding(sys: ContactSystem, orbit: ClosedOrbit, page: Page) -> int:
+    """Linking number of the orbit with the binding, in closed form.
 
-    Equals the linking number of the orbit with the binding.  The scan reads
-    the w-phase through ``_phase_along`` on the closed-form flow, in float
-    arithmetic.  Tangential crossings (transverse phase speed below ``tol``)
-    are rejected.
+    Off the binding the Reeb flow turns the w-plane at the constant rate w2,
+    so over its (total) period T the orbit crosses the page w2 T / level
+    times, all positively, with level = 2 pi / p; that count is the linking
+    number.  The flow keeps |w| fixed, so an orbit whose anchor lies on the
+    binding is refused, and a count more than 1e-9 relative off a whole
+    number is ``IllConditioned``.
     """
-    level = 2.0 * math.pi / page.p
-    w1, w2 = sys.plane_rates()
-    # generic time offset so the scan does not start on a crossing
-    t_off = 0.37 * level / max(w1, w2)
-    pt0 = flow(sys, orbit.anchor, t_off)
-    if math.hypot(pt0[2], pt0[3]) < 1e-12:
+    if math.hypot(orbit.anchor[2], orbit.anchor[3]) < 1e-12:
         raise PreconditionViolation("orbit coincides with the binding")
-    T = orbit.period
-    dt = level / max(w1, w2) / 16.0
-    if T / dt > _MAX_STEPS:
-        raise IntegrationFailure(f"linking scan over {T:g} needs more than {_MAX_STEPS} steps")
-    phase_at = _phase_along(sys, pt0, 1)
-    h0_page = page.phase
-    h_prev = _w_phase(pt0)
-    t_prev = 0.0
-    count = 0
-    t = 0.0
-    while t_prev < T:
-        t = min(t_prev + dt, T + 1e-12)
-        h = h_prev + math.remainder(phase_at(t) - h_prev, 2.0 * math.pi)
-        ell_prev = (h_prev - h0_page) / level
-        ell = (h - h0_page) / level
-        lo, hi = min(ell_prev, ell), max(ell_prev, ell)
-        for k in range(math.floor(lo) + 1, math.floor(hi) + 1):
-            speed = (ell - ell_prev) / (t - t_prev)
-            if abs(speed) * level < tol:
-                raise DegenerateInput("tangential page crossing; refine or perturb")
-            count += 1 if speed > 0 else -1
-        t_prev, h_prev = t, h
+    level = 2.0 * math.pi / page.p
+    turns = sys.plane_rates()[1] * orbit.period / level
+    count = round(turns)
+    if abs(turns - count) > 1e-9 * max(1.0, abs(turns)):
+        raise IllConditioned(f"orbit crosses the page {turns:.12g} times, not a whole number")
     return count
 
 

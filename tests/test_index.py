@@ -275,6 +275,34 @@ def test_path_validation():
         rk.make_hyperbolic_path(40.0).iterate(30)  # overflows to inf and nan
 
 
+def test_path_determinant_slack_scales_with_the_entries():
+    """det is compared with 1 within 1e-8 plus the LU rounding, 16 eps (|ad| + |bc|)."""
+    # random paths whose monodromies reach |A| ~ 1e2-1e3: an absolute 1e-8 would
+    # refuse one draw and six of the squares
+    rng = np.random.default_rng(5)
+    refused = []
+    for _ in range(30):
+        path, _loop = rk.random_nondegenerate_path(
+            rng, scale=rng.uniform(1, 9), degree=rng.integers(1, 5)
+        )
+        try:
+            with np.errstate(all="ignore"):
+                path.iterate(2)
+        except PreconditionViolation as exc:
+            refused.append((np.abs(path.monodromy).max(), str(exc)))
+    # the one left is refused as non-finite, with |A| ~ 4e4
+    assert len(refused) == 1 and refused[0][0] > 3e4 and "finite" in refused[0][1]
+    # a determinant off by 1e-6 is still refused, whatever the scale
+    base = rk.make_rotation_path(1.0).mats
+    for entry in (1.0, 10.0, 1000.0):
+        mats = base.copy()
+        mats[5] = [[entry, 0.0], [0.0, (1.0 + 1e-6) / entry]]
+        with pytest.raises(PreconditionViolation, match="symplectic"):
+            rk.SymplecticPath(mats)
+        mats[5] = [[entry, 0.0], [0.0, 1.0 / entry]]
+        rk.SymplecticPath(mats)
+
+
 def test_path_json_round_trip():
     path = rk.make_rotation_path(math.pi, n=64)
     back = rk.path_from_json(rk.path_to_json(path))
@@ -534,6 +562,27 @@ def test_spectrum_independent_of_sample_count_on_bandlimited_loop():
         assert (sd.wind_neg, sd.wind_nonneg, sd.parity) == (
             ref.wind_neg, ref.wind_nonneg, ref.parity
         )
+
+
+def test_spectrum_matrix_is_symmetric_by_construction(corpus, monkeypatch):
+    """The discretized operator handed to ``eigh`` equals its transpose bit for bit."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def capture(M, *args, **kwargs):
+        seen.append(M)
+        return eigh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", capture)
+    loops = [rec.loop for rec in corpus.records[:10]]
+    # constant loops and an 8-sample loop whose harmonic 4 is the split Nyquist term
+    loops += [rk.SymmetricLoop.constant(math.pi * np.eye(2)), _bandlimited_loop(8)]
+    loops.append(rk.SymmetricLoop.constant([[1.3, 0.4], [0.4, -2.1]], n=7))
+    for loop in loops:
+        rk.spectrum(loop)
+    assert len(seen) == len(loops)
+    for M in seen:
+        assert np.array_equal(M, M.T)
 
 
 def test_spectral_monotonicity_on_random_loops():

@@ -132,16 +132,20 @@ def _integrated_path(orbit, frame):
         return y
 
     n = frame.n_intervals
-    y0 = np.concatenate([orbit.anchor, frame.e1[0], frame.e2[0]])
-    res = dopri45(
-        rhs, 0.0, y0, orbit.period, rtol=1e-11, atol=1e-11, project=project,
-        t_eval=np.linspace(0.0, orbit.period, n + 1), max_step=0.5 / max(w1, w2),
-    )
+    ys = np.empty((n + 1, 12))
+    ys[0] = np.concatenate([orbit.anchor, frame.e1[0], frame.e2[0]])
+    ts = np.linspace(0.0, orbit.period, n + 1)
+    for i in range(n):
+        # one grid interval at a time, each from the end of the last
+        ys[i + 1] = dopri45(
+            rhs, ts[i], ys[i], ts[i + 1], rtol=1e-11, atol=1e-11, project=project,
+            max_step=0.5 / max(w1, w2),
+        ).y_end
     pts = frame.points
     R = np.array([rk.reeb_vector(sys_, pt) for pt in pts])
     mats = np.empty((n + 1, 2, 2))
     for col, sl in enumerate((slice(4, 8), slice(8, 12))):
-        v = res.ys[:, sl]
+        v = ys[:, sl]
         u = v - _lambda_rows(sys_, pts, v)[:, None] * R
         mats[:, 0, col] = _dlambda_rows(sys_, pts, u, frame.e2)
         mats[:, 1, col] = _dlambda_rows(sys_, pts, frame.e1, u)

@@ -1,10 +1,11 @@
-"""The benchmark's tracer wraps package functions by name; keep those names bound."""
+"""The benchmark's tracer wraps package functions by name and reads their results; keep both."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
+import reebkit.integrate
 import reebkit.section
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -39,3 +40,17 @@ def test_tracer_installs_and_restores_every_name():
         assert getattr(module, attr) is originals[name], f"{name} was not restored"
     assert reebkit.section._page_form_integral is form_integral
     assert np.linalg.eigh is eigh
+
+
+def test_tracer_counts_the_steps_of_a_real_dopri45_result():
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        res = reebkit.integrate.dopri45(lambda _t, y: -y, 0.0, [1.0, 2.0], 3.0)
+    finally:
+        t.remove()
+    assert res.n_steps > 0 and res.n_fev >= 7 * res.n_steps
+    assert t.counts["dopri45.steps"] == res.n_steps
+    assert t.counts["dopri45.fev"] == res.n_fev
+    assert t.calls["integrate.dopri45"] == 1

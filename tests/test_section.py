@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 import reebkit as rk
 import reebkit.section as section
 from reebkit.cli import main
-from reebkit.errors import IntegrationFailure, PreconditionViolation
+from reebkit.errors import IllConditioned, IntegrationFailure, PreconditionViolation
 from reebkit.integrate import _MAX_STEPS
 from reebkit.knots import pdisk_arrays
 from reebkit.section import _edge_action, page_form_samples, sample_starts
@@ -148,6 +148,15 @@ def test_return_map_refuses_a_scan_beyond_the_step_ceiling(flow_method):
         rk.return_map(page, (0.5, 0.0), flow_method=flow_method)
 
 
+@pytest.mark.parametrize("flow_method", ["auto", "x"])
+def test_return_map_refuses_an_unknown_flow_method(ell_l21, flow_method):
+    page = rk.build_page(ell_l21, 0.0)
+    with pytest.raises(ValueError, match="unknown flow method"):
+        rk.return_map(page, (0.5, 0.3), flow_method=flow_method)
+    with pytest.raises(ValueError, match="unknown method"):
+        rk.flow(ell_l21, rk.page_point(page, 0.5, 0.3), 1.0, method=flow_method)
+
+
 def test_return_map_deck_equivariance(ell_l21):
     L = ell_l21.lens
     page = rk.build_page(ell_l21, 0.0)
@@ -177,6 +186,15 @@ def test_fixed_point_at_page_center(ell_l21):
     assert rec.return_time == pytest.approx(Kp.prime_period, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "b,lens", [(1.4, (3, 2)), (SQRT2, (12, 5)), (SQRT2, (2, 1)), (1.05, (3, 2)), (3.7, (5, 2))]
+)
+def test_fixed_point_at_the_centre_is_the_origin(b, lens):
+    # the centre's radius is rounding noise below 1e-12, so its angle would be noise too
+    sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=b, lens=rk.LensParams(*lens))
+    assert rk.fixed_point(rk.build_page(sys_, 0.0), tol=1e-8) == (0.0, 0.0)
+
+
 def test_linking_of_second_orbit(ell_l21):
     page = rk.build_page(ell_l21, 0.0)
     _, Kp = rk.principal_orbits(ell_l21)
@@ -197,6 +215,54 @@ def test_linking_rejects_binding(ell_l21):
     K, _ = rk.principal_orbits(ell_l21)
     with pytest.raises(PreconditionViolation):
         rk.linking_with_binding(ell_l21, K, page)
+
+
+def _reference_linking(sys, orbit, page):
+    """Signed page crossings over one period, by a scan that steps ``flow``."""
+    level = 2.0 * math.pi / page.p
+    w1, w2 = sys.plane_rates()
+    # generic time offset so the scan does not start on a crossing
+    pt0 = rk.flow(sys, orbit.anchor, 0.37 * level / max(w1, w2))
+    T = orbit.period
+    dt = level / max(w1, w2) / 16.0
+    h_prev = math.atan2(pt0[3], pt0[2])
+    t_prev, count = 0.0, 0
+    while t_prev < T:
+        t = min(t_prev + dt, T + 1e-12)
+        pt = rk.flow(sys, pt0, t)
+        h = h_prev + math.remainder(math.atan2(pt[3], pt[2]) - h_prev, 2.0 * math.pi)
+        ell_prev, ell = (h_prev - page.phase) / level, (h - page.phase) / level
+        crossings = math.floor(max(ell_prev, ell)) - math.floor(min(ell_prev, ell))
+        count += crossings if ell > ell_prev else -crossings
+        t_prev, h_prev = t, h
+    return count
+
+
+LINK_B = DIFF_B + (17 + math.pi / 7,)
+
+
+@pytest.mark.parametrize("lens", DIFF_LENSES, ids=str)
+def test_closed_linking_equals_flow_stepping_scan(lens):
+    for b in LINK_B:
+        sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=b, lens=rk.LensParams(*lens) if lens else None)
+        page = rk.build_page(sys_, 0.0)
+        _, Kp = rk.principal_orbits(sys_)
+        for m in range(1, 6):
+            orbit = Kp.iterate(m)
+            closed = rk.linking_with_binding(sys_, orbit, page)
+            assert closed == _reference_linking(sys_, orbit, page) == m, (b, m)
+
+
+def test_linking_refuses_a_near_binding_orbit_off_a_whole_count():
+    # |w| = 1e-10 keeps the orbit off the binding; over period 1 it turns
+    # w2 / 2 pi = 0.7071 page levels, which the scan counted as no crossing
+    sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=SQRT2)
+    page = rk.build_page(sys_, 0.0)
+    anchor = np.array([math.sqrt(1.0 - 1e-20), 0.0, 1e-10, 0.0])
+    orbit = rk.ClosedOrbit(sys_, anchor, 1.0, label="near-K")
+    assert _reference_linking(sys_, orbit, page) == 0
+    with pytest.raises(IllConditioned, match="0.707106781187"):
+        rk.linking_with_binding(sys_, orbit, page)
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +505,7 @@ REF_ANGLES = (
 
 @pytest.mark.parametrize("lens", [None, (2, 1), (3, 2), (5, 2)], ids=str)
 def test_return_map_equals_flow_stepping_reference(lens):
-    """The float phase scan steps ``flow`` bit for bit; the closed return time is level / w2.
-
-    The scan, which ``return_map`` runs only on the numeric flow, is driven
-    here with the closed-form phase reader and compared with the reference
-    that calls ``flow`` at every phase evaluation.  Its crossing lies within
-    ``tol`` of the closed-form return time, which is level / w2 exactly.
-    """
+    """The closed return time is level / w2 exactly and within ``tol`` of a scan stepping ``flow``."""
     sys_ = rk.ContactSystem(
         "ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(*lens) if lens else None
     )
@@ -456,21 +516,10 @@ def test_return_map_equals_flow_stepping_reference(lens):
     for start in [(r, th) for r in REF_RADII for th in REF_ANGLES]:
         pt0 = rk.page_point(page, *start)
         for sgn, direction in ((1, "forward"), (-1, "backward")):
-            t, pt = section._first_crossing(sys_, pt0, sgn, level, budget, tol)
-            t_ref, pt_ref = _reference_first_crossing(sys_, pt0, sgn, level, budget, tol)
-            assert t == t_ref and pt.tobytes() == pt_ref.tobytes(), (start, direction)
+            t_ref, _pt = _reference_first_crossing(sys_, pt0, sgn, level, budget, tol)
             rec = rk.return_map(page, start, direction)
             assert rec.return_time == level / w2
-            assert abs(t - rec.return_time) <= tol
-
-
-@pytest.mark.parametrize("direction", [1, -1])
-def test_phase_reader_equals_phase_of_flow(ell_l21, direction):
-    pt0 = rk.page_point(rk.build_page(ell_l21, 0.0), 0.37, 2.9)
-    phase = section._phase_along(ell_l21, pt0, direction)
-    for t in np.linspace(1e-9, 3.0, 301).tolist():
-        pt = rk.flow(ell_l21, pt0, direction * t)
-        assert phase(t) == math.atan2(pt[3], pt[2])
+            assert abs(t_ref - rec.return_time) <= tol, (start, direction)
 
 
 def test_profile_float_twin_is_bitwise_equal():
