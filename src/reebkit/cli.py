@@ -4,8 +4,10 @@ Subcommands: ``index``, ``verify``, ``lens``, ``tree-validate``, ``sigma``,
 ``return-map``.  Exit codes: 0 success, 1 usage or configuration error,
 2 degenerate input, 3 verification failure.  All floating point output is
 rounded to 12 significant digits and reports are byte-stable for a fixed
-seed and configuration.  The ``REEBKIT_LOG`` environment variable sets the
-logging level.
+seed and configuration.  Every option changes a result: runs are serial
+and every return takes its closed-form time, so there is no worker count
+and no tolerance to set.  The ``REEBKIT_LOG`` environment variable sets
+the logging level.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ import logging
 import math
 import os
 import sys as _sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .bookkeeping import PeriodCatalog, sigma_gap, tree_from_json, validate_tree, violations_json
 from .errors import DegenerateInput, PreconditionViolation, ReebkitError, StructuralError
@@ -41,27 +41,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by every subcommand."""
-
-    command: str
-    config: Optional[str]
-    out: Optional[str]
-    seed: int
-    tol: float
-    jobs: int
-
-    def __post_init__(self):
-        if not (0 < self.tol < math.inf):
-            raise PreconditionViolation(f"--tol must be positive and finite, got {self.tol}")
-        if self.jobs < 1:
-            raise PreconditionViolation("--jobs must be >= 1")
-        if self.config and not self.config.strip().startswith("{"):
-            if not Path(self.config).is_file():
-                raise FileNotFoundError(f"config file not found: {self.config}")
-
-
 def _round_floats(obj):
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
@@ -72,21 +51,25 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(obj, out: str | None) -> None:
-    text = json.dumps(_round_floats(obj), indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         _sys.stdout.write(text)
 
 
+def _emit(obj, out: str | None) -> None:
+    _write(json.dumps(_round_floats(obj), indent=2, sort_keys=True) + "\n", out)
+
+
+def _read_file(path: str, what: str) -> str:
+    if not Path(path).is_file():
+        raise FileNotFoundError(f"{what} file not found: {path}")
+    return Path(path).read_text(encoding="utf-8")
+
+
 def _load_system(spec: str) -> ContactSystem:
-    if spec.strip().startswith("{"):
-        return system_from_json(spec)
-    path = Path(spec)
-    if not path.is_file():
-        raise FileNotFoundError(f"config file not found: {spec}")
-    return system_from_json(path.read_text(encoding="utf-8"))
+    return system_from_json(spec if spec.strip().startswith("{") else _read_file(spec, "config"))
 
 
 def _select_orbit(sys_: ContactSystem, name: str):
@@ -120,11 +103,7 @@ def _cmd_index(args) -> int:
             lines.append(
                 f"{r['k']},{r['mu_cz']},{r['rho']:.12g},{int(r['degenerate'])},{r['convention']}"
             )
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            _sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.out)
     else:
         _emit(payload, args.out)
     return EXIT_OK
@@ -191,7 +170,6 @@ def _cmd_verify(args) -> int:
         C=args.action_bound,
         n_samples=args.samples,
         seed=args.seed,
-        tol=args.tol,
         progress=log.info,
     )
     _emit(report, args.out)
@@ -213,10 +191,7 @@ def _cmd_lens(args) -> int:
 
 
 def _cmd_tree_validate(args) -> int:
-    path = Path(args.tree)
-    if not path.is_file():
-        raise FileNotFoundError(f"tree file not found: {args.tree}")
-    tree = tree_from_json(json.loads(path.read_text(encoding="utf-8")))
+    tree = tree_from_json(json.loads(_read_file(args.tree, "tree")))
     ok, violations = validate_tree(tree, args.sigma)
     _emit(
         {
@@ -232,10 +207,7 @@ def _cmd_tree_validate(args) -> int:
 
 def _cmd_sigma(args) -> int:
     if args.catalog:
-        path = Path(args.catalog)
-        if not path.is_file():
-            raise FileNotFoundError(f"catalog file not found: {args.catalog}")
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(_read_file(args.catalog, "catalog"))
         cat = PeriodCatalog(entries=data["entries"], bound=float(data["bound"]))
     elif args.config:
         sys_ = _load_system(args.config)
@@ -266,7 +238,7 @@ def _cmd_return_map(args) -> int:
         start = (float(r_str), float(th_str))
     except ValueError as exc:
         raise PreconditionViolation("--start must be 'r,theta'") from exc
-    rec = return_map(page, start, args.direction, tol=args.tol)
+    rec = return_map(page, start, args.direction)
     _emit(
         {
             "system": system_to_json(sys_),
@@ -290,12 +262,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="reebkit", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="system JSON path or inline JSON")
+    def common(p, config=True, config_required=True):
+        if config:
+            p.add_argument("--config", required=config_required, help="system JSON path or inline JSON")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
 
     p = sub.add_parser("index", help="Conley-Zehnder index table of a principal orbit")
     common(p)
@@ -313,12 +284,12 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("lens", help="lens-space classification tables")
-    common(p, config_required=False)
+    common(p, config=False)
     p.add_argument("--p", type=int, required=True)
     p.set_defaults(fn=_cmd_lens)
 
     p = sub.add_parser("tree-validate", help="validate a bubbling-off tree")
-    common(p, config_required=False)
+    common(p, config=False)
     p.add_argument("--tree", required=True, help="tree JSON file")
     p.add_argument("--sigma", type=float, required=True)
     p.set_defaults(fn=_cmd_tree_validate)
@@ -351,14 +322,6 @@ def main(argv=None) -> int:
         parser.print_usage(_sys.stderr)
         return EXIT_USAGE
     try:
-        RunConfig(
-            command=args.command,
-            config=getattr(args, "config", None),
-            out=args.out,
-            seed=args.seed,
-            tol=args.tol,
-            jobs=args.jobs,
-        )
         return args.fn(args)
     except DegenerateInput as exc:
         _sys.stderr.write(f"degenerate: {exc}\n")

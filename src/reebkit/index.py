@@ -121,8 +121,6 @@ class SymplecticPath:
             out[m * n : (m + 1) * n] = self.mats[:n] @ power
             power = A @ power
         out[-1] = power
-        out /= np.sqrt(np.abs(np.linalg.det(out)))[:, None, None]
-        out[0] = np.eye(2)
         return SymplecticPath(out)
 
     def inverse(self) -> "SymplecticPath":

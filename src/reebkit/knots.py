@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolation
-from .geometry import LensParams, _lambda0_rows, ambient_rotation, section_W
+from .geometry import (
+    ContactSystem,
+    LensParams,
+    _lambda0_rows,
+    _reeb_rows,
+    ambient_rotation,
+    section_W,
+)
 from .index import wind_relative
 
 
@@ -238,7 +245,8 @@ def binding_sl_numeric(
     thetas = 2.0 * math.pi * np.arange(n_samples) / n_samples
     pts, rad, _ = pdisk_arrays(disk, 1.0 - collar, thetas)
     # project the radial vector to the contact plane along the Reeb direction
-    R = 2.0 * ambient_rotation(pts)
+    # of the standard form
+    R = _reeb_rows(ContactSystem(), pts)
     rad = rad - np.sum(rad * pts, axis=1)[:, None] * pts
     rad = rad - _lambda0_rows(pts, rad)[:, None] * R
     e1 = section_W(pts)

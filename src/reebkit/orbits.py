@@ -357,7 +357,7 @@ def _orbit_lift(orbit: ClosedOrbit, frame_offset: int = 0):
     if abs(rho_lift - turns) > 1e-9:
         raise IllConditioned(f"{orbit.label}'s lift turns {turns:.12g}, off its class {frac:.12g}")
     A = lift_path.monodromy
-    powers = [A]  # A^j at j - 1, multiplied up and normalized as in SymplecticPath.iterate
+    powers = [A]  # A^j at j - 1, multiplied up; each is det-normalized where it is read
 
     def index(k_eff: int) -> OrbitIndexResult:
         j, rest = divmod(k_eff, m_close)

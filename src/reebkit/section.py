@@ -8,10 +8,11 @@ turns the w-plane at the constant rate w2, so on the closed-form flow every
 first return to the page takes level / w2 with level = 2 pi / p, and an
 orbit of period T crosses the page w2 T / level times, its linking number
 with the binding.  The return map flows there once and ``page_coords``
-checks that the point landed on the page.  Only the numeric flow scans for
-its crossings, as the independent route: it steps the w-phase from one
-scan point to the next and refines each bracket in time with ``brentq``,
-this module's port of scipy's Brent solver, so the package imports no scipy.
+checks that the point landed on the page.  ``_first_crossing`` scans the
+numeric flow for its crossings instead, the independent route that the
+return time is checked against: it steps the w-phase from one scan point to
+the next and refines each bracket in time with ``brentq``, this module's
+port of scipy's Brent solver, so the package imports no scipy.
 
 The page is sampled through the disk parametrization ``knots.pdisk_arrays``
 (a single point through its float twin ``knots.pdisk_point``), and the
@@ -39,6 +40,7 @@ from .geometry import (
     LensParams,
     _dlambda_rows,
     _lambda_rows,
+    _reeb_rows,
     check_point,
     deck_action,
     flow,
@@ -211,10 +213,10 @@ def build_page(sys: ContactSystem, phase: float = 0.0, n_check: int = 100) -> Pa
     ths = np.linspace(0.0, 2.0 * math.pi, n_check, endpoint=False)
     pts, _, _ = _page_arrays(page, rs, ths)
     pts = pts.reshape(-1, 4)
-    w1, w2 = sys.plane_rates()
     # transverse component of the Reeb field = rate of the w-phase
+    reeb = _reeb_rows(sys, pts)
     wz = pts[:, 2] + 1j * pts[:, 3]
-    rw = 1j * w2 * wz
+    rw = reeb[:, 2] + 1j * reeb[:, 3]
     rate = np.imag(np.conj(wz) * rw) / np.abs(wz) ** 2
     min_rate = float(np.min(np.abs(rate)))
     if min_rate <= 0.0 or np.any(rate * np.sign(rate[0]) <= 0):
@@ -247,12 +249,6 @@ def _scan_step(sys: ContactSystem, level: float, time_budget: float) -> float:
     return dt
 
 
-def _no_crossing(time_budget: float) -> IntegrationFailure:
-    return IntegrationFailure(
-        f"return failure: no page crossing within time budget {time_budget:g}"
-    )
-
-
 def _first_crossing(
     sys: ContactSystem,
     pt0: np.ndarray,
@@ -267,9 +263,9 @@ def _first_crossing(
     integrated by ``flow(..., method='numeric')`` from the previous scan
     point, and refines the bracketing step with the in-package ``brentq`` to
     ``tol`` in time, each evaluation integrated from the bracket's left end,
-    so a scan costs O(time_budget) of integration.  ``return_map`` runs it
-    as the cross-check of the closed-form return time level / w2.  A scan of
-    more than ``_MAX_STEPS`` steps is refused up front.
+    so a scan costs O(time_budget) of integration.  It is the numeric
+    cross-check of ``return_map``'s closed-form return time level / w2.  A
+    scan of more than ``_MAX_STEPS`` steps is refused up front.
     """
     dt = _scan_step(sys, level, time_budget)
 
@@ -296,7 +292,9 @@ def _first_crossing(
             )
             return t_star, flow_for(pt_prev, t_star - t_prev)
         pt_prev, t_prev, h_prev, g_prev = pt, t, h, g
-    raise _no_crossing(time_budget)
+    raise IntegrationFailure(
+        f"return failure: no page crossing within time budget {time_budget:g}"
+    )
 
 
 @dataclass
@@ -314,31 +312,18 @@ class ReturnRecord:
 
 
 def return_map(
-    page: Page,
-    start: tuple[float, float],
-    direction: str = "forward",
-    tol: float = 1e-10,
-    time_budget: Optional[float] = None,
-    flow_method: str = "closed",
+    page: Page, start: tuple[float, float], direction: str = "forward"
 ) -> ReturnRecord:
     """Flow from an interior page point to its next crossing of the page.
 
-    On the closed-form flow (``flow_method='closed'``, the default) the
-    w-phase turns at the constant rate w2 off the binding, so the return time
-    is level / w2 exactly, with level = 2 pi / p; the start point is flowed
-    there once.  ``flow_method='numeric'`` integrates the Reeb field instead
-    and finds the crossing with ``_first_crossing`` (a scan of the w-phase
-    refined by ``brentq`` to ``tol``), as a cross-check; any other value is
-    a ``ValueError``.  Either way the image comes from ``page_coords`` of the
-    flowed point, which refuses a landing more than ``PAGE_TOL`` off the
-    page.  A ``tol`` above ``PAGE_TOL``, a ``time_budget`` whose scan would
-    need more than ``_MAX_STEPS`` steps and one shorter than the return time
-    are refused.
+    Off the binding the w-phase turns at the constant rate w2, so the return
+    time is level / w2 exactly, with level = 2 pi / p; the start point is
+    flowed there once.  The image comes from ``page_coords`` of the flowed
+    point, which refuses a landing more than ``PAGE_TOL`` off the page.  A
+    system whose crossing scan (``_first_crossing``) over twice the return
+    time would need more than ``_MAX_STEPS`` steps is refused up front: there
+    one return turns the z-plane so far that the image keeps no digits.
     """
-    if flow_method not in ("closed", "numeric"):
-        raise ValueError(f"unknown flow method {flow_method!r}")
-    if tol > PAGE_TOL:
-        raise PreconditionViolation(f"tol {tol:g} is coarser than the page tolerance {PAGE_TOL:g}")
     r, theta = start
     if not (0.0 < r < 1.0):
         raise PreconditionViolation("start must be an interior page point (0 < r < 1)")
@@ -348,21 +333,10 @@ def return_map(
         raise PreconditionViolation("direction must be 'forward' or 'backward'")
     sys = page.system
     pt0 = page_point(page, r, theta)
-    sgn = 1 if direction == "forward" else -1
     level = 2.0 * math.pi / page.p
-    w2 = sys.plane_rates()[1]
-    if time_budget is None:
-        # every return takes level / w2; a numeric scan gets twice that
-        time_budget = 2.0 * level / w2
-    if flow_method == "closed":
-        # a budget the numeric scan would refuse is refused on this route too
-        _scan_step(sys, level, time_budget)
-        t_star = level / w2
-        if not t_star <= time_budget:
-            raise _no_crossing(time_budget)
-        pt_star = flow(sys, pt0, sgn * t_star)
-    else:
-        t_star, pt_star = _first_crossing(sys, pt0, sgn, level, time_budget, tol)
+    t_star = level / sys.plane_rates()[1]
+    _scan_step(sys, level, 2.0 * t_star)
+    pt_star = flow(sys, pt0, t_star if direction == "forward" else -t_star)
     image = page_coords(page, pt_star)
     return ReturnRecord(start=(r, theta), return_time=t_star, image=image, direction=direction)
 
@@ -547,9 +521,9 @@ def sample_starts(rng: np.random.Generator, n: int, r_lo: float = 0.05, r_hi: fl
     return [(float(math.sqrt(a)), float(b)) for a, b in zip(r2, th)]
 
 
-def _return_sample(page: Page, start: tuple[float, float], tol: float) -> dict:
-    fwd = return_map(page, start, "forward", tol=tol)
-    bwd = return_map(page, start, "backward", tol=tol)
+def _return_sample(page: Page, start: tuple[float, float]) -> dict:
+    fwd = return_map(page, start, "forward")
+    bwd = return_map(page, start, "backward")
     return {
         "start": [start[0], start[1]],
         "forward_time": fwd.return_time,
@@ -564,7 +538,6 @@ def verify_gss_conditions(
     C: float,
     n_samples: int = 100,
     seed: int = 0,
-    tol: float = 1e-10,
     n_quads: int = 20,
     progress: Optional[Callable[[str], None]] = None,
 ) -> tuple[dict, list[dict]]:
@@ -684,7 +657,7 @@ def verify_gss_conditions(
     samples: list[dict] = []
     if n_samples > 0:
         note("return sampling")
-        samples = [_return_sample(page, s, tol) for s in sample_starts(rng, n_samples)]
+        samples = [_return_sample(page, s) for s in sample_starts(rng, n_samples)]
         ok_fwd = sum(1 for s in samples if s["forward_time"] > 0)
         ok_bwd = sum(1 for s in samples if s["backward_time"] > 0)
         report["gss_sampling"] = {
@@ -705,7 +678,7 @@ def verify_gss_conditions(
             s = 0.02
             corners = [(r0, th0), (r0 + s, th0), (r0 + s, th0 + s), (r0, th0 + s)]
             area0 = quad_dlambda_area(page, corners)
-            mapped = [return_map(page, c, tol=tol).image for c in corners]
+            mapped = [return_map(page, c).image for c in corners]
             area1 = quad_dlambda_area(page, mapped)
             max_dist = max(max_dist, abs(area1 - area0) / abs(area0))
         report["area_preservation"] = {"n_quads": n_quads, "max_rel_distortion": max_dist}

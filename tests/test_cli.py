@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import reebkit
+import reebkit.cli
 import reebkit.section
 from reebkit.cli import main
 
@@ -225,39 +227,21 @@ def test_return_map_bad_start(sys_file, capsys):
     assert main(["return-map", "--config", sys_file, "--start", "nope"]) == 1
 
 
-@pytest.mark.parametrize("tol, code", [("5e-324", 0), ("1e-300", 0), ("1e-7", 1), ("1e300", 1)])
-def test_return_map_hostile_tolerances(tol, code, capsys, monkeypatch):
-    # tiny tolerances go straight to the root finder; one above the page
-    # tolerance is refused, since the crossing it refines may miss the page
-    cfg = json.dumps({"family": "ellipsoid", "a": 1.0, "b": 1.4, "lens": {"p": 2, "q": 1}})
-    argv = ["return-map", "--config", cfg, "--start", "0.5,0.3", "--tol", tol]
-    assert main(argv) == code
-    out, err = capsys.readouterr()
-    if code == 0:
-        assert json.loads(out)["return_time"] > 0 and err == ""
-    else:
-        assert out == "" and err == (
-            f"error: tol {float(tol):g} is coarser than the page tolerance 1e-08\n"
-        )
-    # the same bytes as with scipy's brentq
-    monkeypatch.setattr(reebkit.section, "brentq", brentq)
-    assert main(argv) == code
-    assert capsys.readouterr() == (out, err)
-
-
 @pytest.mark.parametrize("b, p, q", [(1.4, 2, 1), (math.sqrt(2.0), 2, 1), (1.05, 3, 2)])
 @pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_return_map_at_the_page_tolerance(b, p, q, direction, capsys):
-    # a crossing refined in time to tol misses the page by about w2 * tol, so
-    # scanned returns at tol = 1e-8 were refused as off the page; the return
-    # time is level / w2 in closed form and the landing is on the page
+def test_return_map_at_the_page_tolerance(b, p, q, direction, capsys, monkeypatch):
+    # the return time is level / w2 in closed form and the flowed point lands
+    # on the page, within the page tolerance 1e-8, in either direction
     cfg = json.dumps({"family": "ellipsoid", "a": 1.0, "b": b, "lens": {"p": p, "q": q}})
-    argv = ["return-map", "--config", cfg, "--start", "0.5,0.3", "--tol", "1e-8",
-            "--direction", direction]
+    argv = ["return-map", "--config", cfg, "--start", "0.5,0.3", "--direction", direction]
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert json.loads(out)["return_time"] == float(f"{2.0 * math.pi / (p * (2.0 * math.pi / b)):.12g}")
+    # the same bytes as with scipy's brentq inverting the page profile
+    monkeypatch.setattr(reebkit.section, "brentq", brentq)
+    assert main(argv) == 0
+    assert capsys.readouterr() == (out, err)
 
 
 def test_index_refuses_turns_off_the_class(capsys, monkeypatch):
@@ -306,14 +290,47 @@ def test_cli_runs_without_scipy(tmp_path):
     assert result["samples"] == 513 and result["integrate"]
 
 
-def test_verify_jobs_flag_matches_serial(sys_file, tmp_path):
-    out1 = tmp_path / "r1.json"
-    out2 = tmp_path / "r2.json"
-    base = ["verify", "--config", sys_file, "--action-bound", "2", "--samples", "4",
-            "--seed", "3"]
-    assert main(base + ["--out", str(out1)]) == 0
-    assert main(base + ["--jobs", "2", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+_SUBCOMMAND_ARGV = {
+    "index": ["index", "--config", json.dumps(ELL_L21), "--k", "2"],
+    "verify": ["verify", "--config", json.dumps(ELL_L21), "--samples", "0"],
+    "lens": ["lens", "--p", "5"],
+    "tree-validate": ["tree-validate", "--tree", "tree.json", "--sigma", "0.4"],
+    "sigma": ["sigma", "--config", json.dumps(ELL_L21), "--action-bound", "2"],
+    "return-map": ["return-map", "--config", json.dumps(ELL_L21), "--start", "0.5,0.3"],
+}
+# every option changes a result; --help aside, these are all there are
+_OPTIONS = {
+    "index": {"--config", "--out", "--seed", "--orbit", "--k", "--format"},
+    "verify": {"--config", "--out", "--seed", "--action-bound", "--samples", "--svg", "--csv"},
+    "lens": {"--out", "--seed", "--p"},
+    "tree-validate": {"--out", "--seed", "--tree", "--sigma"},
+    "sigma": {"--config", "--out", "--seed", "--catalog", "--action-bound"},
+    "return-map": {"--config", "--out", "--seed", "--phase", "--start", "--direction"},
+}
+
+
+def test_cli_options_are_pinned():
+    parser = reebkit.cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: {s for action in p._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert found == _OPTIONS
+    assert sum(len(v) for v in found.values()) == 31
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(c, o) for c in _SUBCOMMAND_ARGV for o in (["--jobs", "2"], ["--tol", "1e-10"])]
+    + [("lens", ["--config", json.dumps(ELL_L21)]),
+       ("tree-validate", ["--config", json.dumps(ELL_L21)])],
+    ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"),
+)
+def test_options_without_effect_exit_usage(command, option, capsys):
+    assert main(_SUBCOMMAND_ARGV[command] + option) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: unrecognized arguments: {' '.join(option)}\n"
 
 
 @pytest.mark.parametrize(
@@ -334,7 +351,7 @@ def test_verify_jobs_flag_matches_serial(sys_file, tmp_path):
          "--start", "0.5,0"],
         ["index", "--config", '{"family": "ellipsoid", "a": 1, "b": 1e6}',
          "--orbit", "Kprime", "--k", "1"],
-        # non-finite numbers on the return-map path
+        # non-finite numbers on the return-map path; --tol is no option at all
         ["return-map", "--config", json.dumps(ELL_L21), "--start", "0.5,0.3", "--tol", "nan"],
         ["return-map", "--config", json.dumps(ELL_L21), "--start", "0.5,0.3", "--tol", "inf"],
         ["return-map", "--config", json.dumps(ELL_L21), "--start", "0.5,nan"],

@@ -102,12 +102,26 @@ def test_return_map_rejects_boundary_start(ell_l21):
         rk.return_map(page, (1.0, 0.0))
 
 
+def _numeric_return(page, start, direction="forward", tol=1e-10):
+    """Return time and image of the numeric flow: ``_first_crossing``, then ``page_coords``.
+
+    The scan runs over twice the closed-form return time, with its bracket
+    refined by ``brentq`` to ``tol`` in time.
+    """
+    level = 2.0 * math.pi / page.p
+    budget = 2.0 * level / page.system.plane_rates()[1]
+    sgn = 1 if direction == "forward" else -1
+    pt0 = rk.page_point(page, *start)
+    t_star, pt = section._first_crossing(page.system, pt0, sgn, level, budget, tol)
+    return t_star, rk.page_coords(page, pt)
+
+
 def test_return_map_numeric_flow_agrees(ell_l21):
     page = rk.build_page(ell_l21, 0.0)
     a = rk.return_map(page, (0.4, 0.8))
-    b = rk.return_map(page, (0.4, 0.8), flow_method="numeric", tol=1e-9)
-    assert a.return_time == pytest.approx(b.return_time, abs=1e-6)
-    assert a.image[0] == pytest.approx(b.image[0], abs=1e-6)
+    b_time, b_image = _numeric_return(page, (0.4, 0.8), tol=1e-9)
+    assert a.return_time == pytest.approx(b_time, abs=1e-6)
+    assert a.image[0] == pytest.approx(b_image[0], abs=1e-6)
 
 
 DIFF_LENSES = [None, (2, 1), (3, 2), (5, 2), (12, 5)]
@@ -124,34 +138,42 @@ def test_closed_return_map_equals_numeric(lens):
         start = sample_starts(rng, 1)[0]
         for direction in ("forward", "backward"):
             closed = rk.return_map(page, start, direction)
-            numeric = rk.return_map(page, start, direction, flow_method="numeric")
+            numeric_time, numeric_image = _numeric_return(page, start, direction)
             assert closed.return_time == 2.0 * math.pi / page.p / sys_.plane_rates()[1]
-            assert abs(closed.return_time - numeric.return_time) < 1e-6, (b, direction)
-            assert abs(closed.image[0] - numeric.image[0]) < 1e-6, (b, direction)
-            assert abs(math.remainder(closed.image[1] - numeric.image[1], 2.0 * math.pi)) < 1e-6
+            assert abs(closed.return_time - numeric_time) < 1e-6, (b, direction)
+            assert abs(closed.image[0] - numeric_image[0]) < 1e-6, (b, direction)
+            assert abs(math.remainder(closed.image[1] - numeric_image[1], 2.0 * math.pi)) < 1e-6
 
 
-@pytest.mark.parametrize("flow_method", ["closed", "numeric"])
-def test_return_map_refuses_a_budget_below_the_return_time(ell_l21, flow_method):
+def test_first_crossing_refuses_a_budget_below_the_return_time(ell_l21):
     page = rk.build_page(ell_l21, 0.0)
-    t_return = math.pi / ell_l21.plane_rates()[1]
-    rk.return_map(page, (0.5, 0.3), time_budget=1.01 * t_return, flow_method=flow_method)
+    level = math.pi
+    t_return = level / ell_l21.plane_rates()[1]
+    pt0 = rk.page_point(page, 0.5, 0.3)
+    t_star, _pt = section._first_crossing(ell_l21, pt0, 1, level, 1.01 * t_return, 1e-10)
+    assert abs(t_star - t_return) < 1e-9
     with pytest.raises(IntegrationFailure, match="no page crossing within time budget"):
-        rk.return_map(page, (0.5, 0.3), time_budget=0.99 * t_return, flow_method=flow_method)
+        section._first_crossing(ell_l21, pt0, 1, level, 0.99 * t_return, 1e-10)
 
 
-@pytest.mark.parametrize("flow_method", ["closed", "numeric"])
-def test_return_map_refuses_a_scan_beyond_the_step_ceiling(flow_method):
-    # b/a = 1e6: the default budget would take about 3.2e7 scan steps
+@pytest.mark.parametrize("route", ["closed", "numeric"])
+def test_return_map_refuses_a_scan_beyond_the_step_ceiling(route):
+    # b/a = 1e6: a scan over twice the return time would take about 3.2e7
+    # steps; the closed route is refused as well, since a turn of 6e6 rad
+    # leaves the image's angle no digits
     page = rk.build_page(rk.ContactSystem("ellipsoid", a=1.0, b=1e6), 0.0)
     with pytest.raises(IntegrationFailure, match=f"needs more than {_MAX_STEPS} steps"):
-        rk.return_map(page, (0.5, 0.0), flow_method=flow_method)
+        if route == "closed":
+            rk.return_map(page, (0.5, 0.0))
+        else:
+            _numeric_return(page, (0.5, 0.0))
 
 
 @pytest.mark.parametrize("flow_method", ["auto", "x"])
 def test_return_map_refuses_an_unknown_flow_method(ell_l21, flow_method):
+    # the return map has one route and takes no flow method; flow names its two
     page = rk.build_page(ell_l21, 0.0)
-    with pytest.raises(ValueError, match="unknown flow method"):
+    with pytest.raises(TypeError, match="flow_method"):
         rk.return_map(page, (0.5, 0.3), flow_method=flow_method)
     with pytest.raises(ValueError, match="unknown method"):
         rk.flow(ell_l21, rk.page_point(page, 0.5, 0.3), 1.0, method=flow_method)
@@ -432,6 +454,43 @@ def test_verifier_empty_catalog_linearizes_only_the_binding(ell_l21, linearize_c
 
 
 # ---------------------------------------------------------------------------
+# the positive-linking check
+
+
+def _report_rho_one_for_kprime_squared(monkeypatch):
+    """Make the lift of K' on L(2,1) read rho = 1 for K'^2, a contractible iterate.
+
+    No ellipsoid has a contractible K' iterate with rho = 1 (rho = j (1 + b/a)
+    > 1), so the linking branch of the verifier only runs on such a reader.
+    """
+    real_lift = section._orbit_lift
+
+    def lift(orbit):
+        reader = real_lift(orbit)
+        if orbit.label != "K'":
+            return reader
+        return lambda k_eff: reader(k_eff)._replace(rho=1.0) if k_eff == 2 else reader(k_eff)
+
+    monkeypatch.setattr(section, "_orbit_lift", lift)
+
+
+def test_verifier_checks_the_linking_of_rotation_number_one_orbits(ell_l21, monkeypatch):
+    _report_rho_one_for_kprime_squared(monkeypatch)
+    report, _ = rk.verify_gss_conditions(ell_l21, C=3.0, n_samples=0, seed=0, n_quads=0)
+    members = report["pstar"]["members"]
+    assert [(m["label"], m["multiplicity"]) for m in members] == [("K'", 2)]
+    w2, T = ell_l21.plane_rates()[1], members[0]["period"]
+    assert members[0]["linking_with_binding"] == round(w2 * T * 2 / (2.0 * math.pi)) == 2
+    assert report["checks"]["pstar_linking"] and report["all_pass"]
+    # an orbit that does not link the binding positively fails the check
+    monkeypatch.setattr(section, "linking_with_binding", lambda sys, orbit, page: 0)
+    report, _ = rk.verify_gss_conditions(ell_l21, C=3.0, n_samples=0, seed=0, n_quads=0)
+    assert report["violated"] == ["pstar_linking"]
+    cfg = '{"family": "ellipsoid", "a": 1.0, "b": 1.4142135623730951, "lens": {"p": 2, "q": 1}}'
+    assert main(["verify", "--config", cfg, "--action-bound", "3", "--samples", "0"]) == 3
+
+
+# ---------------------------------------------------------------------------
 # float-arithmetic scans against a reference that steps ``flow``
 
 
@@ -653,13 +712,13 @@ def test_brentq_port_equals_scipy_inside_return_maps(monkeypatch):
                 rk.return_map(page, start, direction)
     # one solve per closed-form return: the radius of the image
     assert len(calls) == 3 * 20 * 2 and min(calls) >= 3
-    # the numeric flow's returns refine the crossing time as well
+    # the numeric flow's crossing scan refines the crossing time as well
     calls.clear()
     page = rk.build_page(rk.ContactSystem("ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(12, 5)))
     for start in sample_starts(np.random.default_rng(4), 2):
         for direction in ("forward", "backward"):
             for tol in (1e-14, 2e-12, 1e-10):
-                rk.return_map(page, start, direction, tol=tol, flow_method="numeric")
+                _numeric_return(page, start, direction, tol)
     assert len(calls) == 2 * 2 * 2 * 3 and min(calls) >= 3
 
 
