@@ -227,6 +227,43 @@ def test_return_map_bad_start(sys_file, capsys):
     assert main(["return-map", "--config", sys_file, "--start", "nope"]) == 1
 
 
+@pytest.mark.parametrize("tol, code", [("5e-324", 0), ("1e-300", 0), ("1e-7", 1), ("1e300", 1)])
+def test_return_map_hostile_tolerances(tol, code, capsys, monkeypatch):
+    # the CLI takes no tolerance: every --tol is an unrecognized argument
+    cfg = json.dumps({"family": "ellipsoid", "a": 1.0, "b": 1.4, "lens": {"p": 2, "q": 1}})
+    argv = ["return-map", "--config", cfg, "--start", "0.5,0.3"]
+    assert main(argv + ["--tol", tol]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: unrecognized arguments: --tol {tol}\n"
+    assert main(argv) == 0
+    cli_time = json.loads(capsys.readouterr().out)["return_time"]
+    # the numeric reference scan still takes one: tiny tolerances go straight
+    # to the root finder and land on the page at the CLI's return time, to
+    # 1e-9; one above the page tolerance refines a crossing that misses the
+    # page (code 1)
+    sys_ = reebkit.ContactSystem("ellipsoid", a=1.0, b=1.4, lens=reebkit.LensParams(2, 1))
+    page = reebkit.build_page(sys_, 0.0)
+    level = math.pi
+    budget = 2.0 * level / sys_.plane_rates()[1]
+    pt0 = reebkit.page_point(page, 0.5, 0.3)
+
+    def numeric_return():
+        t_star, pt = reebkit.section._first_crossing(sys_, pt0, 1, level, budget, float(tol))
+        try:
+            return 0, t_star, reebkit.page_coords(page, pt)
+        except reebkit.PreconditionViolation as exc:
+            assert str(exc) == "point does not lie on the page"
+            return 1, t_star, None
+
+    got = numeric_return()
+    assert got[0] == code
+    if code == 0:
+        assert abs(got[1] - cli_time) < 1e-9
+    # the same results as with scipy's brentq
+    monkeypatch.setattr(reebkit.section, "brentq", brentq)
+    assert numeric_return() == got
+
+
 @pytest.mark.parametrize("b, p, q", [(1.4, 2, 1), (math.sqrt(2.0), 2, 1), (1.05, 3, 2)])
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_return_map_at_the_page_tolerance(b, p, q, direction, capsys, monkeypatch):
