@@ -262,9 +262,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="reebkit", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, config=True, config_required=True):
+    config_help = "system JSON path or inline JSON"
+
+    def common(p, config=True):
         if config:
-            p.add_argument("--config", required=config_required, help="system JSON path or inline JSON")
+            p.add_argument("--config", required=True, help=config_help)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=0)
 
@@ -295,8 +297,11 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_tree_validate)
 
     p = sub.add_parser("sigma", help="period-gap constant of a catalog")
-    common(p, config_required=False)
-    p.add_argument("--catalog", default=None, help="period catalog JSON file")
+    common(p, config=False)
+    # the periods come from a system or from a catalog file, never both
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", help=config_help)
+    source.add_argument("--catalog", default=None, help="period catalog JSON file")
     p.add_argument("--action-bound", type=float, default=5.0)
     p.set_defaults(fn=_cmd_sigma)
 

@@ -375,15 +375,18 @@ def flow(sys: ContactSystem, pt, t: float, tol: float = 1e-10, method: str = "cl
 # the deck action
 
 
+def _deck_turns(L: LensParams, k: int) -> tuple[complex, complex]:
+    """The unit factors e^{2 pi i k/p} and e^{2 pi i k q/p} of the k-th deck power on z and w."""
+    k = k % L.p
+    az, aw = 2.0 * math.pi * k / L.p, 2.0 * math.pi * k * L.q / L.p
+    return complex(math.cos(az), math.sin(az)), complex(math.cos(aw), math.sin(aw))
+
+
 def deck_action(L: LensParams, k: int, pt) -> np.ndarray:
     """Apply the k-th power of the deck transformation generator."""
-    pt = np.asarray(pt, dtype=float)
-    k = k % L.p
     z, w = to_complex(pt)
-    az = 2.0 * math.pi * k / L.p
-    aw = 2.0 * math.pi * k * L.q / L.p
-    return from_complex(z * complex(math.cos(az), math.sin(az)),
-                        w * complex(math.cos(aw), math.sin(aw)))
+    turn_z, turn_w = _deck_turns(L, k)
+    return from_complex(z * turn_z, w * turn_w)
 
 
 def lens_equivalent(L: LensParams, pt1, pt2, tol: float = 1e-9) -> bool:

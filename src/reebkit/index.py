@@ -347,7 +347,11 @@ def mu_tilde(interval, tol: float = 1e-9) -> int:
         raise PreconditionViolation("interval endpoints out of order")
     if hi - lo >= 0.5:
         raise PreconditionViolation(f"invalid interval: length {hi - lo} >= 1/2")
+    return _mu_tilde(lo, hi, tol)
 
+
+def _mu_tilde(lo: float, hi: float, tol: float = 1e-9) -> int:
+    """``mu_tilde`` of [lo, hi], an interval whose length is known to be below 1/2."""
     for k in range(math.floor(lo - 2 * tol), math.ceil(hi + 2 * tol) + 1):
         at_lo = abs(k - lo) <= tol
         at_hi = abs(k - hi) <= tol
@@ -471,12 +475,15 @@ def winding_interval(path: SymplecticPath) -> tuple[float, float]:
 def cz_geometric(path: SymplecticPath, tol: float = DEGENERACY_TOL) -> CzResult:
     """Conley-Zehnder index mu_tilde of the winding interval of the path."""
     lo, hi = winding_interval(path)
-    if hi - lo >= 0.5:
+    # the length is 1/2 - margin / pi; margin stays positive where the length rounds to 1/2
+    (a, b), (c, d) = path.monodromy.tolist()
+    margin = math.atan2(2.0 * math.sqrt(max(a * d - b * c, 0.0)), math.hypot(a - d, b + c))
+    if not margin > 0.0:
         raise ReebkitError(
             f"computed winding interval has length {hi - lo:.6f} >= 1/2; input is not a valid path"
         )
     degenerate = not path.nondegenerate(tol)
-    return CzResult(mu_tilde((lo, hi)), degenerate)
+    return CzResult(_mu_tilde(lo, hi), degenerate)
 
 
 # ---------------------------------------------------------------------------

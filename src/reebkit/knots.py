@@ -172,12 +172,6 @@ class PDisk:
         s = _smoothstep((r - self.blend_lo) / (self.blend_hi - self.blend_lo))
         return (1.0 - s) * r + s * np.cos(0.5 * math.pi * (1.0 - r))
 
-    def _profile_float(self, r: float) -> float:
-        """``profile`` at one float with the same float operations and no numpy call."""
-        u = min(max((r - self.blend_lo) / (self.blend_hi - self.blend_lo), 0.0), 1.0)
-        s = u * u * (3.0 - 2.0 * u)
-        return (1.0 - s) * r + s * math.cos(0.5 * math.pi * (1.0 - r))
-
     def profile_deriv(self, r):
         r = np.asarray(r, dtype=float)
         u = (r - self.blend_lo) / (self.blend_hi - self.blend_lo)
@@ -213,18 +207,8 @@ def pdisk_arrays(disk: PDisk, r, theta, phase: float = 0.0):
 
 
 def pdisk_point(disk: PDisk, r: float, theta: float, phase: float = 0.0) -> np.ndarray:
-    """Lift to the sphere of the disk point at polar coordinates (r, theta).
-
-    The float twin of ``pdisk_arrays(disk, r, theta, phase)[0]``: the same
-    float operations on ``PDisk._profile_float`` and ``math`` functions, the
-    same point bit for bit, and none of the tangents.
-    """
-    if not 0.0 <= r <= 1.0:
-        raise PreconditionViolation("need 0 <= r <= 1")
-    f = disk._profile_float(r)
-    g = math.sqrt(max(1.0 - f * f, 0.0))
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([f * c, f * s, g * math.cos(phase), g * math.sin(phase)])
+    """Lift to the sphere of the disk point at polar coordinates (r, theta), by ``pdisk_arrays``."""
+    return pdisk_arrays(disk, r, theta, phase)[0]
 
 
 def pdisk_radial_tangent(disk: PDisk, r: float, theta: float) -> np.ndarray:
@@ -232,18 +216,19 @@ def pdisk_radial_tangent(disk: PDisk, r: float, theta: float) -> np.ndarray:
     return pdisk_arrays(disk, r, theta)[1]
 
 
-def binding_sl_numeric(
-    disk: PDisk, n_samples: int = 4096, collar: float = 1e-3
-) -> int:
+_SL_SAMPLES, _SL_COLLAR = 4096, 1e-3  # binding_sl_numeric's collar circle r = 1 - _SL_COLLAR
+
+
+def binding_sl_numeric(disk: PDisk) -> int:
     """Self-linking of the binding from phase tracking along a boundary collar.
 
     The pushed-forward global section is compared against the radial
-    derivative of the disk on the collar circle r = 1 - collar; the
+    derivative of the disk on the collar circle r = 1 - ``_SL_COLLAR``; the
     self-linking number is p times their relative winding.
     """
     p = disk.lens.p
-    thetas = 2.0 * math.pi * np.arange(n_samples) / n_samples
-    pts, rad, _ = pdisk_arrays(disk, 1.0 - collar, thetas)
+    thetas = 2.0 * math.pi * np.arange(_SL_SAMPLES) / _SL_SAMPLES
+    pts, rad, _ = pdisk_arrays(disk, 1.0 - _SL_COLLAR, thetas)
     # project the radial vector to the contact plane along the Reeb direction
     # of the standard form
     R = _reeb_rows(ContactSystem(), pts)
@@ -251,7 +236,7 @@ def binding_sl_numeric(
     rad = rad - _lambda0_rows(pts, rad)[:, None] * R
     e1 = section_W(pts)
     e2 = ambient_rotation(e1)
-    x_coords = np.tile([1.0, 0.0], (n_samples, 1))
+    x_coords = np.tile([1.0, 0.0], (_SL_SAMPLES, 1))
     n_coords = np.stack([np.sum(rad * e1, axis=1), np.sum(rad * e2, axis=1)], axis=1)
     wind = wind_relative(n_coords, x_coords)
     return self_linking_from_winding(p, wind)

@@ -3,20 +3,17 @@
 Pages live over the w-phase: on the sphere the page at phase c is the slice
 {arg(w) = c} closed up with the binding circle {w = 0}; on a quotient by
 Z_p the p slices {c + 2 pi j / p} project to a single page, an immersed
-disk whose boundary covers the binding p:1.  Off the binding the Reeb flow
-turns the w-plane at the constant rate w2, so on the closed-form flow every
-first return to the page takes level / w2 with level = 2 pi / p, and an
-orbit of period T crosses the page w2 T / level times, its linking number
-with the binding.  The return map flows there once and ``page_coords``
-checks that the point landed on the page.  ``_first_crossing`` scans the
-numeric flow for its crossings instead, the independent route that the
-return time is checked against: it steps the w-phase from one scan point to
-the next and refines each bracket in time with ``brentq``, this module's
-port of scipy's Brent solver, so the package imports no scipy.
+disk whose boundary covers the binding p:1.  The Reeb flow turns the z- and
+w-planes at the constant rates w1 and w2, so every first return to the page
+takes level / w2 with level = 2 pi / p and is a rigid rotation of the disk,
+and an orbit of period T crosses the page w2 T / level times, its linking
+number with the binding.  The numeric reference ``_first_crossing`` scans
+the numeric flow for its crossings and refines each in time with
+``brentq``, this module's port of scipy's Brent solver, and ``page_coords``
+reads the flowed point back with the same solver.
 
-The page is sampled through the disk parametrization ``knots.pdisk_arrays``
-(a single point through its float twin ``knots.pdisk_point``), and the
-contact form and dlambda on those samples are the row kernels of
+The page is sampled through the disk parametrization ``knots.pdisk_arrays``,
+and the contact form and dlambda on those samples are the row kernels of
 ``geometry``; this module defines neither.
 """
 
@@ -38,9 +35,11 @@ from .errors import (
 from .geometry import (
     ContactSystem,
     LensParams,
+    _deck_turns,
     _dlambda_rows,
     _lambda_rows,
     _reeb_rows,
+    _turn,
     check_point,
     deck_action,
     flow,
@@ -56,7 +55,8 @@ from .knots import (
 )
 from .orbits import ClosedOrbit, _check_iterate, _orbit_lift, catalog, principal_orbits
 
-PAGE_TOL = 1e-8
+PAGE_TOL = 1e-8  # largest miss of the page that ``page_coords`` reads
+_N_CHECK = 100  # radii and angles on which ``build_page`` checks transversality
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +175,20 @@ def _profile_inverse(disk: PDisk, value: float) -> float:
         return 0.0
     if value >= 1.0:
         return 1.0
-    return brentq(lambda r: disk._profile_float(r) - value, 0.0, 1.0, xtol=1e-14)
+    return brentq(lambda r: float(disk.profile(r)) - value, 0.0, 1.0, xtol=1e-14)
 
 
-def page_coords(page: Page, pt, tol: float = PAGE_TOL) -> tuple[float, float]:
+def _deck_index(lens: LensParams, j: int) -> int:
+    """The deck power that carries the page's slice j (w-phase j levels on) to the page."""
+    return (-(j % lens.p) * pow(lens.q, -1, lens.p)) % lens.p
+
+
+def page_coords(page: Page, pt) -> tuple[float, float]:
     """Polar page coordinates of a lifted point lying on the page's deck orbit.
 
     A point on another slice of the deck orbit is moved to the page's slice
-    by the deck action first.  The radius inverts the disk profile with the
-    in-package ``brentq`` on its float twin ``PDisk._profile_float``, which
-    equals ``PDisk.profile`` bit for bit.
+    by the deck action first; one more than ``PAGE_TOL`` off every slice is
+    refused.  The radius inverts ``PDisk.profile`` with ``brentq``.
     """
     pt = check_point(pt)
     p = page.p
@@ -192,25 +196,22 @@ def page_coords(page: Page, pt, tol: float = PAGE_TOL) -> tuple[float, float]:
     level = 2.0 * math.pi / p
     off = (math.atan2(w.imag, w.real) - page.phase) / level
     j = round(off)
-    if abs(off - j) * level > tol and abs(w) > tol:
+    if abs(off - j) * level > PAGE_TOL and abs(w) > PAGE_TOL:
         raise PreconditionViolation("point does not lie on the page")
     if p > 1 and j % p != 0:
-        L = page.system.lens
-        k = (-(j % p) * pow(L.q, -1, p)) % p
-        pt = deck_action(L, k, pt)
-        z, w = to_complex(pt)
+        z, w = to_complex(deck_action(page.system.lens, _deck_index(page.system.lens, j), pt))
     r = _profile_inverse(page.disk, abs(z))
     return r, math.atan2(z.imag, z.real)
 
 
-def build_page(sys: ContactSystem, phase: float = 0.0, n_check: int = 100) -> Page:
+def build_page(sys: ContactSystem, phase: float = 0.0) -> Page:
     """Construct the page at ``phase`` and verify Reeb transversality on its interior."""
     if not math.isfinite(phase):
         raise PreconditionViolation(f"page phase must be finite, got {phase}")
     lens = sys.lens if sys.lens is not None else LensParams(1, 1)
     page = Page(system=sys, disk=PDisk(lens), phase=float(phase))
-    rs = np.linspace(1e-3, 1.0 - 1e-3, n_check)
-    ths = np.linspace(0.0, 2.0 * math.pi, n_check, endpoint=False)
+    rs = np.linspace(1e-3, 1.0 - 1e-3, _N_CHECK)
+    ths = np.linspace(0.0, 2.0 * math.pi, _N_CHECK, endpoint=False)
     pts, _, _ = _page_arrays(page, rs, ths)
     pts = pts.reshape(-1, 4)
     # transverse component of the Reeb field = rate of the w-phase
@@ -299,30 +300,26 @@ def _first_crossing(
 
 @dataclass
 class ReturnRecord:
-    """One application of the page return map."""
+    """One application of the page return map; the return time level / w2 is positive."""
 
     start: tuple[float, float]
     return_time: float
     image: tuple[float, float]
     direction: str
 
-    def __post_init__(self):
-        if self.return_time <= 0.0:
-            raise PreconditionViolation("return time must be positive")
-
 
 def return_map(
     page: Page, start: tuple[float, float], direction: str = "forward"
 ) -> ReturnRecord:
-    """Flow from an interior page point to its next crossing of the page.
+    """The next crossing of the page from an interior page point, in closed form.
 
-    Off the binding the w-phase turns at the constant rate w2, so the return
-    time is level / w2 exactly, with level = 2 pi / p; the start point is
-    flowed there once.  The image comes from ``page_coords`` of the flowed
-    point, which refuses a landing more than ``PAGE_TOL`` off the page.  A
-    system whose crossing scan (``_first_crossing``) over twice the return
-    time would need more than ``_MAX_STEPS`` steps is refused up front: there
-    one return turns the z-plane so far that the image keeps no digits.
+    The return takes level / w2 with level = 2 pi / p and keeps the radius.
+    The angle is atan2 of the unit vector (cos theta, sin theta) turned at
+    w1 for that time and by the deck power ``_deck_index`` of the slice it
+    lands on, so a start angle of any size is reduced exactly.  A system
+    whose crossing scan (``_first_crossing``) over twice the return time
+    would need more than ``_MAX_STEPS`` steps is refused up front: there one
+    return turns the z-plane so far that the image keeps no digits.
     """
     r, theta = start
     if not (0.0 < r < 1.0):
@@ -332,22 +329,21 @@ def return_map(
     if direction not in ("forward", "backward"):
         raise PreconditionViolation("direction must be 'forward' or 'backward'")
     sys = page.system
-    pt0 = page_point(page, r, theta)
     level = 2.0 * math.pi / page.p
-    t_star = level / sys.plane_rates()[1]
+    w1, w2 = sys.plane_rates()
+    t_star = level / w2
     _scan_step(sys, level, 2.0 * t_star)
-    pt_star = flow(sys, pt0, t_star if direction == "forward" else -t_star)
-    image = page_coords(page, pt_star)
-    return ReturnRecord(start=(r, theta), return_time=t_star, image=image, direction=direction)
+    sgn = 1 if direction == "forward" else -1
+    u = _turn(complex(math.cos(theta), math.sin(theta)), w1, sgn * t_star)
+    if page.p > 1:
+        u *= _deck_turns(sys.lens, _deck_index(sys.lens, sgn))[0]
+    return ReturnRecord((r, theta), t_star, (r, math.atan2(u.imag, u.real)), direction)
 
 
-def fixed_point(
-    page: Page,
-    tol: float = 1e-8,
-    start: tuple[float, float] = (0.5, 0.0),
-    damping: float = 0.5,
-    max_iter: int = 200,
-) -> tuple[float, float]:
+_FP_START, _FP_DAMPING, _FP_MAX_ITER = 0.5 + 0.0j, 0.5, 200  # fixed_point's iteration
+
+
+def fixed_point(page: Page, tol: float = 1e-8) -> tuple[float, float]:
     """Fixed point of the forward return map from its displacement field.
 
     The page coordinates are embedded in the plane as zeta = r e^{i theta}
@@ -367,16 +363,15 @@ def fixed_point(
         ri, ti = rec.image
         return ri * complex(math.cos(ti), math.sin(ti)) - zeta
 
-    r, theta = start
-    zeta = r * complex(math.cos(theta), math.sin(theta))
+    zeta = _FP_START
     disp = displacement(zeta)
     trace: list[float] = [abs(disp)]
-    for _ in range(max_iter):
+    for _ in range(_FP_MAX_ITER):
         if abs(disp) < tol:
             if abs(zeta) < 1e-12:
                 return 0.0, 0.0
             return abs(zeta), math.atan2(zeta.imag, zeta.real)
-        zeta2 = zeta + damping * disp
+        zeta2 = zeta + _FP_DAMPING * disp
         if abs(zeta2) >= 0.98:
             zeta2 = zeta2 / abs(zeta2) * 0.9
         disp2 = displacement(zeta2)
@@ -491,18 +486,21 @@ def _page_form_integral(page: Page, n_r: int, n_th: int) -> float:
     return total
 
 
-def disk_area_bound(page: Page, rel_tol: float = 1e-6, max_level: int = 5) -> float:
+_AREA_REL_TOL, _AREA_MAX_LEVEL = 1e-6, 5  # disk_area_bound's refinement
+
+
+def disk_area_bound(page: Page) -> float:
     """The constant 1 + integral of |pullback of dlambda| over the page.
 
     The 2d quadrature is refined by grid doubling until two successive
-    levels agree to ``rel_tol`` relative; after ``max_level`` levels (last
-    grid 512 x 1024 by default) it gives up, so memory stays bounded.
+    levels agree to ``_AREA_REL_TOL`` relative; after ``_AREA_MAX_LEVEL``
+    levels (last grid 512 x 1024) it gives up, so memory stays bounded.
     """
     prev = None
     n_r, n_th = 32, 64
-    for _ in range(max_level):
+    for _ in range(_AREA_MAX_LEVEL):
         cur = _page_form_integral(page, n_r, n_th)
-        if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+        if prev is not None and abs(cur - prev) <= _AREA_REL_TOL * max(abs(cur), 1e-300):
             return 1.0 + cur
         prev = cur
         n_r *= 2

@@ -192,6 +192,10 @@ def test_sigma_from_catalog_file(tmp_path, capsys):
     cat.write_text(json.dumps({"entries": [["a", 1.0], ["b", 3.0]], "bound": 10.0}))
     assert main(["sigma", "--catalog", str(cat)]) == 0
     assert json.loads(capsys.readouterr().out)["sigma"] == pytest.approx(0.5)
+    # a config beside the catalog is refused, found or not
+    assert main(["sigma", "--catalog", str(cat), "--config", str(tmp_path / "missing.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: argument --config: not allowed with argument --catalog\n"
 
 
 def test_sigma_from_system(sys_file, capsys):
@@ -361,13 +365,18 @@ def test_cli_options_are_pinned():
     "command, option",
     [(c, o) for c in _SUBCOMMAND_ARGV for o in (["--jobs", "2"], ["--tol", "1e-10"])]
     + [("lens", ["--config", json.dumps(ELL_L21)]),
-       ("tree-validate", ["--config", json.dumps(ELL_L21)])],
+       ("tree-validate", ["--config", json.dumps(ELL_L21)]),
+       ("sigma", ["--catalog", "c.json"])],
     ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"),
 )
 def test_options_without_effect_exit_usage(command, option, capsys):
     assert main(_SUBCOMMAND_ARGV[command] + option) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == f"error: unrecognized arguments: {' '.join(option)}\n"
+    if option[0] == "--catalog":  # sigma's periods come from --config or --catalog, not both
+        message = "argument --catalog: not allowed with argument --config"
+    else:
+        message = f"unrecognized arguments: {' '.join(option)}"
+    assert out == "" and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

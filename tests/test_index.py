@@ -51,34 +51,80 @@ def _in_lockstep(f_many, searches) -> list[float]:
     return results
 
 
-def _scanned_winding_interval(path: rk.SymplecticPath, n_dirs: int = 720) -> tuple[float, float]:
-    """Reference winding interval: twist ``n_dirs`` directions, refine both extremes.
+_TWO_PI = 2.0 * math.pi
+
+
+def _stacked_twists(cols, d0, d1, max_jumps: np.ndarray) -> np.ndarray:
+    """The twist of each stacked path in one direction, the bits of ``_delta_many``.
+
+    ``cols`` are the four entries of the samples, each a (samples, paths)
+    array; ``d0`` and ``d1`` are the direction's components.  A path whose
+    sampled jump passes its bound in ``max_jumps`` raises ``GridTooCoarse``.
+    The jumps d lie in [-2 pi, 2 pi], so x = d + pi lies in [-pi, 3 pi], and
+    ``x % 2pi`` is written out as its two branches there: x - 2 pi for x >= 2 pi,
+    which is exact (Sterbenz), and x + 2 pi, rounded, for x < 0.
+    """
+    m00, m01, m10, m11 = cols
+    y = m10 * d0
+    y += m11 * d1
+    x = m00 * d0
+    x += m01 * d1
+    ang = np.arctan2(y, x, out=y)
+    jumps = np.subtract(ang[1:], ang[:-1], out=x[1:])
+    jumps += math.pi
+    np.subtract(jumps, _TWO_PI, out=jumps, where=jumps >= _TWO_PI)
+    np.add(jumps, _TWO_PI, out=jumps, where=jumps < 0.0)
+    jumps -= math.pi
+    if np.any(np.max(np.abs(jumps), axis=0) > max_jumps):
+        raise GridTooCoarse("phase jump between samples is too large; refine the path grid")
+    # summed in sample order, as ``_delta_many`` sums its (samples, directions)
+    # blocks; a one-path stack would otherwise be summed pairwise
+    return np.cumsum(jumps, axis=0)[-1] / _TWO_PI
+
+
+def _scanned_winding_intervals(paths, n_dirs: int = 720) -> list[tuple[float, float]]:
+    """Reference winding intervals: twist ``n_dirs`` directions, refine both extremes.
 
     The former library route.  It sums every direction's sampled jumps and
     checks them against the same bound, but only on the scanned directions.
+    Paths with the same number of samples are stacked, 64 at a time so the
+    arrays stay in cache, and twisted one direction at a time; each path's
+    twists are the bits of ``_delta_many``.
     """
     thetas = np.arange(n_dirs) * math.pi / n_dirs  # antipodal directions twist equally
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    max_jump = _jump_threshold(path.mats)
-    # blocks of 90 directions keep the (samples, directions) arrays in cache;
-    # each direction's twist is the same bits as in one call
-    vals = np.concatenate(
-        [_delta_many(path.mats, dirs[i : i + 90], max_jump) for i in range(0, n_dirs, 90)]
-    )
-    i_min = int(np.argmin(vals))
-    i_max = int(np.argmax(vals))
-    lo = float(vals[i_min])
-    hi = float(vals[i_max])
+    max_jumps = np.array([_jump_threshold(path.mats) for path in paths])
+    vals = np.empty((len(paths), n_dirs))
+    groups: dict[int, list[int]] = {}
+    for i, path in enumerate(paths):
+        groups.setdefault(len(path.mats), []).append(i)
+    for group in groups.values():
+        for block in (group[i : i + 64] for i in range(0, len(group), 64)):
+            stack = np.stack([paths[i].mats for i in block], axis=1)
+            cols = [np.ascontiguousarray(stack[:, :, r, c]) for r in (0, 1) for c in (0, 1)]
+            for k, (d0, d1) in enumerate(dirs):
+                vals[block, k] = _stacked_twists(cols, d0, d1, max_jumps[block])
     step = math.pi / n_dirs
+    intervals = []
+    for path, twists, max_jump in zip(paths, vals, max_jumps):
+        i_min = int(np.argmin(twists))
+        i_max = int(np.argmax(twists))
 
-    def at(angles: np.ndarray) -> np.ndarray:
-        return _delta_many(path.mats, np.stack([np.cos(angles), np.sin(angles)], axis=1), max_jump)
+        def at(angles: np.ndarray) -> np.ndarray:
+            dirs_at = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            return _delta_many(path.mats, dirs_at, max_jump)
 
-    ref_lo, ref_hi = _in_lockstep(at, [
-        _golden_extremum(thetas[i_min] - step, thetas[i_min] + step, -1.0),
-        _golden_extremum(thetas[i_max] - step, thetas[i_max] + step, +1.0),
-    ])
-    return min(lo, ref_lo), max(hi, ref_hi)
+        ref_lo, ref_hi = _in_lockstep(at, [
+            _golden_extremum(thetas[i_min] - step, thetas[i_min] + step, -1.0),
+            _golden_extremum(thetas[i_max] - step, thetas[i_max] + step, +1.0),
+        ])
+        intervals.append((min(float(twists[i_min]), ref_lo), max(float(twists[i_max]), ref_hi)))
+    return intervals
+
+
+def _scanned_winding_interval(path: rk.SymplecticPath, n_dirs: int = 720) -> tuple[float, float]:
+    """``_scanned_winding_intervals`` of the one path."""
+    return _scanned_winding_intervals([path], n_dirs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +215,15 @@ def test_cz_geometric_hyperbolic():
     assert rk.cz_geometric(rk.make_hyperbolic_path(1.0)) == (0, False)
 
 
+@pytest.mark.parametrize("rate", [36.0, 37.0, 40.0, 100.0, 700.0])
+def test_cz_geometric_strongly_hyperbolic(rate):
+    # from rate 37 on the interval's length rounds to 1/2; its complement does not round to 0
+    path = rk.make_hyperbolic_path(rate)
+    lo, hi = rk.winding_interval(path)
+    assert (hi - lo == 0.5) == (rate > 36.0)
+    assert rk.cz_geometric(path) == (0, False)
+
+
 def test_cz_geometric_degenerate_flag():
     res = rk.cz_geometric(rk.make_rotation_path(2 * math.pi))
     assert res.degenerate
@@ -194,9 +249,9 @@ def _candidate_set(path, lo, hi):
 
 
 def test_closed_form_winding_interval_matches_scan(corpus):
-    for path in _reference_paths(corpus):
+    paths = list(_reference_paths(corpus))
+    for path, (ref_lo, ref_hi) in zip(paths, _scanned_winding_intervals(paths)):
         lo, hi = rk.winding_interval(path)
-        ref_lo, ref_hi = _scanned_winding_interval(path)
         assert abs(lo - ref_lo) < 1e-11 and abs(hi - ref_hi) < 1e-11
         assert rk.mu_tilde((lo, hi)) == rk.mu_tilde((ref_lo, ref_hi))
         assert _candidate_set(path, lo, hi) == _candidate_set(path, ref_lo, ref_hi)

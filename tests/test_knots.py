@@ -206,6 +206,8 @@ def test_pdisk_point_examples():
     boundary = rk.pdisk_point(disk, 1.0, 0.7)
     assert np.allclose(boundary, [math.cos(0.7), math.sin(0.7), 0, 0], atol=1e-12)
     assert abs(np.linalg.norm(rk.pdisk_point(disk, 0.43, 2.0)) - 1.0) < 1e-12
+    with pytest.raises(PreconditionViolation):
+        rk.pdisk_point(disk, math.nextafter(1.0, 2.0), 0.0)
 
 
 def test_pdisk_boundary_covers_binding_p_to_one():
