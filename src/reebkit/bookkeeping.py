@@ -123,13 +123,17 @@ class BubblingTree:
     bound: float
 
 
+_MAX_TREE_DEPTH = 200  # below the JSON decoder's nesting limit, far below the recursion limit
+
+
 def tree_from_json(data: dict) -> BubblingTree:
+    """The tree of a JSON object; one nested deeper than ``_MAX_TREE_DEPTH`` is refused."""
     if not isinstance(data, dict) or "root" not in data or "bound" not in data:
         raise StructuralError("tree JSON needs 'root' and 'bound' fields")
 
     def parse(node, depth=0) -> TreeVertex:
-        if depth > 10_000:
-            raise StructuralError("tree is too deep to be finite")
+        if depth > _MAX_TREE_DEPTH:
+            raise StructuralError(f"tree is nested deeper than {_MAX_TREE_DEPTH} levels")
         if not isinstance(node, dict) or "period" not in node or "mu" not in node:
             raise StructuralError("each vertex needs 'period' and 'mu'")
         children = node.get("children", [])

@@ -68,6 +68,15 @@ def _read_file(path: str, what: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _load_json_file(path: str, what: str, build):
+    """``build`` applied to the JSON of a file; any wrong shape is a ``StructuralError``."""
+    text = _read_file(path, what)
+    try:
+        return build(json.loads(text))
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+        raise StructuralError(f"malformed {what} file {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_system(spec: str) -> ContactSystem:
     return system_from_json(spec if spec.strip().startswith("{") else _read_file(spec, "config"))
 
@@ -191,7 +200,7 @@ def _cmd_lens(args) -> int:
 
 
 def _cmd_tree_validate(args) -> int:
-    tree = tree_from_json(json.loads(_read_file(args.tree, "tree")))
+    tree = _load_json_file(args.tree, "tree", tree_from_json)
     ok, violations = validate_tree(tree, args.sigma)
     _emit(
         {
@@ -207,8 +216,10 @@ def _cmd_tree_validate(args) -> int:
 
 def _cmd_sigma(args) -> int:
     if args.catalog:
-        data = json.loads(_read_file(args.catalog, "catalog"))
-        cat = PeriodCatalog(entries=data["entries"], bound=float(data["bound"]))
+        cat = _load_json_file(
+            args.catalog, "catalog",
+            lambda data: PeriodCatalog(entries=data["entries"], bound=float(data["bound"])),
+        )
     elif args.config:
         sys_ = _load_system(args.config)
         orbits = catalog(sys_, args.action_bound)

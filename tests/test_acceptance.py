@@ -131,20 +131,19 @@ def test_criterion_6_classification_arithmetic():
 def test_criterion_7_gss_verification():
     t0 = time.monotonic()
     sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(2, 1))
-    report, samples = rk.verify_gss_conditions(sys_, C=5.0, n_samples=100, seed=0, n_quads=20)
+    report, samples = rk.verify_gss_conditions(sys_, C=5.0, n_samples=100, seed=0)
     assert report["all_pass"], report["violated"]
     assert report["binding"]["sl_numeric"] == -2
     assert report["binding"]["mu_cz_Kp"] == 3
     assert report["gss_sampling"]["forward_ok"] == 100
     assert report["gss_sampling"]["backward_ok"] == 100
     assert report["fixed_point"]["distance_to_center"] < 1e-6
-    assert report["area_preservation"]["n_quads"] == 20
-    assert report["area_preservation"]["max_rel_distortion"] < 1e-4
+    assert report["area_preservation"]["form_theta_defect"] < 1e-4
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0
     _report(
         "criterion 7 (GSS verification on L(2,1))",
-        f"100/100 returns, distortion {report['area_preservation']['max_rel_distortion']:.1e}, "
+        f"100/100 returns, form theta defect {report['area_preservation']['form_theta_defect']:.1e}, "
         f"{elapsed:.1f}s",
     )
 

@@ -186,6 +186,18 @@ def test_malformed_tree_raises_structural_error():
         rk.tree_from_json({"bound": 1.0, "root": {"period": 1.0, "mu": 2, "children": 3}})
 
 
+def test_tree_nested_deeper_than_the_cap_is_refused():
+    def chain(depth):
+        node = {"period": 1.0, "mu": 2}
+        for _ in range(depth):
+            node = {"period": 1.0, "mu": 2, "children": [node]}
+        return {"bound": 5.0, "root": node}
+
+    rk.tree_from_json(chain(200))
+    with pytest.raises(StructuralError, match="deeper than 200 levels"):
+        rk.tree_from_json(chain(201))
+
+
 def test_tree_json_round_trip():
     tree = _valid_tree()
     data = rk.tree_to_json(tree)

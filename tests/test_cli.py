@@ -379,6 +379,10 @@ def test_options_without_effect_exit_usage(command, option, capsys):
     assert out == "" and err == f"error: {message}\n"
 
 
+def _no_sampling(*_args, **_kwargs):
+    raise AssertionError("return samples were drawn")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -387,7 +391,7 @@ def test_options_without_effect_exit_usage(command, option, capsys):
          '{"family": "ellipsoid", "a": 1.0, "b": Infinity, "lens": {"p": 2, "q": 1}}'],
         ["index", "--config",
          '{"family": "ellipsoid", "a": 1.0, "b": 1.4142135623730951, "lens": {"p": 2.7, "q": 1}}'],
-        # the page-area quadrature must give up at a bounded grid, not exhaust memory
+        # the return scan is refused at the fixed point, before any sampling
         ["verify", "--config",
          '{"family": "ellipsoid", "a": 1.0, "b": 1e6, "lens": {"p": 2, "q": 1}}',
          "--samples", "5"],
@@ -410,6 +414,7 @@ def test_options_without_effect_exit_usage(command, option, capsys):
         ["verify", "--config", json.dumps(ELL_L21), "--action-bound", "1e9"],
         ["sigma", "--config", json.dumps(ELL_L21), "--action-bound", "1e9"],
         ["verify", "--config", json.dumps(ELL_L21), "--samples", "-3"],
+        ["verify", "--config", json.dumps(ELL_L21), "--samples", "100001"],
         # no index is read beyond iterate 10 000, and --k must be positive
         ["index", "--config", json.dumps(ELL_S3), "--orbit", "K", "--k", "10001"],
         ["index", "--config", json.dumps(ELL_S3), "--orbit", "K", "--k", "1000000000"],
@@ -436,15 +441,40 @@ def test_options_without_effect_exit_usage(command, option, capsys):
          "nan-tol", "infinite-tol", "nan-start-angle", "infinite-start-angle",
          "nan-phase", "infinite-phase",
          "nan-action-bound", "infinite-action-bound", "huge-action-bound",
-         "huge-action-bound-sigma", "negative-samples",
+         "huge-action-bound-sigma", "negative-samples", "too-many-samples",
          "iterate-above-bound", "huge-iterate", "zero-iterate", "huge-lens-order",
          "unknown-flag", "non-integer-iterate", "unknown-format", "missing-config",
          "no-family", "list-lens", "lens-without-q", "string-lens", "true-lens", "number-lens",
          "truncated-json", "capacity-beyond-float"],
 )
-def test_hostile_config_exits_usage(argv, capsys):
+def test_hostile_config_exits_usage(argv, capsys, monkeypatch):
+    # every refusal comes before any return is sampled
+    monkeypatch.setattr(reebkit.section, "sample_starts", _no_sampling)
     start = time.perf_counter()
     assert main(argv) == 1
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _nested_tree(depth):
+    vertex = '{"period": 1, "mu": 2, "children": ['
+    return '{"bound": 9, "root": ' + vertex * depth + '{"period": 1, "mu": 2}' + "]}" * depth + "}"
+
+
+@pytest.mark.parametrize("command", ["tree-validate", "sigma"])
+@pytest.mark.parametrize(
+    "content",
+    ["not json", '{"entries": [["a", 1.0]]}', "[1, 2]",
+     '{"bound": 1, "root": {"period": "x", "mu": 2}}', _nested_tree(300), _nested_tree(600)],
+    ids=["not-json", "no-bound", "list", "non-numeric-period", "nested-300", "nested-600"],
+)
+def test_malformed_tree_and_catalog_files_exit_usage(command, content, tmp_path, capsys):
+    path = tmp_path / "data.json"
+    path.write_text(content)
+    flag = ["--tree", str(path), "--sigma", "0.1"] if command == "tree-validate" else ["--catalog", str(path)]
+    start = time.perf_counter()
+    assert main([command] + flag) == 1
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

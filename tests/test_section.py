@@ -146,11 +146,14 @@ def test_closed_return_map_equals_numeric(lens):
 
 
 def _refuse(*_args, **_kwargs):
-    raise AssertionError("the closed-form return map flows no point and inverts no profile")
+    raise AssertionError("the closed-form route calls no numeric reference")
 
 
 def test_return_map_reaches_no_flow_or_profile_inverse(monkeypatch, tmp_path):
-    for name in ("flow", "page_point", "page_coords", "_profile_inverse", "brentq"):
+    # nor does verify reach the area quadratures: it reads the area constant,
+    # area preservation and the fixed point off the symmetry
+    for name in ("flow", "page_point", "page_coords", "_profile_inverse", "brentq",
+                 "disk_area_bound", "_page_form_integral", "quad_dlambda_area"):
         monkeypatch.setattr(section, name, _refuse)
     for lens in DIFF_LENSES:
         for b in DIFF_B:
@@ -161,6 +164,9 @@ def test_return_map_reaches_no_flow_or_profile_inverse(monkeypatch, tmp_path):
     cfg = '{"family": "ellipsoid", "a": 1.0, "b": 1.4142135623730951, "lens": {"p": 3, "q": 2}}'
     assert main(["verify", "--config", cfg, "--action-bound", "3", "--samples", "20",
                  "--out", str(tmp_path / "v.json"), "--csv", str(tmp_path / "v.csv")]) == 0
+    report = json.loads((tmp_path / "v.json").read_text())
+    assert report["page"]["area_bound"] == 2.0
+    assert report["fixed_point"]["coords"] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("lens", DIFF_LENSES, ids=str)
@@ -258,7 +264,7 @@ def test_return_map_deck_equivariance(ell_l21):
 
 def test_fixed_point_at_page_center(ell_l21):
     page = rk.build_page(ell_l21, 0.0)
-    r, _th = rk.fixed_point(page, tol=1e-9)
+    r, _th = rk.fixed_point(page)
     assert r < 1e-6
     rec = rk.return_map(page, (1e-3, 0.0))
     _, Kp = rk.principal_orbits(ell_l21)
@@ -269,9 +275,9 @@ def test_fixed_point_at_page_center(ell_l21):
     "b,lens", [(1.4, (3, 2)), (SQRT2, (12, 5)), (SQRT2, (2, 1)), (1.05, (3, 2)), (3.7, (5, 2))]
 )
 def test_fixed_point_at_the_centre_is_the_origin(b, lens):
-    # the centre's radius is rounding noise below 1e-12, so its angle would be noise too
+    # every return turns the page rigidly about its centre, whatever the turn
     sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=b, lens=rk.LensParams(*lens))
-    assert rk.fixed_point(rk.build_page(sys_, 0.0), tol=1e-8) == (0.0, 0.0)
+    assert rk.fixed_point(rk.build_page(sys_, 0.0)) == (0.0, 0.0)
 
 
 def test_linking_of_second_orbit(ell_l21):
@@ -369,6 +375,19 @@ def test_disk_area_bound_ellipsoid_is_one_plus_a(ell_l21, ell_s3):
         assert rk.disk_area_bound(page) == pytest.approx(1 + sys_.a, abs=1e-5)
 
 
+@pytest.mark.parametrize("lens", DIFF_LENSES, ids=str)
+def test_report_area_bound_is_one_plus_a(lens):
+    # Stokes: the page integral of dlambda is the action of the page boundary;
+    # the 2d quadrature of |dlambda| is the independent reference
+    for b in (1.05, SQRT2, 3.7):
+        for a in (1.0, 2.0):
+            sys_ = rk.ContactSystem("ellipsoid", a=a, b=b, lens=rk.LensParams(*lens) if lens else None)
+            report, _ = rk.verify_gss_conditions(sys_, C=0.1, n_samples=0)
+            bound = report["page"]["area_bound"]
+            assert abs(bound - (1.0 + a)) <= 1e-14, (b, a)
+            assert rk.disk_area_bound(rk.build_page(sys_, 0.0)) == pytest.approx(bound, rel=1e-6)
+
+
 def test_quad_area_matches_form_integral(ell_l21):
     page = rk.build_page(ell_l21, 0.0)
     # small quadrilateral: boundary action vs integrand times coordinate area
@@ -403,26 +422,41 @@ def test_return_map_preserves_quad_areas(ell_l21):
 
 
 def test_verifier_all_pass_small(ell_l21):
-    report, samples = rk.verify_gss_conditions(ell_l21, C=3.0, n_samples=10, seed=1, n_quads=4)
+    report, samples = rk.verify_gss_conditions(ell_l21, C=3.0, n_samples=10, seed=1)
     assert report["all_pass"], report["violated"]
     assert report["binding"]["sl_numeric"] == -2
     assert report["binding"]["mu_cz_Kp"] == 3
     assert len(samples) == 10
     assert report["gss_sampling"] == {"n": 10, "forward_ok": 10, "backward_ok": 10}
+    assert report["decided_by_symmetry"] == ["gss_returns"]
     assert report["fixed_point"]["distance_to_center"] < 1e-6
     assert report["pstar"]["members"] == []
     assert "action <= 3" in report["pstar"]["note"]
 
 
 def test_verifier_skips_dynamics_without_samples(ell_l21):
-    report, samples = rk.verify_gss_conditions(ell_l21, C=2.0, n_samples=0, seed=0, n_quads=0)
+    report, samples = rk.verify_gss_conditions(ell_l21, C=2.0, n_samples=0, seed=0)
     assert report["gss_sampling"] == {"status": "skipped"}
+    assert report["decided_by_symmetry"] == []
     assert samples == []
     assert report["all_pass"]
 
 
+def test_verifier_flags_a_theta_dependent_form(ell_l21, monkeypatch):
+    real = section.page_form_samples
+
+    def tilted(page, n_r, n_th, interior_margin=0.0):
+        rs, ths, vals = real(page, n_r, n_th, interior_margin)
+        return rs, ths, vals * (1.0 + 1e-3 * np.cos(ths))[None, :]
+
+    monkeypatch.setattr(section, "page_form_samples", tilted)
+    report, _ = rk.verify_gss_conditions(ell_l21, C=0.3, n_samples=0)
+    assert report["violated"] == ["area_preservation"]
+    assert report["area_preservation"]["form_theta_defect"] == pytest.approx(2e-3 / 1.001, rel=1e-9)
+
+
 def test_verifier_vacuous_below_min_period(ell_l21):
-    report, _ = rk.verify_gss_conditions(ell_l21, C=0.3, n_samples=0, seed=0, n_quads=0)
+    report, _ = rk.verify_gss_conditions(ell_l21, C=0.3, n_samples=0, seed=0)
     assert report["pstar"]["orbits"] == []
     assert report["checks"]["pstar_linking"]
 
@@ -430,17 +464,16 @@ def test_verifier_vacuous_below_min_period(ell_l21):
 def test_verifier_swapped_roles_long_binding():
     # binding is the long orbit when a > b; the index changes accordingly
     sys_ = rk.ContactSystem("ellipsoid", a=SQRT2, b=1.0, lens=rk.LensParams(2, 1))
-    report, _ = rk.verify_gss_conditions(sys_, C=2.0, n_samples=5, seed=0, n_quads=2)
+    report, _ = rk.verify_gss_conditions(sys_, C=2.0, n_samples=5, seed=0)
     assert report["binding"]["mu_cz_Kp"] == 5  # mu_tilde({1 + sqrt2})
     assert report["all_pass"], report["violated"]
 
 
 def test_verifier_extreme_capacity_ratio():
-    # tiny return-map rotation angle: exercises the secant fixed-point jumps
     sys_ = rk.ContactSystem(
         "ellipsoid", a=1.0, b=17.0 + math.pi / 7, lens=rk.LensParams(12, 5)
     )
-    report, _ = rk.verify_gss_conditions(sys_, C=1.0, n_samples=5, seed=0, n_quads=2)
+    report, _ = rk.verify_gss_conditions(sys_, C=1.0, n_samples=5, seed=0)
     assert report["all_pass"], report["violated"]
     assert report["binding"]["sl_numeric"] == -12
     assert report["fixed_point"]["distance_to_center"] < 1e-6
@@ -449,7 +482,7 @@ def test_verifier_extreme_capacity_ratio():
 def test_verifier_flags_integer_capacity_ratio():
     # a/b integral makes the binding rotation number integral: degenerate
     sys_ = rk.ContactSystem("ellipsoid", a=3.0, b=1.0, lens=rk.LensParams(2, 1))
-    report, _ = rk.verify_gss_conditions(sys_, C=0.5, n_samples=0, seed=0, n_quads=0)
+    report, _ = rk.verify_gss_conditions(sys_, C=0.5, n_samples=0, seed=0)
     assert report["binding"]["degenerate"]
     assert "index" in report["violated"]
 
@@ -457,7 +490,7 @@ def test_verifier_flags_integer_capacity_ratio():
 @pytest.mark.parametrize("p,q", [(3, 2), (5, 2), (4, 3)])
 def test_verifier_other_lens_parameters(p, q):
     sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(p, q))
-    report, _ = rk.verify_gss_conditions(sys_, C=2.0, n_samples=4, seed=1, n_quads=2)
+    report, _ = rk.verify_gss_conditions(sys_, C=2.0, n_samples=4, seed=1)
     assert report["all_pass"], report["violated"]
     assert report["binding"]["sl_numeric"] == -p
     assert report["binding"]["mu_cz_Kp"] == 3
@@ -488,7 +521,7 @@ def test_edge_action_closes_to_boundary_period(round_l21):
 
 
 def test_verifier_linearizes_each_principal_orbit_once(ell_l21, linearize_calls):
-    report, _ = rk.verify_gss_conditions(ell_l21, C=5.0, n_samples=0, seed=0, n_quads=0)
+    report, _ = rk.verify_gss_conditions(ell_l21, C=5.0, n_samples=0, seed=0)
     assert linearize_calls == ["K", "K'"]
 
     # the shared lifts give the same rows as independent per-orbit calls
@@ -505,7 +538,7 @@ def test_verifier_linearizes_each_principal_orbit_once(ell_l21, linearize_calls)
 
 
 def test_verifier_empty_catalog_linearizes_only_the_binding(ell_l21, linearize_calls):
-    report, _ = rk.verify_gss_conditions(ell_l21, C=0.3, n_samples=0, seed=0, n_quads=0)
+    report, _ = rk.verify_gss_conditions(ell_l21, C=0.3, n_samples=0, seed=0)
     assert report["pstar"]["orbits"] == []
     assert linearize_calls == ["K"]
 
@@ -533,7 +566,7 @@ def _report_rho_one_for_kprime_squared(monkeypatch):
 
 def test_verifier_checks_the_linking_of_rotation_number_one_orbits(ell_l21, monkeypatch):
     _report_rho_one_for_kprime_squared(monkeypatch)
-    report, _ = rk.verify_gss_conditions(ell_l21, C=3.0, n_samples=0, seed=0, n_quads=0)
+    report, _ = rk.verify_gss_conditions(ell_l21, C=3.0, n_samples=0, seed=0)
     members = report["pstar"]["members"]
     assert [(m["label"], m["multiplicity"]) for m in members] == [("K'", 2)]
     w2, T = ell_l21.plane_rates()[1], members[0]["period"]
@@ -541,7 +574,7 @@ def test_verifier_checks_the_linking_of_rotation_number_one_orbits(ell_l21, monk
     assert report["checks"]["pstar_linking"] and report["all_pass"]
     # an orbit that does not link the binding positively fails the check
     monkeypatch.setattr(section, "linking_with_binding", lambda sys, orbit, page: 0)
-    report, _ = rk.verify_gss_conditions(ell_l21, C=3.0, n_samples=0, seed=0, n_quads=0)
+    report, _ = rk.verify_gss_conditions(ell_l21, C=3.0, n_samples=0, seed=0)
     assert report["violated"] == ["pstar_linking"]
     cfg = '{"family": "ellipsoid", "a": 1.0, "b": 1.4142135623730951, "lens": {"p": 2, "q": 1}}'
     assert main(["verify", "--config", cfg, "--action-bound", "3", "--samples", "0"]) == 3
@@ -660,11 +693,7 @@ def test_verify_csv_bytes_equal_flow_stepping_reference(tmp_path, monkeypatch):
     with monkeypatch.context() as m:
         _use_reference(m)
         slow = run("slow")
-    # the area distortion of the returned quads is rounding noise on both routes
-    reports = [json.loads(report) for report, _csv in (fast, slow)]
-    distortions = [r["area_preservation"].pop("max_rel_distortion") for r in reports]
-    assert max(distortions) < 1e-12
-    assert reports[0] == reports[1] and fast[1] == slow[1]
+    assert fast == slow
     assert len(fast[1].decode().splitlines()) == 201
 
 
