@@ -6,15 +6,19 @@ with phi(0) = I are implemented.
 * spectral:  phi determines a 1-periodic symmetric S(t) = -i phi' phi^{-1};
   the first-order operator  L = -i d/dt - S(t)  on loops R/Z -> C is
   discretized in a truncated Fourier basis, and the index is
-  2*wind(largest negative eigenvalue) + parity.
+  2*wind(largest negative eigenvalue) + parity.  A short block of the modes
+  is diagonalized, and trusted only where a certificate shows that the whole
+  truncation has the same windings, parity and degeneracy flag.
 * geometric: the winding interval I = image of the direction-twist map
   Delta(zeta) over the circle of directions is Delta of one sampled
   direction plus the closed-form extremes of the monodromy's turn, and the
   index is the integer invariant mu_tilde(I) of that interval.
 
 Both definitions agree on nondegenerate paths; the test-suite enforces exact
-integer agreement on a randomized corpus.  The rotation number is the one value
-in the winding interval of its class mod 1, read exactly off the monodromy.
+integer agreement on a randomized corpus, whose paths ``path_from_loop``
+integrates from S(t) by 6th-order Magnus steps.  The rotation number is the
+one value in the winding interval of its class mod 1, read exactly off the
+monodromy.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ import numpy as np
 from .errors import (
     GridTooCoarse,
     IllConditioned,
+    IntegrationFailure,
     PreconditionViolation,
     ReebkitError,
 )
 
-# multiplication by i and -i on R^2 = C
-J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+# multiplication by -i on R^2 = C
 MINUS_I = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 DEGENERACY_TOL = 1e-9
@@ -232,62 +236,118 @@ def _fourier_coeffs(vals: np.ndarray, n_max: int) -> np.ndarray:
     return out
 
 
-def _trig_evaluator(loop: SymmetricLoop):
-    """Exact trig-series evaluator for the loop entries (s11, s12, s22)."""
-    comps = np.stack(
-        [loop.mats[:, 0, 0], loop.mats[:, 0, 1], loop.mats[:, 1, 1]], axis=1
-    )
-    n = comps.shape[0]
-    spec = np.fft.rfft(comps, axis=0) / n
-    a0 = spec[0].real
-    ac = 2.0 * spec[1:].real  # cosine coefficients, harmonics 1..n//2
-    bs = -2.0 * spec[1:].imag
-    if n % 2 == 0:
-        ac[-1] /= 2.0  # Nyquist term appears once
-    keep = np.nonzero(
-        (np.abs(ac) + np.abs(bs)).max(axis=1) > 1e-14 * max(1.0, np.abs(comps).max())
-    )[0]
-    ks = 2.0 * math.pi * (keep + 1)
-    ac = ac[keep]
-    bs = bs[keep]
+def _loop_coeffs(loop: SymmetricLoop, n_max: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Fourier coefficients of S(t) u = alpha(t) u + m(t) conj(u), and a bound on ||S(t)||.
 
-    def S_at(t: float) -> np.ndarray:
-        phase = ks * t
-        vals = a0 + np.cos(phase) @ ac + np.sin(phase) @ bs
-        return np.array([[vals[0], vals[1]], [vals[1], vals[2]]])
-
-    return S_at
-
-
-def path_from_loop(loop: SymmetricLoop, n: int = 512, rtol: float = 1e-12) -> SymplecticPath:
-    """Solve phi' = i S(t) phi, phi(0) = I, sampling the solution on a grid.
-
-    The one user of scipy: ``solve_ivp`` is imported on the first call, so
-    ``import reebkit`` loads numpy alone.
+    alpha = (s11 + s22)/2 is real and m = (s11 - s22)/2 + i s12; row j + n_max
+    holds the coefficient of e^{2 pi i j t}, |j| <= n_max, of the loop's
+    trigonometric interpolant.  alpha's coefficients are made exactly
+    conjugate-symmetric (c_0 real, c_-j = conj(c_j)).  S(t) has the
+    eigenvalues alpha(t) +- |m(t)|, so sigma = sum |alpha_j| + sum |m_j| bounds
+    ||S(t)|| and the norm of the multiplication part of the loop operator.
     """
-    from scipy.integrate import solve_ivp
-
-    S_at = _trig_evaluator(loop)
-
-    def rhs(t, y):
-        phi = y.reshape(2, 2)
-        return (J2 @ S_at(t) @ phi).ravel()
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        np.eye(2).ravel(),
-        method="DOP853",
-        rtol=rtol,
-        atol=rtol,
-        t_eval=np.linspace(0.0, 1.0, n + 1),
-        dense_output=False,
+    S = loop.mats
+    comps = np.stack(
+        [
+            0.5 * (S[:, 0, 0] + S[:, 1, 1]),
+            0.5 * (S[:, 0, 0] - S[:, 1, 1]) + 0.5j * (S[:, 0, 1] + S[:, 1, 0]),
+        ],
+        axis=1,
     )
-    if not sol.success:  # pragma: no cover
-        raise ReebkitError(f"path integration failed: {sol.message}")
-    mats = sol.y.T.reshape(-1, 2, 2)
-    mats /= np.sqrt(np.abs(np.linalg.det(mats)))[:, None, None]
+    coeffs = _fourier_coeffs(comps, n_max)
+    alpha = coeffs[:, 0]
+    alpha = 0.5 * (alpha + alpha[::-1].conj())
+    m = coeffs[:, 1]
+    return alpha, m, float(np.abs(alpha).sum() + np.abs(m).sum())
+
+
+# the three Gauss-Legendre nodes of a step, as fractions of it
+_GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
+MAGNUS_STEP = 0.05  # largest h * sigma of one Magnus substep
+# substeps per grid interval: sigma / n up to 3.2, twice the pi/2 turn per
+# interval that the winding routes read; a substep takes about half a kB at once
+_MAX_SUBSTEPS = 64
+
+
+def _sl2_bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[X, Y] of traceless 2x2 matrices stored as (a, b, c) for [[a, b], [c, -a]]."""
+    a, b, c = x
+    p, q, r = y
+    return np.stack([b * r - q * c, 2.0 * (a * q - p * b), 2.0 * (c * p - a * r)])
+
+
+def _magnus_steps(alpha: np.ndarray, m: np.ndarray, steps: int) -> np.ndarray:
+    """exp(Omega) of the 6th-order Magnus step of phi' = J S(t) phi on ``steps`` equal steps.
+
+    A = J S is evaluated at the three Gauss nodes of every step at once: the
+    node times of one offset form a shifted uniform grid, so each is one
+    inverse FFT of the coefficients, folded mod ``steps`` and phase-shifted.
+    Omega follows Blanes-Casas-Oteo-Ros (Phys. Rep. 470, 2009) from the
+    moments alpha1..3 and two commutators, and lies in sl(2), so
+    Omega^2 = d I with d = -det Omega and exp(Omega) = cosh sqrt(d) I +
+    sinh sqrt(d)/sqrt(d) Omega (cos/sin when d < 0) has determinant 1.
+    """
+    n_max = (len(alpha) - 1) // 2
+    js = np.arange(-n_max, n_max + 1)
+    h = 1.0 / steps
+    shift = np.exp(2j * math.pi * h * _GAUSS[:, None] * js)  # (3, harmonics)
+    folded = np.zeros((2, 3, steps), dtype=complex)
+    np.add.at(folded, (slice(None), slice(None), js % steps),
+              np.stack([alpha * shift, m * shift]))
+    vals = np.fft.ifft(folded, axis=-1) * steps
+    al, mr, mi = vals[0].real, vals[1].real, vals[1].imag
+    # J S = [[-s12, -s22], [s11, s12]] with s11 = alpha + Re m, s22 = alpha - Re m, s12 = Im m
+    A = np.stack([-mi, mr - al, al + mr], axis=1)  # (nodes, (a, b, c), steps)
+    a1 = h * A[1]
+    a2 = (math.sqrt(15.0) * h / 3.0) * (A[2] - A[0])
+    a3 = (10.0 * h / 3.0) * (A[2] - 2.0 * A[1] + A[0])
+    c1 = _sl2_bracket(a1, a2)
+    c2 = (-1.0 / 60.0) * _sl2_bracket(a1, 2.0 * a3 + c1)
+    a, b, c = a1 + a3 / 12.0 + (1.0 / 240.0) * _sl2_bracket(-20.0 * a1 - a3 + c1, a2 + c2)
+    d = a * a + b * c
+    root = np.sqrt(np.abs(d))
+    hyper = d >= 0.0
+    even = np.where(hyper, np.cosh(root), np.cos(root))
+    odd = np.divide(np.where(hyper, np.sinh(root), np.sin(root)), root,
+                    out=np.ones_like(root), where=root > 0.0)
+    E = np.empty((steps, 2, 2))
+    E[:, 0, 0] = even + odd * a
+    E[:, 0, 1] = odd * b
+    E[:, 1, 0] = odd * c
+    E[:, 1, 1] = even - odd * a
+    return E
+
+
+def path_from_loop(loop: SymmetricLoop, n: int = 512) -> SymplecticPath:
+    """Solve phi' = i S(t) phi, phi(0) = I, on the grid of n intervals, by Magnus steps.
+
+    Each grid interval takes the smallest power of 2 of substeps with
+    h * sigma <= ``MAGNUS_STEP``, sigma the bound of ``_loop_coeffs`` on
+    ||S(t)||.  The substeps of an interval are multiplied pairwise, and the n
+    interval transitions by a log-depth (Hillis-Steele) prefix product, so
+    every sample is a product of determinant-1 factors.  numpy alone.
+    """
+    if n < MIN_GRID:
+        raise PreconditionViolation(f"path grid must have at least {MIN_GRID} intervals")
+    alpha, m, sigma = _loop_coeffs(loop, loop.n_samples // 2)
+    sub = 1
+    while sigma > MAGNUS_STEP * n * sub:
+        sub *= 2
+    if sub > _MAX_SUBSTEPS:
+        raise IntegrationFailure(
+            f"the loop needs {sub} Magnus substeps per grid interval (sigma = {sigma:.3g}, "
+            f"n = {n}); at most {_MAX_SUBSTEPS} are taken"
+        )
+    steps = _magnus_steps(alpha, m, n * sub)
+    while len(steps) > n:
+        steps = _mul_stacks(steps[1::2], steps[0::2])
+    span = 1
+    while span < n:
+        steps[span:] = _mul_stacks(steps[span:], steps[:-span])
+        span *= 2
+    mats = np.empty((n + 1, 2, 2))
     mats[0] = np.eye(2)
+    mats[1:] = steps
     return SymplecticPath(mats)
 
 
@@ -499,6 +559,9 @@ class SpectralData:
     wind_nonneg: int = 0    # winding of the smallest nonnegative eigenvalue
     parity: int = 0
     degenerate: bool = False
+    modes: int = 0          # Fourier modes of the block the window was read from
+    # (eigenvalue bound, winding bound / min amplitude) of that block against n_modes
+    certified_bound: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         winds = [w for _, w, _ in self.eigenpairs]
@@ -528,17 +591,21 @@ def spectral_report_json(sd: SpectralData) -> dict:
         "wind_nonneg": int(sd.wind_nonneg),
         "parity": int(sd.parity),
         "degenerate": bool(sd.degenerate),
+        "modes": int(sd.modes),
+        "certified_bound": {
+            "eigenvalue": float(sd.certified_bound[0]),
+            "winding": float(sd.certified_bound[1]),
+        },
     }
 
 
 def _winding_of_coeffs(coeffs: np.ndarray, ks: np.ndarray, n_grid: int = 1024):
-    """Winding and amplitude range of sum_k c_k e^{2 pi i k t} on a fine grid."""
+    """Winding and samples of u(t) = sum_k c_k e^{2 pi i k t} on a fine grid."""
     spec = np.zeros(n_grid, dtype=complex)
     spec[ks % n_grid] = coeffs
     u = np.fft.ifft(spec) * n_grid
-    amp = np.abs(u)
     wind = _closed_winding(u, "eigenvector winding is far from an integer; refine discretization")
-    return wind, float(amp.min()), float(amp.max())
+    return wind, u
 
 
 def _closed_winding(u: np.ndarray, coarse_msg: str) -> int:
@@ -550,6 +617,168 @@ def _closed_winding(u: np.ndarray, coarse_msg: str) -> int:
     if abs(wind_f - wind) > 0.1:
         raise GridTooCoarse(coarse_msg)
     return wind
+
+
+def _operator_block(
+    alpha: np.ndarray, m: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """The rows x cols modes of the loop operator, real and interleaved as (e_k, i e_k).
+
+    Entry (j, k) is 2 pi k [j = k] minus the Toeplitz part alpha_{j-k} and the
+    Hankel part m_{j+k}; with rows = cols the block is symmetric by construction.
+    """
+    n_max = (len(alpha) - 1) // 2
+    toe = alpha[rows[:, None] - cols[None, :] + n_max]
+    han = m[rows[:, None] + cols[None, :] + n_max]
+    diag = np.where(rows[:, None] == cols[None, :], 2.0 * math.pi * cols, 0.0)
+    out = np.empty((2 * len(rows), 2 * len(cols)))
+    out[0::2, 0::2] = diag - toe.real - han.real
+    out[1::2, 0::2] = -toe.imag - han.imag
+    out[0::2, 1::2] = toe.imag - han.imag
+    out[1::2, 1::2] = diag - toe.real + han.real
+    return out
+
+
+def _window(vals: np.ndarray, vecs: np.ndarray, ks: np.ndarray, window: int, amp_tol: float):
+    """The reported eigenpairs, walking out from zero until the windings leave the window.
+
+    Returns the entries (nu, wind, min/max amplitude) and the winding and
+    samples u(t) of every pair examined, by index, the two that stop the
+    walks included.
+    """
+    i0 = int(np.searchsorted(vals, 0.0))  # first index with nu >= 0
+    examined = {}
+
+    def eig_entry(i: int):
+        wind, u = _winding_of_coeffs(vecs[0::2, i] + 1j * vecs[1::2, i], ks)
+        amp = np.abs(u)
+        amp_min, amp_max = float(amp.min()), float(amp.max())
+        if amp_min < amp_tol * amp_max:
+            raise GridTooCoarse(
+                "eigenvector nearly vanishes; discretization failure "
+                f"(min/max amplitude {amp_min / amp_max:.2e})"
+            )
+        examined[i] = (wind, u)
+        return float(vals[i]), wind, amp_min / amp_max
+
+    if i0 == 0 or i0 >= len(vals):  # pragma: no cover - needs absurd inputs
+        raise ReebkitError("spectral window does not straddle zero; increase n_modes")
+
+    neg_entry = eig_entry(i0 - 1)
+    pos_entry = eig_entry(i0)
+    entries = [neg_entry, pos_entry]
+    lo_target = neg_entry[1] - (window - 1)
+    hi_target = pos_entry[1] + (window - 1)
+    i = i0 - 2
+    while i >= 0:
+        e = eig_entry(i)
+        if e[1] < lo_target:
+            break
+        entries.insert(0, e)
+        i -= 1
+    i = i0 + 1
+    while i < len(vals):
+        e = eig_entry(i)
+        if e[1] > hi_target:
+            break
+        entries.append(e)
+        i += 1
+    return entries, examined
+
+
+def _span_amplitudes(us: list) -> tuple[float, float]:
+    """Extremes of |u(t)| over t and the unit vectors of the span of one or two eigenvectors.
+
+    For two, u = cos(phi) u_a + sin(phi) u_b, and the extremes over phi at
+    each t are the singular values of the real 2x2 matrix [u_a(t), u_b(t)].
+    """
+    if len(us) == 1:
+        amp = np.abs(us[0])
+        return float(amp.min()), float(amp.max())
+    a, b = us
+    frob = np.abs(a) ** 2 + np.abs(b) ** 2
+    det = np.abs((a.conj() * b).imag)
+    top = 0.5 * (np.sqrt(frob + 2.0 * det) + np.sqrt(np.maximum(frob - 2.0 * det, 0.0)))
+    return float((det / top).min()), float(top.max())
+
+
+_FIRST_BLOCK = 64  # Fourier modes of the first block tried
+
+
+def _certify(alpha, m, sigma, n_modes, ks, vals, vecs, examined, amp_tol):
+    """(eps, winding bound / min amplitude) when the block decides the n_modes result, else None.
+
+    M is the n_modes-mode operator: the kept block A (modes ``ks``), the
+    coupling B (dropped rows x kept columns) and the dropped block C.  For
+    each eigenpair (mu_j, v_j) of A, r_j = ||B v_j|| is the exact residual of
+    v_j padded with zeros.  W holds the ``examined`` pairs, and any pair
+    within rounding of one; it lies inside the interval I that ends halfway
+    to A's next eigenvalue on either side.
+
+    (a) C's eigenvalues lie within sigma of its diagonal 2 pi k (Weyl), so
+        g_C = dist(2 pi k, I) - sigma > 0 over the dropped k keeps them out of
+        I, and Haynsworth's inertia formula counts M's eigenvalues below any
+        lambda in I by the Schur complement diag(mu - lambda) - P(lambda),
+        P = (BV)^T (C - lambda)^{-1} BV, in A's eigenbasis V.
+    (b) |P_jl| <= r_j r_l / g_C, so row j of P sums to at most
+        rho_j = r_j sum(r) / g_C; where |mu_j - lambda| > rho_j for every j
+        the Schur complement is diagonally dominant, with the inertia of
+        diag(mu - lambda).  So when every disc [mu_j -+ rho_j] outside W
+        misses I, M has in I exactly as many eigenvalues as W has, one
+        within rho_j of each isolated mu_j; eps = max rho_j over W.
+    (c) The discs of W, widened by the rounding of both eigh calls, are
+        grouped where they overlap.  A group of one or two must keep 0 and
+        +-DEGENERACY_TOL outside, which decides signs, order and the
+        degeneracy flag.  Its windings are decided when they agree and the
+        Davis-Kahan bound sqrt(2 n_modes) ||r|| / gap on |u_M - u_A|, gap the
+        distance to M's other eigenvalues, stays below the smallest |u(t)|
+        over the unit vectors of the group's span (Rouche).
+    """
+    # eigh is backward stable: each computed eigenvalue is within dim * ulp * ||M|| of one
+    rounding = 2.0 * (2 * n_modes) * 2.0**-52 * (math.pi * n_modes + sigma)
+    lo, hi = min(examined), max(examined)
+    while lo > 0 and vals[lo] - vals[lo - 1] <= 2.0 * rounding:
+        lo -= 1
+    while hi < len(vals) - 1 and vals[hi + 1] - vals[hi] <= 2.0 * rounding:
+        hi += 1
+    if lo < 1 or hi > len(vals) - 2:
+        return None
+    ends = (0.5 * (vals[lo - 1] + vals[lo]), 0.5 * (vals[hi] + vals[hi + 1]))
+    g_c = min(ends[0] - 2.0 * math.pi * (ks[0] - 1), 2.0 * math.pi * (ks[-1] + 1) - ends[1]) - sigma
+    if not g_c > 0.0:
+        return None
+    half = n_modes // 2
+    dropped = np.concatenate([np.arange(-half, ks[0]), np.arange(ks[-1] + 1, n_modes - half)])
+    res = np.linalg.norm(_operator_block(alpha, m, dropped, ks) @ vecs, axis=0)
+    rho = res * (res.sum() / g_c)
+    radius = rho + rounding
+    out = np.r_[0:lo, hi + 1 : len(vals)]
+    if not np.all((vals[out] + radius[out] < ends[0]) | (vals[out] - radius[out] > ends[1])):
+        return None
+    win, radius, res = vals[lo : hi + 1], radius[lo : hi + 1], res[lo : hi + 1]
+    lows, highs = win - radius, win + radius
+    if not (lows[0] > ends[0] and highs[-1] < ends[1]):
+        return None
+    reach = np.maximum.accumulate(highs)
+    ratio = 0.0
+    for group in np.split(np.arange(len(win)), np.nonzero(lows[1:] > reach[:-1])[0] + 1):
+        first, last = group[0], group[-1]
+        if len(group) > 2 or any(lows[first] <= x <= reach[last]
+                                 for x in (-DEGENERACY_TOL, 0.0, DEGENERACY_TOL)):
+            return None
+        below = reach[first - 1] if first > 0 else ends[0]
+        above = lows[last + 1] if last + 1 < len(win) else ends[1]
+        gap = min(win[first] - below, above - win[last])
+        loops = [examined[j] if j in examined else
+                 _winding_of_coeffs(vecs[0::2, j] + 1j * vecs[1::2, j], ks) for j in lo + group]
+        if len({wind for wind, _ in loops}) > 1:
+            return None
+        amp_min, amp_max = _span_amplitudes([u for _, u in loops])
+        b = math.sqrt(2.0 * n_modes) * float(np.linalg.norm(res[group])) / gap
+        if not amp_min - b >= amp_tol * (amp_max + b):
+            return None
+        ratio = max(ratio, b / amp_min)
+    return float(rho[lo : hi + 1].max()), float(ratio)
 
 
 def spectrum(
@@ -567,81 +796,46 @@ def spectrum(
     m = (s11 - s22)/2 + i s12, so in the basis (e_k, i e_k) the operator is
     diag(2 pi k) minus a Toeplitz part alpha_{j-k} and a Hankel part m_{j+k},
     read from the Fourier coefficients of the loop's own samples.
+
+    Only a block of the modes nearest k = 0 is diagonalized: 64 first, then
+    twice as many until ``_certify`` shows that the block's window has the
+    n_modes operator's windings, parity and degeneracy flag, with its
+    eigenvalues within the certified bound.  At n_modes the block is the
+    whole operator, so a block that certifies nothing ends in the full result.
     """
     if window < 1:
         raise PreconditionViolation("window must be >= 1")
-    half = n_modes // 2
-    ks = np.arange(-half, n_modes - half)
-    S = loop.mats
-    comps = np.stack(
-        [
-            0.5 * (S[:, 0, 0] + S[:, 1, 1]),
-            0.5 * (S[:, 0, 0] - S[:, 1, 1]) + 0.5j * (S[:, 0, 1] + S[:, 1, 0]),
-        ],
-        axis=1,
-    )
-    coeffs = _fourier_coeffs(comps, n_modes)
-    # alpha is real: make its coefficients exactly conjugate-symmetric (c_0 real,
-    # c_-j = conj(c_j)), so that M below is symmetric by construction
-    alpha = coeffs[:, 0]
-    alpha = 0.5 * (alpha + alpha[::-1].conj())
-    toe = alpha[ks[:, None] - ks[None, :] + n_modes]
-    han = coeffs[ks[:, None] + ks[None, :] + n_modes, 1]
-    diag = np.diag(2.0 * math.pi * ks)
-    M = np.empty((2 * n_modes, 2 * n_modes))
-    M[0::2, 0::2] = diag - toe.real - han.real
-    M[1::2, 0::2] = -toe.imag - han.imag
-    M[0::2, 1::2] = toe.imag - han.imag
-    M[1::2, 1::2] = diag - toe.real + han.real
-
-    vals, vecs = np.linalg.eigh(M)
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
-    i0 = int(np.searchsorted(vals, 0.0))  # first index with nu >= 0
-
-    def eig_entry(i: int):
-        coeffs = vecs[0::2, i] + 1j * vecs[1::2, i]
-        wind, amp_min, amp_max = _winding_of_coeffs(coeffs, ks)
-        if amp_min < amp_tol * amp_max:
-            raise GridTooCoarse(
-                "eigenvector nearly vanishes; discretization failure "
-                f"(min/max amplitude {amp_min / amp_max:.2e})"
-            )
-        return float(vals[i]), wind, amp_min / amp_max
-
-    if i0 == 0 or i0 >= len(vals):  # pragma: no cover - needs absurd inputs
-        raise ReebkitError("spectral window does not straddle zero; increase n_modes")
-
-    neg_entry = eig_entry(i0 - 1)
-    pos_entry = eig_entry(i0)
-    wind_neg = neg_entry[1]
-    wind_nonneg = pos_entry[1]
-    entries = [neg_entry, pos_entry]
-    lo_target = wind_neg - (window - 1)
-    hi_target = wind_nonneg + (window - 1)
-    i = i0 - 2
-    while i >= 0:
-        e = eig_entry(i)
-        if e[1] < lo_target:
+    alpha, m, sigma = _loop_coeffs(loop, n_modes)
+    modes = min(_FIRST_BLOCK, n_modes)
+    while True:
+        ks = np.arange(-(modes // 2), modes - modes // 2)
+        vals, vecs = np.linalg.eigh(_operator_block(alpha, m, ks, ks))
+        order = np.argsort(vals)
+        vals = vals[order]
+        vecs = vecs[:, order]
+        if modes == n_modes:
+            entries = _window(vals, vecs, ks, window, amp_tol)[0]
+            bound = (0.0, 0.0)
             break
-        entries.insert(0, e)
-        i -= 1
-    i = i0 + 1
-    while i < len(vals):
-        e = eig_entry(i)
-        if e[1] > hi_target:
+        try:
+            entries, examined = _window(vals, vecs, ks, window, amp_tol)
+            bound = _certify(alpha, m, sigma, n_modes, ks, vals, vecs, examined, amp_tol)
+        except ReebkitError:  # a block that fails decides nothing
+            bound = None
+        if bound is not None:
             break
-        entries.append(e)
-        i += 1
+        modes = min(2 * modes, n_modes)
 
-    degenerate = min(abs(v) for v, _, _ in entries) < DEGENERACY_TOL
+    wind_neg = next(w for nu, w, _ in reversed(entries) if nu < 0.0)
+    wind_nonneg = next(w for nu, w, _ in entries if nu >= 0.0)
     return SpectralData(
         eigenpairs=entries,
         wind_neg=wind_neg,
         wind_nonneg=wind_nonneg,
         parity=wind_nonneg - wind_neg,
-        degenerate=degenerate,
+        degenerate=min(abs(v) for v, _, _ in entries) < DEGENERACY_TOL,
+        modes=modes,
+        certified_bound=bound,
     )
 
 

@@ -294,10 +294,10 @@ def test_index_refuses_turns_off_the_class(capsys, monkeypatch):
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    """``import reebkit`` and the README commands load no scipy module.
+    """``import reebkit``, the README commands and both index routes load no scipy module.
 
-    Only ``path_from_loop`` (the acceptance-corpus generator) imports
-    ``scipy.integrate``, on its first call.
+    ``path_from_loop`` (the acceptance-corpus generator) takes Magnus steps
+    in numpy, so after it and ``cz_spectral`` scipy is still not loaded.
     """
     src = Path(reebkit.__file__).resolve().parents[1]
     l21 = json.dumps(ELL_L21)
@@ -316,9 +316,12 @@ def test_cli_runs_without_scipy(tmp_path):
         ]
         codes = [main(argv) for argv in runs]
         loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-        path = reebkit.path_from_loop(reebkit.random_symmetric_loop(np.random.default_rng(0)))
+        loop = reebkit.random_symmetric_loop(np.random.default_rng(0))
+        path = reebkit.path_from_loop(loop)
+        reebkit.cz_spectral(loop)
+        after = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
         print(json.dumps({{"codes": codes, "scipy": loaded, "samples": len(path.mats),
-                          "integrate": "scipy.integrate" in sys.modules}}))
+                          "scipy_after_paths": after}}))
     """)
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
@@ -327,8 +330,8 @@ def test_cli_runs_without_scipy(tmp_path):
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0, 0, 0]
     assert result["scipy"] == []
-    # the lazy import stays reachable
-    assert result["samples"] == 513 and result["integrate"]
+    # the index layer needs no scipy either
+    assert result["samples"] == 513 and result["scipy_after_paths"] == []
 
 
 _SUBCOMMAND_ARGV = {

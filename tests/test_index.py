@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import CORPUS_SEED, CORPUS_SIZE
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import reebkit as rk
 from reebkit.errors import GridTooCoarse, IllConditioned, PreconditionViolation
-from reebkit.index import _delta_many, _jump_threshold
+from reebkit.index import DEGENERACY_TOL, _delta_many, _jump_threshold
 
 
 def _golden_extremum(x_lo: float, x_hi: float, sign: float, iters: int = 80):
@@ -677,3 +679,167 @@ def test_spectral_monotonicity_on_random_loops():
         for w in set(winds):
             assert winds.count(w) <= 2
         assert all(amp > 0 for _, _, amp in sd.eigenpairs)
+
+
+# ---------------------------------------------------------------------------
+# the Magnus path against DOP853
+
+
+def _dop853_mats(loop: rk.SymmetricLoop, n: int = 512) -> np.ndarray:
+    """The former library route: ``solve_ivp`` DOP853 at rtol 1e-12 on the loop's interpolant.
+
+    The interpolant is evaluated from the real Fourier series of (s11, s12,
+    s22), with the harmonics below 1e-14 of the largest entry dropped.
+    """
+    comps = np.stack([loop.mats[:, 0, 0], loop.mats[:, 0, 1], loop.mats[:, 1, 1]], axis=1)
+    n_s = comps.shape[0]
+    spec = np.fft.rfft(comps, axis=0) / n_s
+    a0, ac, bs = spec[0].real, 2.0 * spec[1:].real, -2.0 * spec[1:].imag
+    if n_s % 2 == 0:
+        ac[-1] /= 2.0  # the Nyquist term appears once
+    keep = np.nonzero(
+        (np.abs(ac) + np.abs(bs)).max(axis=1) > 1e-14 * max(1.0, np.abs(comps).max())
+    )[0]
+    ks, ac, bs = 2.0 * math.pi * (keep + 1), ac[keep], bs[keep]
+
+    def rhs(t, y):
+        s11, s12, s22 = a0 + np.cos(ks * t) @ ac + np.sin(ks * t) @ bs
+        return (np.array([[-s12, -s22], [s11, s12]]) @ y.reshape(2, 2)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, 1.0), np.eye(2).ravel(), method="DOP853", rtol=1e-12,
+                    atol=1e-12, t_eval=np.linspace(0.0, 1.0, n + 1))
+    assert sol.success
+    mats = sol.y.T.reshape(-1, 2, 2)
+    mats[0] = np.eye(2)
+    return mats
+
+
+@pytest.fixture(scope="module")
+def dop853_draws():
+    """Every draw of the corpus generator, accepted or not, with its DOP853 samples."""
+    rng = np.random.default_rng(CORPUS_SEED)
+    draws, accepted = [], 0
+    while accepted < CORPUS_SIZE:
+        loop = rk.random_symmetric_loop(rng)
+        mats = _dop853_mats(loop)
+        ok = abs(np.linalg.det(mats[-1] - np.eye(2))) >= 1e-6
+        draws.append((loop, mats, ok))
+        accepted += ok
+    return draws
+
+
+def _assert_close_to_dop853(path: rk.SymplecticPath, ref: np.ndarray) -> None:
+    m = path.mats
+    scale = np.abs(ref).max(axis=(1, 2))
+    assert (np.abs(m - ref).max(axis=(1, 2)) / scale).max() <= 1e-10
+    # det = ad - bc is exact to its rounding, a few ulp of |ad| + |bc|
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    prods = np.abs(m[:, 0, 0] * m[:, 1, 1]) + np.abs(m[:, 0, 1] * m[:, 1, 0])
+    assert np.all(np.abs(det - 1.0) <= 1e-12 * prods)
+
+
+def test_magnus_path_matches_dop853(dop853_draws):
+    accepted = [(loop, mats) for loop, mats, ok in dop853_draws if ok]
+    for loop, mats in accepted[:20]:
+        _assert_close_to_dop853(rk.path_from_loop(loop), mats)
+    # sigma ~ 290 takes 16 substeps per interval, and the path grows to ~1e13
+    loop = rk.random_symmetric_loop(np.random.default_rng(4), degree=3, scale=50.0)
+    assert rk.index._loop_coeffs(loop, loop.n_samples // 2)[2] > 8 * rk.index.MAGNUS_STEP * 512
+    _assert_close_to_dop853(rk.path_from_loop(loop), _dop853_mats(loop))
+
+
+def test_corpus_draws_are_accepted_as_with_dop853(corpus, dop853_draws):
+    kept = []
+    for loop, mats, ok in dop853_draws:
+        path = rk.path_from_loop(loop)
+        assert path.nondegenerate(1e-6) == ok
+        if ok:
+            kept.append((loop, rk.SymplecticPath(mats)))
+    assert len(kept) == len(corpus.records)
+    for rec, (loop, ref) in zip(corpus.records, kept):
+        assert np.array_equal(rec.loop.mats, loop.mats)
+        assert rk.cz_geometric(ref).index == rec.mu_geo == rec.mu_spec
+        assert abs(rk.rotation_number(ref) - rec.rho) <= 1e-10
+
+
+def test_magnus_path_refuses_loops_beyond_the_substep_cap():
+    loop = rk.SymmetricLoop.constant(1e6 * np.eye(2))
+    with pytest.raises(rk.IntegrationFailure, match="Magnus substeps"):
+        rk.path_from_loop(loop)
+    with pytest.raises(PreconditionViolation):
+        rk.path_from_loop(rk.SymmetricLoop.constant(np.eye(2)), n=8)
+
+
+# ---------------------------------------------------------------------------
+# the certified spectral block against the whole operator
+
+
+def _dense_window(loop: rk.SymmetricLoop, window: int, n_modes: int = 256) -> list:
+    """Reference: the window of the whole n_modes operator, assembled by the same helper."""
+    alpha, m, _sigma = rk.index._loop_coeffs(loop, n_modes)
+    ks = np.arange(-(n_modes // 2), n_modes - n_modes // 2)
+    vals, vecs = np.linalg.eigh(rk.index._operator_block(alpha, m, ks, ks))
+    order = np.argsort(vals)
+    return rk.index._window(vals[order], vecs[:, order], ks, window, 1e-6)[0]
+
+
+def _assert_matches_dense(loop: rk.SymmetricLoop, window: int) -> rk.SpectralData:
+    sd = rk.spectrum(loop, window=window)
+    ref = _dense_window(loop, window)
+    assert [w for _, w, _ in sd.eigenpairs] == [w for _, w, _ in ref]
+    nus = np.array([nu for nu, _, _ in sd.eigenpairs])
+    assert np.abs(nus - np.array([nu for nu, _, _ in ref])).max() <= 1e-12
+    ref_neg = next(w for nu, w, _ in reversed(ref) if nu < 0.0)
+    ref_nonneg = next(w for nu, w, _ in ref if nu >= 0.0)
+    assert (sd.wind_neg, sd.wind_nonneg, sd.parity) == (ref_neg, ref_nonneg, ref_nonneg - ref_neg)
+    assert sd.degenerate == (min(abs(nu) for nu, _, _ in ref) < DEGENERACY_TOL)
+    if sd.modes == 256:
+        assert sd.eigenpairs == ref  # the whole operator: today's bits
+    return sd
+
+
+def _spectral_test_loops():
+    """The loops of the spectral tests above, with the windows they use."""
+    for c in (math.pi, 3 * math.pi, -math.pi, 0.0, 1.3):
+        yield rk.SymmetricLoop.constant(c * np.eye(2)), 2
+    yield rk.SymmetricLoop.constant([[1.3, 0.4], [0.4, -2.1]], n=7), 2
+    for n in (8, 16, 512, 2048):
+        yield _bandlimited_loop(n), 2
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        yield rk.random_symmetric_loop(rng), 2
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        yield rk.random_symmetric_loop(rng, degree=2, scale=3.0), 1
+
+
+def test_spectrum_block_matches_whole_operator(corpus):
+    modes = []
+    for rec in corpus.records:
+        modes.append(_assert_matches_dense(rec.loop, 1).modes)
+    assert modes == [64] * len(corpus.records)
+    for loop, window in _spectral_test_loops():
+        _assert_matches_dense(loop, window)
+
+
+def test_spectrum_doubles_the_block_when_64_modes_cannot_certify():
+    # sigma > 64 pi: the dropped modes' band 2 pi k -+ sigma reaches zero at
+    # 64 modes.  The window's eigenvectors peak near k = 180 / 2 pi = 29, so
+    # the 64-mode block still straddles zero, but its eigenvalues are 0.18 off
+    loop = rk.random_symmetric_loop(np.random.default_rng(4))
+    loop = rk.SymmetricLoop(loop.mats + 180.0 * np.eye(2))
+    assert rk.index._loop_coeffs(loop, 256)[2] > 64 * math.pi
+    for window in (1, 2):
+        assert _assert_matches_dense(loop, window).modes in (128, 256)
+
+
+def test_spectral_report_records_the_block_and_its_margins(corpus):
+    sd = rk.spectrum(corpus.records[0].loop)
+    eps, wind = sd.certified_bound
+    assert sd.modes == 64 and 0.0 <= eps < 1e-10 and 0.0 <= wind < 1e-6
+    rep = rk.spectral_report_json(sd)
+    assert rep["modes"] == 64
+    assert rep["certified_bound"] == {"eigenvalue": eps, "winding": wind}
+    # the whole operator is its own reference
+    whole = rk.spectrum(rk.SymmetricLoop.constant(np.zeros((2, 2))))
+    assert whole.modes == 256 and whole.certified_bound == (0.0, 0.0)
