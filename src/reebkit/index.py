@@ -32,7 +32,6 @@ import numpy as np
 from .errors import (
     GridTooCoarse,
     IllConditioned,
-    IntegrationFailure,
     PreconditionViolation,
     ReebkitError,
 )
@@ -264,9 +263,6 @@ def _loop_coeffs(loop: SymmetricLoop, n_max: int) -> tuple[np.ndarray, np.ndarra
 # the three Gauss-Legendre nodes of a step, as fractions of it
 _GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 MAGNUS_STEP = 0.05  # largest h * sigma of one Magnus substep
-# substeps per grid interval: sigma / n up to 3.2, twice the pi/2 turn per
-# interval that the winding routes read; a substep takes about half a kB at once
-_MAX_SUBSTEPS = 64
 
 
 def _sl2_bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -276,25 +272,24 @@ def _sl2_bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([b * r - q * c, 2.0 * (a * q - p * b), 2.0 * (c * p - a * r)])
 
 
-def _magnus_steps(alpha: np.ndarray, m: np.ndarray, steps: int) -> np.ndarray:
-    """exp(Omega) of the 6th-order Magnus step of phi' = J S(t) phi on ``steps`` equal steps.
+def _magnus_steps(alpha: np.ndarray, m: np.ndarray, n: int, start: float, h: float) -> np.ndarray:
+    """exp(Omega) of the 6th-order Magnus steps of phi' = J S(t) phi over [t_i, t_i + h].
 
-    A = J S is evaluated at the three Gauss nodes of every step at once: the
-    node times of one offset form a shifted uniform grid, so each is one
-    inverse FFT of the coefficients, folded mod ``steps`` and phase-shifted.
-    Omega follows Blanes-Casas-Oteo-Ros (Phys. Rep. 470, 2009) from the
-    moments alpha1..3 and two commutators, and lies in sl(2), so
-    Omega^2 = d I with d = -det Omega and exp(Omega) = cosh sqrt(d) I +
-    sinh sqrt(d)/sqrt(d) Omega (cos/sin when d < 0) has determinant 1.
+    The steps start at t_i = i/n + start, i < n.  A = J S is evaluated at the
+    three Gauss nodes of every step at once: the times of one node over all
+    steps form a shifted uniform grid, so each node is one inverse FFT of the
+    coefficients, folded mod n and phase-shifted.  Omega follows Blanes-Casas-Oteo-Ros
+    (Phys. Rep. 470, 2009) from the moments alpha1..3 and two commutators,
+    and lies in sl(2), so Omega^2 = d I with d = -det Omega and
+    exp(Omega) = cosh sqrt(d) I + sinh sqrt(d)/sqrt(d) Omega (cos/sin when
+    d < 0) has determinant 1.
     """
     n_max = (len(alpha) - 1) // 2
     js = np.arange(-n_max, n_max + 1)
-    h = 1.0 / steps
-    shift = np.exp(2j * math.pi * h * _GAUSS[:, None] * js)  # (3, harmonics)
-    folded = np.zeros((2, 3, steps), dtype=complex)
-    np.add.at(folded, (slice(None), slice(None), js % steps),
-              np.stack([alpha * shift, m * shift]))
-    vals = np.fft.ifft(folded, axis=-1) * steps
+    shift = np.exp(2j * math.pi * (start + h * _GAUSS[:, None]) * js)  # (3, harmonics)
+    folded = np.zeros((2, 3, n), dtype=complex)
+    np.add.at(folded, (slice(None), slice(None), js % n), np.stack([alpha * shift, m * shift]))
+    vals = np.fft.ifft(folded, axis=-1) * n
     al, mr, mi = vals[0].real, vals[1].real, vals[1].imag
     # J S = [[-s12, -s22], [s11, s12]] with s11 = alpha + Re m, s22 = alpha - Re m, s12 = Im m
     A = np.stack([-mi, mr - al, al + mr], axis=1)  # (nodes, (a, b, c), steps)
@@ -310,7 +305,7 @@ def _magnus_steps(alpha: np.ndarray, m: np.ndarray, steps: int) -> np.ndarray:
     even = np.where(hyper, np.cosh(root), np.cos(root))
     odd = np.divide(np.where(hyper, np.sinh(root), np.sin(root)), root,
                     out=np.ones_like(root), where=root > 0.0)
-    E = np.empty((steps, 2, 2))
+    E = np.empty((n, 2, 2))
     E[:, 0, 0] = even + odd * a
     E[:, 0, 1] = odd * b
     E[:, 1, 0] = odd * c
@@ -323,9 +318,10 @@ def path_from_loop(loop: SymmetricLoop, n: int = 512) -> SymplecticPath:
 
     Each grid interval takes the smallest power of 2 of substeps with
     h * sigma <= ``MAGNUS_STEP``, sigma the bound of ``_loop_coeffs`` on
-    ||S(t)||.  The substeps of an interval are multiplied pairwise, and the n
-    interval transitions by a log-depth (Hillis-Steele) prefix product, so
-    every sample is a product of determinant-1 factors.  numpy alone.
+    ||S(t)||; substep s of every interval is one call of ``_magnus_steps``,
+    so memory does not grow with their number.  The n interval transitions
+    are multiplied by a log-depth (Hillis-Steele) prefix product, so every
+    sample is a product of determinant-1 factors.  numpy alone.
     """
     if n < MIN_GRID:
         raise PreconditionViolation(f"path grid must have at least {MIN_GRID} intervals")
@@ -333,14 +329,10 @@ def path_from_loop(loop: SymmetricLoop, n: int = 512) -> SymplecticPath:
     sub = 1
     while sigma > MAGNUS_STEP * n * sub:
         sub *= 2
-    if sub > _MAX_SUBSTEPS:
-        raise IntegrationFailure(
-            f"the loop needs {sub} Magnus substeps per grid interval (sigma = {sigma:.3g}, "
-            f"n = {n}); at most {_MAX_SUBSTEPS} are taken"
-        )
-    steps = _magnus_steps(alpha, m, n * sub)
-    while len(steps) > n:
-        steps = _mul_stacks(steps[1::2], steps[0::2])
+    h = 1.0 / (n * sub)
+    steps = _magnus_steps(alpha, m, n, 0.0, h)
+    for s in range(1, sub):
+        steps = _mul_stacks(_magnus_steps(alpha, m, n, s * h, h), steps)
     span = 1
     while span < n:
         steps[span:] = _mul_stacks(steps[span:], steps[:-span])
@@ -686,23 +678,7 @@ def _window(vals: np.ndarray, vecs: np.ndarray, ks: np.ndarray, window: int, amp
     return entries, examined
 
 
-def _span_amplitudes(us: list) -> tuple[float, float]:
-    """Extremes of |u(t)| over t and the unit vectors of the span of one or two eigenvectors.
-
-    For two, u = cos(phi) u_a + sin(phi) u_b, and the extremes over phi at
-    each t are the singular values of the real 2x2 matrix [u_a(t), u_b(t)].
-    """
-    if len(us) == 1:
-        amp = np.abs(us[0])
-        return float(amp.min()), float(amp.max())
-    a, b = us
-    frob = np.abs(a) ** 2 + np.abs(b) ** 2
-    det = np.abs((a.conj() * b).imag)
-    top = 0.5 * (np.sqrt(frob + 2.0 * det) + np.sqrt(np.maximum(frob - 2.0 * det, 0.0)))
-    return float((det / top).min()), float(top.max())
-
-
-_FIRST_BLOCK = 64  # Fourier modes of the first block tried
+_FIRST_BLOCK = 64  # Fourier modes of the block tried before the whole operator
 
 
 def _certify(alpha, m, sigma, n_modes, ks, vals, vecs, examined, amp_tol):
@@ -711,9 +687,9 @@ def _certify(alpha, m, sigma, n_modes, ks, vals, vecs, examined, amp_tol):
     M is the n_modes-mode operator: the kept block A (modes ``ks``), the
     coupling B (dropped rows x kept columns) and the dropped block C.  For
     each eigenpair (mu_j, v_j) of A, r_j = ||B v_j|| is the exact residual of
-    v_j padded with zeros.  W holds the ``examined`` pairs, and any pair
-    within rounding of one; it lies inside the interval I that ends halfway
-    to A's next eigenvalue on either side.
+    v_j padded with zeros.  W holds the ``examined`` pairs, a run of A's
+    eigenvalues; it lies inside the interval I that ends halfway to A's next
+    eigenvalue on either side.
 
     (a) C's eigenvalues lie within sigma of its diagonal 2 pi k (Weyl), so
         g_C = dist(2 pi k, I) - sigma > 0 over the dropped k keeps them out of
@@ -724,23 +700,19 @@ def _certify(alpha, m, sigma, n_modes, ks, vals, vecs, examined, amp_tol):
         rho_j = r_j sum(r) / g_C; where |mu_j - lambda| > rho_j for every j
         the Schur complement is diagonally dominant, with the inertia of
         diag(mu - lambda).  So when every disc [mu_j -+ rho_j] outside W
-        misses I, M has in I exactly as many eigenvalues as W has, one
-        within rho_j of each isolated mu_j; eps = max rho_j over W.
-    (c) The discs of W, widened by the rounding of both eigh calls, are
-        grouped where they overlap.  A group of one or two must keep 0 and
-        +-DEGENERACY_TOL outside, which decides signs, order and the
-        degeneracy flag.  Its windings are decided when they agree and the
-        Davis-Kahan bound sqrt(2 n_modes) ||r|| / gap on |u_M - u_A|, gap the
-        distance to M's other eigenvalues, stays below the smallest |u(t)|
-        over the unit vectors of the group's span (Rouche).
+        misses I and those of W are disjoint inside I, M has in I exactly one
+        eigenvalue in each disc of W.
+    (c) The discs of W, widened by the rounding of both eigh calls, must stay
+        disjoint and keep 0 and +-DEGENERACY_TOL outside, which decides signs,
+        order and the degeneracy flag; eps is the largest widened radius.  A
+        winding is decided when the Davis-Kahan bound
+        sqrt(2 n_modes) r_j / gap_j on |u_M - u_A|, gap_j the distance from
+        mu_j to the next disc or end of I, stays below min |u_A(t)| (Rouche).
+        A double eigenvalue (overlapping discs) certifies nothing.
     """
     # eigh is backward stable: each computed eigenvalue is within dim * ulp * ||M|| of one
     rounding = 2.0 * (2 * n_modes) * 2.0**-52 * (math.pi * n_modes + sigma)
     lo, hi = min(examined), max(examined)
-    while lo > 0 and vals[lo] - vals[lo - 1] <= 2.0 * rounding:
-        lo -= 1
-    while hi < len(vals) - 1 and vals[hi + 1] - vals[hi] <= 2.0 * rounding:
-        hi += 1
     if lo < 1 or hi > len(vals) - 2:
         return None
     ends = (0.5 * (vals[lo - 1] + vals[lo]), 0.5 * (vals[hi] + vals[hi + 1]))
@@ -750,35 +722,24 @@ def _certify(alpha, m, sigma, n_modes, ks, vals, vecs, examined, amp_tol):
     half = n_modes // 2
     dropped = np.concatenate([np.arange(-half, ks[0]), np.arange(ks[-1] + 1, n_modes - half)])
     res = np.linalg.norm(_operator_block(alpha, m, dropped, ks) @ vecs, axis=0)
-    rho = res * (res.sum() / g_c)
-    radius = rho + rounding
+    radius = res * (res.sum() / g_c) + rounding
     out = np.r_[0:lo, hi + 1 : len(vals)]
     if not np.all((vals[out] + radius[out] < ends[0]) | (vals[out] - radius[out] > ends[1])):
         return None
     win, radius, res = vals[lo : hi + 1], radius[lo : hi + 1], res[lo : hi + 1]
-    lows, highs = win - radius, win + radius
-    if not (lows[0] > ends[0] and highs[-1] < ends[1]):
+    below, above = np.r_[ends[0], win + radius], np.r_[win - radius, ends[1]]
+    if not np.all(below < above):
         return None
-    reach = np.maximum.accumulate(highs)
-    ratio = 0.0
-    for group in np.split(np.arange(len(win)), np.nonzero(lows[1:] > reach[:-1])[0] + 1):
-        first, last = group[0], group[-1]
-        if len(group) > 2 or any(lows[first] <= x <= reach[last]
-                                 for x in (-DEGENERACY_TOL, 0.0, DEGENERACY_TOL)):
-            return None
-        below = reach[first - 1] if first > 0 else ends[0]
-        above = lows[last + 1] if last + 1 < len(win) else ends[1]
-        gap = min(win[first] - below, above - win[last])
-        loops = [examined[j] if j in examined else
-                 _winding_of_coeffs(vecs[0::2, j] + 1j * vecs[1::2, j], ks) for j in lo + group]
-        if len({wind for wind, _ in loops}) > 1:
-            return None
-        amp_min, amp_max = _span_amplitudes([u for _, u in loops])
-        b = math.sqrt(2.0 * n_modes) * float(np.linalg.norm(res[group])) / gap
-        if not amp_min - b >= amp_tol * (amp_max + b):
-            return None
-        ratio = max(ratio, b / amp_min)
-    return float(rho[lo : hi + 1].max()), float(ratio)
+    marks = np.array([-DEGENERACY_TOL, 0.0, DEGENERACY_TOL])
+    if np.any(np.abs(win[:, None] - marks) <= radius[:, None]):
+        return None
+    gap = np.minimum(win - below[:-1], above[1:] - win)
+    amps = np.array([np.abs(examined[j][1]) for j in range(lo, hi + 1)])
+    amp_min, amp_max = amps.min(axis=1), amps.max(axis=1)
+    b = math.sqrt(2.0 * n_modes) * res / gap
+    if not np.all(amp_min - b >= amp_tol * (amp_max + b)):
+        return None
+    return float(radius.max()), float((b / amp_min).max())
 
 
 def spectrum(
@@ -797,17 +758,19 @@ def spectrum(
     diag(2 pi k) minus a Toeplitz part alpha_{j-k} and a Hankel part m_{j+k},
     read from the Fourier coefficients of the loop's own samples.
 
-    Only a block of the modes nearest k = 0 is diagonalized: 64 first, then
-    twice as many until ``_certify`` shows that the block's window has the
-    n_modes operator's windings, parity and degeneracy flag, with its
-    eigenvalues within the certified bound.  At n_modes the block is the
-    whole operator, so a block that certifies nothing ends in the full result.
+    The block of the 64 modes nearest k = 0 is diagonalized first, and its
+    window is reported when ``_certify`` shows that it has the n_modes
+    operator's windings, parity and degeneracy flag, with its eigenvalues
+    within the certified bound.  Otherwise, and for constant loops, the whole
+    operator is diagonalized.
     """
     if window < 1:
         raise PreconditionViolation("window must be >= 1")
     alpha, m, sigma = _loop_coeffs(loop, n_modes)
-    modes = min(_FIRST_BLOCK, n_modes)
-    while True:
+    # a constant loop commutes with time translation, which doubles each eigenvalue
+    # of winding k != 0; the window's ends have such windings, so no block certifies
+    first = n_modes if np.all(loop.mats == loop.mats[0]) else min(_FIRST_BLOCK, n_modes)
+    for modes in sorted({first, n_modes}):
         ks = np.arange(-(modes // 2), modes - modes // 2)
         vals, vecs = np.linalg.eigh(_operator_block(alpha, m, ks, ks))
         order = np.argsort(vals)
@@ -824,7 +787,6 @@ def spectrum(
             bound = None
         if bound is not None:
             break
-        modes = min(2 * modes, n_modes)
 
     wind_neg = next(w for nu, w, _ in reversed(entries) if nu < 0.0)
     wind_nonneg = next(w for nu, w, _ in entries if nu >= 0.0)

@@ -427,13 +427,14 @@ def test_index_table_equals_closed_form(a, b, p, q_pick):
             assert not row["degenerate"]
 
 
-@settings(max_examples=60, deadline=1000, derandomize=True)
+@settings(max_examples=30, deadline=5000, derandomize=True)
 @given(a=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0), p=st.integers(1, 5), q_pick=st.integers(0, 3),
        k=st.integers(1, 6))
 def test_spectral_index_of_iterates_equals_closed_form(a, b, p, q_pick, k):
     # the spectral route on the asymptotic loop of K^k, which rotates
     # x = k (1 + a/b) / p times, against mu_tilde({x}); at resonance the loop
-    # may be flagged degenerate, and a = b raises DegenerateInput
+    # may be flagged degenerate, and a = b raises DegenerateInput.  These loops
+    # have double eigenvalues, so each takes the whole 256-mode operator
     qs = [q for q in range(1, p + 1) if math.gcd(p, q) == 1]
     lens = rk.LensParams(p, qs[q_pick % len(qs)]) if p > 1 else None
     try:
