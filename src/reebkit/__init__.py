@@ -45,7 +45,6 @@ from .geometry import (
 )
 from .index import (
     CzResult,
-    FrameClass,
     SpectralData,
     SymmetricLoop,
     SymplecticPath,

@@ -13,6 +13,8 @@ from typing import Optional
 
 from .errors import PreconditionViolation, ResolutionFailure, StructuralError
 
+PERIOD_RESOLUTION = 1e-9  # closest two catalog periods ``sigma_gap`` tells apart
+
 
 # ---------------------------------------------------------------------------
 # period catalogs and the gap constant
@@ -40,7 +42,7 @@ class PeriodCatalog:
         return [p for _, p in self.entries]
 
 
-def sigma_gap(cat: PeriodCatalog, resolution: float = 1e-9) -> float:
+def sigma_gap(cat: PeriodCatalog) -> float:
     """Half the smallest of all periods and all gaps between distinct periods.
 
     The returned value sigma satisfies 0 < sigma < min(T', |T' - T''|) over
@@ -53,9 +55,9 @@ def sigma_gap(cat: PeriodCatalog, resolution: float = 1e-9) -> float:
     best = ps[0]
     for p1, p2 in zip(ps, ps[1:]):
         gap = p2 - p1
-        if gap < resolution:
+        if gap < PERIOD_RESOLUTION:
             raise ResolutionFailure(
-                f"periods {p1!r} and {p2!r} are closer than {resolution:g}"
+                f"periods {p1!r} and {p2!r} are closer than {PERIOD_RESOLUTION:g}"
             )
         best = min(best, gap)
     return 0.5 * best

@@ -4,10 +4,11 @@ Subcommands: ``index``, ``verify``, ``lens``, ``tree-validate``, ``sigma``,
 ``return-map``.  Exit codes: 0 success, 1 usage or configuration error,
 2 degenerate input, 3 verification failure.  All floating point output is
 rounded to 12 significant digits and reports are byte-stable for a fixed
-seed and configuration.  Every option changes a result: runs are serial
-and every return takes its closed-form time, so there is no worker count
-and no tolerance to set.  The ``REEBKIT_LOG`` environment variable sets
-the logging level.
+configuration (and, for ``verify``, seed).  Every option changes a result:
+runs are serial and every return takes its closed-form time, so there is
+no worker count and no tolerance to set, and only ``verify``, which draws
+its return samples at random, takes a seed.  The ``REEBKIT_LOG``
+environment variable sets the logging level.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .geometry import ContactSystem, system_from_json, system_to_json
 from .knots import classification_tables
 from .orbits import catalog, index_table, principal_orbits
 from .section import build_page, return_map, verify_gss_conditions
-
-log = logging.getLogger("reebkit")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -103,7 +102,6 @@ def _cmd_index(args) -> int:
         "system": system_to_json(sys_),
         "orbit": orbit.label,
         "prime_period": orbit.prime_period,
-        "seed": args.seed,
         "rows": rows,
     }
     if args.format == "csv":
@@ -175,11 +173,7 @@ def _cmd_verify(args) -> int:
     if sys_.lens is None:
         raise PreconditionViolation("verify needs a quotient system (a 'lens' block)")
     report, samples = verify_gss_conditions(
-        sys_,
-        C=args.action_bound,
-        n_samples=args.samples,
-        seed=args.seed,
-        progress=log.info,
+        sys_, C=args.action_bound, n_samples=args.samples, seed=args.seed
     )
     _emit(report, args.out)
     if args.csv:
@@ -193,9 +187,7 @@ def _cmd_lens(args) -> int:
     # the tables hold p^2 entries; the cap keeps the report small
     if not 2 <= args.p <= 200:
         raise PreconditionViolation(f"lens classification needs 2 <= p <= 200, got {args.p}")
-    payload = classification_tables(args.p)
-    payload["seed"] = args.seed
-    _emit(payload, args.out)
+    _emit(classification_tables(args.p), args.out)
     return EXIT_OK
 
 
@@ -207,7 +199,6 @@ def _cmd_tree_validate(args) -> int:
             "pass": ok,
             "sigma": args.sigma,
             "violations": violations_json(violations),
-            "seed": args.seed,
         },
         args.out,
     )
@@ -234,7 +225,6 @@ def _cmd_sigma(args) -> int:
             "sigma": sigma_gap(cat),
             "bound": cat.bound,
             "periods": [{"label": l, "period": p} for l, p in cat.entries],
-            "seed": args.seed,
         },
         args.out,
     )
@@ -258,7 +248,6 @@ def _cmd_return_map(args) -> int:
             "direction": rec.direction,
             "return_time": rec.return_time,
             "image": list(rec.image),
-            "seed": args.seed,
         },
         args.out,
     )
@@ -279,7 +268,6 @@ def _build_parser() -> _Parser:
         if config:
             p.add_argument("--config", required=True, help=config_help)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("index", help="Conley-Zehnder index table of a principal orbit")
     common(p)
@@ -292,6 +280,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--action-bound", type=float, default=5.0)
     p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random return starts")
     p.add_argument("--svg", default=None, help="write a scatter plot of the return samples")
     p.add_argument("--csv", default=None, help="write the return samples as CSV")
     p.set_defaults(fn=_cmd_verify)

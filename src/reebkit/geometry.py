@@ -28,6 +28,7 @@ from .integrate import dopri45
 
 SPHERE_TOL = 1e-12
 TANGENT_TOL = 1e-10
+DECK_TOL = 1e-9  # largest distance at which ``lens_equivalent`` matches two points
 
 
 @dataclass(frozen=True)
@@ -117,21 +118,21 @@ def system_from_json(data) -> ContactSystem:
 # points and tangent vectors
 
 
-def check_point(pt, tol: float = SPHERE_TOL) -> np.ndarray:
+def check_point(pt) -> np.ndarray:
     pt = np.asarray(pt, dtype=float)
     if pt.shape != (4,):
         raise PreconditionViolation("points are length-4 arrays")
-    if abs(pt @ pt - 1.0) > tol:
+    if abs(pt @ pt - 1.0) > SPHERE_TOL:
         raise PreconditionViolation(f"point is off the unit sphere by {abs(pt @ pt - 1.0):.3e}")
     return pt
 
 
-def check_tangent(pt, v, tol: float = TANGENT_TOL) -> np.ndarray:
+def check_tangent(pt, v) -> np.ndarray:
     pt = check_point(pt)
     v = np.asarray(v, dtype=float)
     if v.shape != (4,):
         raise PreconditionViolation("tangent vectors are length-4 arrays")
-    if abs(pt @ v) > tol * max(1.0, float(np.linalg.norm(v))):
+    if abs(pt @ v) > TANGENT_TOL * max(1.0, float(np.linalg.norm(v))):
         raise PreconditionViolation(f"vector is not tangent to the sphere (<pt, v> = {pt @ v:.3e})")
     return v
 
@@ -389,11 +390,11 @@ def deck_action(L: LensParams, k: int, pt) -> np.ndarray:
     return from_complex(z * turn_z, w * turn_w)
 
 
-def lens_equivalent(L: LensParams, pt1, pt2, tol: float = 1e-9) -> bool:
-    """True when some deck power carries ``pt1`` to ``pt2`` within ``tol``."""
+def lens_equivalent(L: LensParams, pt1, pt2) -> bool:
+    """True when some deck power carries ``pt1`` to ``pt2`` within ``DECK_TOL``."""
     pt1 = check_point(pt1)
     pt2 = check_point(pt2)
     for k in range(L.p):
-        if np.linalg.norm(deck_action(L, k, pt1) - pt2) <= tol:
+        if np.linalg.norm(deck_action(L, k, pt1) - pt2) <= DECK_TOL:
             return True
     return False

@@ -41,28 +41,12 @@ MINUS_I = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 DEGENERACY_TOL = 1e-9
 MIN_GRID = 64
+_ENDPOINT_TOL = 1e-9  # interval endpoints this close to an integer sit on it (``mu_tilde``)
 
 
 class CzResult(NamedTuple):
     index: int
     degenerate: bool
-
-
-@dataclass(frozen=True)
-class FrameClass:
-    """Homotopy class of an oriented trivialization, relative to a reference.
-
-    Winding numbers between classes are differences of offsets, so
-    wind(beta, beta) = 0 and the cocycle rule holds by construction.
-    """
-
-    offset: int = 0
-
-    def shifted(self, m: int) -> "FrameClass":
-        return FrameClass(self.offset + m)
-
-    def wind_relative(self, other: "FrameClass") -> int:
-        return self.offset - other.offset
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +91,8 @@ class SymplecticPath:
     def monodromy(self) -> np.ndarray:
         return self.mats[-1]
 
-    def nondegenerate(self, tol: float = DEGENERACY_TOL) -> bool:
-        return abs(np.linalg.det(self.monodromy - np.eye(2))) >= tol
+    def nondegenerate(self) -> bool:
+        return abs(np.linalg.det(self.monodromy - np.eye(2))) >= DEGENERACY_TOL
 
     def iterate(self, k: int) -> "SymplecticPath":
         """The k-th iterate t -> phi(kt), extended by the monodromy rule."""
@@ -363,19 +347,18 @@ def random_symmetric_loop(
     return SymmetricLoop(mats)
 
 
+DRAW_MARGIN = 1e-6  # smallest |det(A - I)| of an accepted random path
+_MAX_DRAWS = 50
+
+
 def random_nondegenerate_path(
-    rng: np.random.Generator,
-    degree: int = 3,
-    scale: float = 5.0,
-    n: int = 512,
-    margin: float = 1e-6,
-    max_tries: int = 50,
+    rng: np.random.Generator, degree: int = 3, scale: float = 5.0, n: int = 512
 ) -> tuple[SymplecticPath, SymmetricLoop]:
     """A random path recovered from a random smooth S(t), rejected when degenerate."""
-    for _ in range(max_tries):
+    for _ in range(_MAX_DRAWS):
         loop = random_symmetric_loop(rng, degree=degree, scale=scale, n=n)
         path = path_from_loop(loop, n=n)
-        if abs(np.linalg.det(path.monodromy - np.eye(2))) >= margin:
+        if abs(np.linalg.det(path.monodromy - np.eye(2))) >= DRAW_MARGIN:
             return path, loop
     raise ReebkitError("could not draw a nondegenerate path")  # pragma: no cover
 
@@ -384,12 +367,12 @@ def random_nondegenerate_path(
 # the geometric index
 
 
-def mu_tilde(interval, tol: float = 1e-9) -> int:
+def mu_tilde(interval) -> int:
     """Integer invariant of a closed interval of length < 1/2.
 
     Returns 2k when some integer k lies in the interval and 2k+1 when the
-    interval sits strictly inside (k, k+1); endpoints within ``tol`` of an
-    integer are resolved by the one-sided limit J -> J - 0+.
+    interval sits strictly inside (k, k+1); endpoints within ``_ENDPOINT_TOL``
+    of an integer are resolved by the one-sided limit J -> J - 0+.
     """
     if np.isscalar(interval):
         lo = hi = float(interval)
@@ -399,11 +382,12 @@ def mu_tilde(interval, tol: float = 1e-9) -> int:
         raise PreconditionViolation("interval endpoints out of order")
     if hi - lo >= 0.5:
         raise PreconditionViolation(f"invalid interval: length {hi - lo} >= 1/2")
-    return _mu_tilde(lo, hi, tol)
+    return _mu_tilde(lo, hi)
 
 
-def _mu_tilde(lo: float, hi: float, tol: float = 1e-9) -> int:
+def _mu_tilde(lo: float, hi: float) -> int:
     """``mu_tilde`` of [lo, hi], an interval whose length is known to be below 1/2."""
+    tol = _ENDPOINT_TOL
     for k in range(math.floor(lo - 2 * tol), math.ceil(hi + 2 * tol) + 1):
         at_lo = abs(k - lo) <= tol
         at_hi = abs(k - hi) <= tol
@@ -524,7 +508,7 @@ def winding_interval(path: SymplecticPath) -> tuple[float, float]:
     )
 
 
-def cz_geometric(path: SymplecticPath, tol: float = DEGENERACY_TOL) -> CzResult:
+def cz_geometric(path: SymplecticPath) -> CzResult:
     """Conley-Zehnder index mu_tilde of the winding interval of the path."""
     lo, hi = winding_interval(path)
     # the length is 1/2 - margin / pi; margin stays positive where the length rounds to 1/2
@@ -534,8 +518,7 @@ def cz_geometric(path: SymplecticPath, tol: float = DEGENERACY_TOL) -> CzResult:
         raise ReebkitError(
             f"computed winding interval has length {hi - lo:.6f} >= 1/2; input is not a valid path"
         )
-    degenerate = not path.nondegenerate(tol)
-    return CzResult(_mu_tilde(lo, hi), degenerate)
+    return CzResult(_mu_tilde(lo, hi), not path.nondegenerate())
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +535,7 @@ class SpectralData:
     parity: int = 0
     degenerate: bool = False
     modes: int = 0          # Fourier modes of the block the window was read from
-    # (eigenvalue bound, winding bound / min amplitude) of that block against n_modes
+    # (eigenvalue bound, winding bound / min amplitude) of that block against N_MODES
     certified_bound: tuple = (0.0, 0.0)
 
     def __post_init__(self):
@@ -591,11 +574,16 @@ def spectral_report_json(sd: SpectralData) -> dict:
     }
 
 
-def _winding_of_coeffs(coeffs: np.ndarray, ks: np.ndarray, n_grid: int = 1024):
+N_MODES = 256  # Fourier modes of the whole loop operator
+_AMP_TOL = 1e-6  # smallest min/max amplitude of a reported eigenvector
+_WINDING_GRID = 1024  # samples of an eigenvector read for its winding
+
+
+def _winding_of_coeffs(coeffs: np.ndarray, ks: np.ndarray):
     """Winding and samples of u(t) = sum_k c_k e^{2 pi i k t} on a fine grid."""
-    spec = np.zeros(n_grid, dtype=complex)
-    spec[ks % n_grid] = coeffs
-    u = np.fft.ifft(spec) * n_grid
+    spec = np.zeros(_WINDING_GRID, dtype=complex)
+    spec[ks % _WINDING_GRID] = coeffs
+    u = np.fft.ifft(spec) * _WINDING_GRID
     wind = _closed_winding(u, "eigenvector winding is far from an integer; refine discretization")
     return wind, u
 
@@ -631,7 +619,7 @@ def _operator_block(
     return out
 
 
-def _window(vals: np.ndarray, vecs: np.ndarray, ks: np.ndarray, window: int, amp_tol: float):
+def _window(vals: np.ndarray, vecs: np.ndarray, ks: np.ndarray, window: int):
     """The reported eigenpairs, walking out from zero until the windings leave the window.
 
     Returns the entries (nu, wind, min/max amplitude) and the winding and
@@ -645,7 +633,7 @@ def _window(vals: np.ndarray, vecs: np.ndarray, ks: np.ndarray, window: int, amp
         wind, u = _winding_of_coeffs(vecs[0::2, i] + 1j * vecs[1::2, i], ks)
         amp = np.abs(u)
         amp_min, amp_max = float(amp.min()), float(amp.max())
-        if amp_min < amp_tol * amp_max:
+        if amp_min < _AMP_TOL * amp_max:
             raise GridTooCoarse(
                 "eigenvector nearly vanishes; discretization failure "
                 f"(min/max amplitude {amp_min / amp_max:.2e})"
@@ -654,7 +642,7 @@ def _window(vals: np.ndarray, vecs: np.ndarray, ks: np.ndarray, window: int, amp
         return float(vals[i]), wind, amp_min / amp_max
 
     if i0 == 0 or i0 >= len(vals):  # pragma: no cover - needs absurd inputs
-        raise ReebkitError("spectral window does not straddle zero; increase n_modes")
+        raise ReebkitError("spectral window does not straddle zero")
 
     neg_entry = eig_entry(i0 - 1)
     pos_entry = eig_entry(i0)
@@ -681,10 +669,10 @@ def _window(vals: np.ndarray, vecs: np.ndarray, ks: np.ndarray, window: int, amp
 _FIRST_BLOCK = 64  # Fourier modes of the block tried before the whole operator
 
 
-def _certify(alpha, m, sigma, n_modes, ks, vals, vecs, examined, amp_tol):
-    """(eps, winding bound / min amplitude) when the block decides the n_modes result, else None.
+def _certify(alpha, m, sigma, ks, vals, vecs, examined):
+    """(eps, winding bound / min amplitude) when the block decides the N_MODES result, else None.
 
-    M is the n_modes-mode operator: the kept block A (modes ``ks``), the
+    M is the N_MODES-mode operator: the kept block A (modes ``ks``), the
     coupling B (dropped rows x kept columns) and the dropped block C.  For
     each eigenpair (mu_j, v_j) of A, r_j = ||B v_j|| is the exact residual of
     v_j padded with zeros.  W holds the ``examined`` pairs, a run of A's
@@ -706,12 +694,12 @@ def _certify(alpha, m, sigma, n_modes, ks, vals, vecs, examined, amp_tol):
         disjoint and keep 0 and +-DEGENERACY_TOL outside, which decides signs,
         order and the degeneracy flag; eps is the largest widened radius.  A
         winding is decided when the Davis-Kahan bound
-        sqrt(2 n_modes) r_j / gap_j on |u_M - u_A|, gap_j the distance from
+        sqrt(2 N_MODES) r_j / gap_j on |u_M - u_A|, gap_j the distance from
         mu_j to the next disc or end of I, stays below min |u_A(t)| (Rouche).
         A double eigenvalue (overlapping discs) certifies nothing.
     """
     # eigh is backward stable: each computed eigenvalue is within dim * ulp * ||M|| of one
-    rounding = 2.0 * (2 * n_modes) * 2.0**-52 * (math.pi * n_modes + sigma)
+    rounding = 2.0 * (2 * N_MODES) * 2.0**-52 * (math.pi * N_MODES + sigma)
     lo, hi = min(examined), max(examined)
     if lo < 1 or hi > len(vals) - 2:
         return None
@@ -719,8 +707,8 @@ def _certify(alpha, m, sigma, n_modes, ks, vals, vecs, examined, amp_tol):
     g_c = min(ends[0] - 2.0 * math.pi * (ks[0] - 1), 2.0 * math.pi * (ks[-1] + 1) - ends[1]) - sigma
     if not g_c > 0.0:
         return None
-    half = n_modes // 2
-    dropped = np.concatenate([np.arange(-half, ks[0]), np.arange(ks[-1] + 1, n_modes - half)])
+    half = N_MODES // 2
+    dropped = np.concatenate([np.arange(-half, ks[0]), np.arange(ks[-1] + 1, N_MODES - half)])
     res = np.linalg.norm(_operator_block(alpha, m, dropped, ks) @ vecs, axis=0)
     radius = res * (res.sum() / g_c) + rounding
     out = np.r_[0:lo, hi + 1 : len(vals)]
@@ -736,53 +724,48 @@ def _certify(alpha, m, sigma, n_modes, ks, vals, vecs, examined, amp_tol):
     gap = np.minimum(win - below[:-1], above[1:] - win)
     amps = np.array([np.abs(examined[j][1]) for j in range(lo, hi + 1)])
     amp_min, amp_max = amps.min(axis=1), amps.max(axis=1)
-    b = math.sqrt(2.0 * n_modes) * res / gap
-    if not np.all(amp_min - b >= amp_tol * (amp_max + b)):
+    b = math.sqrt(2.0 * N_MODES) * res / gap
+    if not np.all(amp_min - b >= _AMP_TOL * (amp_max + b)):
         return None
     return float(radius.max()), float((b / amp_min).max())
 
 
-def spectrum(
-    loop: SymmetricLoop,
-    window: int = 1,
-    n_modes: int = 256,
-    amp_tol: float = 1e-6,
-) -> SpectralData:
+def spectrum(loop: SymmetricLoop, window: int = 1) -> SpectralData:
     """Eigenvalues nearest zero of the operator -i d/dt - S(t), with windings.
 
     ``window`` counts how many winding levels on each side of the extremal
-    pair are reported.  The discretization uses ``n_modes`` Fourier
-    exponentials e_k (real dimension 2*n_modes).  Acting on u in C,
+    pair are reported.  The discretization uses ``N_MODES`` Fourier
+    exponentials e_k (real dimension 2*N_MODES).  Acting on u in C,
     S(t) u = alpha(t) u + m(t) conj(u) with alpha = (s11 + s22)/2 real and
     m = (s11 - s22)/2 + i s12, so in the basis (e_k, i e_k) the operator is
     diag(2 pi k) minus a Toeplitz part alpha_{j-k} and a Hankel part m_{j+k},
     read from the Fourier coefficients of the loop's own samples.
 
     The block of the 64 modes nearest k = 0 is diagonalized first, and its
-    window is reported when ``_certify`` shows that it has the n_modes
+    window is reported when ``_certify`` shows that it has the N_MODES
     operator's windings, parity and degeneracy flag, with its eigenvalues
     within the certified bound.  Otherwise, and for constant loops, the whole
     operator is diagonalized.
     """
     if window < 1:
         raise PreconditionViolation("window must be >= 1")
-    alpha, m, sigma = _loop_coeffs(loop, n_modes)
+    alpha, m, sigma = _loop_coeffs(loop, N_MODES)
     # a constant loop commutes with time translation, which doubles each eigenvalue
     # of winding k != 0; the window's ends have such windings, so no block certifies
-    first = n_modes if np.all(loop.mats == loop.mats[0]) else min(_FIRST_BLOCK, n_modes)
-    for modes in sorted({first, n_modes}):
+    first = N_MODES if np.all(loop.mats == loop.mats[0]) else _FIRST_BLOCK
+    for modes in sorted({first, N_MODES}):
         ks = np.arange(-(modes // 2), modes - modes // 2)
         vals, vecs = np.linalg.eigh(_operator_block(alpha, m, ks, ks))
         order = np.argsort(vals)
         vals = vals[order]
         vecs = vecs[:, order]
-        if modes == n_modes:
-            entries = _window(vals, vecs, ks, window, amp_tol)[0]
+        if modes == N_MODES:
+            entries = _window(vals, vecs, ks, window)[0]
             bound = (0.0, 0.0)
             break
         try:
-            entries, examined = _window(vals, vecs, ks, window, amp_tol)
-            bound = _certify(alpha, m, sigma, n_modes, ks, vals, vecs, examined, amp_tol)
+            entries, examined = _window(vals, vecs, ks, window)
+            bound = _certify(alpha, m, sigma, ks, vals, vecs, examined)
         except ReebkitError:  # a block that fails decides nothing
             bound = None
         if bound is not None:
@@ -801,9 +784,9 @@ def spectrum(
     )
 
 
-def cz_spectral(loop: SymmetricLoop, n_modes: int = 256) -> CzResult:
+def cz_spectral(loop: SymmetricLoop) -> CzResult:
     """Conley-Zehnder index 2*wind_neg + parity from the loop operator spectrum."""
-    sd = spectrum(loop, window=1, n_modes=n_modes)
+    sd = spectrum(loop)
     return CzResult(2 * sd.wind_neg + sd.parity, sd.degenerate)
 
 
@@ -854,7 +837,10 @@ def rotation_number(path: SymplecticPath) -> float:
 # relative windings of sections
 
 
-def wind_relative(Z, W, amp_tol: float = 1e-8) -> int:
+_SECTION_AMP_TOL = 1e-8  # smallest min/max amplitude of a section ``wind_relative`` reads
+
+
+def wind_relative(Z, W) -> int:
     """Winding of the loop W written in the positive frame completed from Z.
 
     Both arguments are sampled non-vanishing plane-vector loops of equal
@@ -868,6 +854,6 @@ def wind_relative(Z, W, amp_tol: float = 1e-8) -> int:
     wc = W[:, 0] + 1j * W[:, 1]
     for name, arr in (("Z", zc), ("W", wc)):
         amp = np.abs(arr)
-        if amp.min() < amp_tol * max(amp.max(), 1e-300):
+        if amp.min() < _SECTION_AMP_TOL * max(amp.max(), 1e-300):
             raise IllConditioned(f"section {name} is not bounded away from zero")
     return _closed_winding(wc / zc, "relative winding is far from an integer; refine sampling")

@@ -36,7 +36,6 @@ from .geometry import (
 from .index import (
     DEGENERACY_TOL,
     MINUS_I,
-    FrameClass,
     SymmetricLoop,
     SymplecticPath,
     _rotation_candidates,
@@ -51,6 +50,7 @@ _DET_TOL = 1e-6  # largest |det - 1| of a linearized path's samples before norma
 _MAX_CATALOG = 10_000
 # intervals of the time grid every orbit's frame and linearized path are sampled on
 _GRID_INTERVALS = 512
+_SYM_TOL = 1e-6  # largest relative symmetry defect of an extracted S(t)
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,9 @@ class ClosedOrbit:
         return flow(self.system, self.anchor, t)
 
 
-def orbit_to_json(orbit: ClosedOrbit, k_max: int = 0) -> dict:
-    """JSON record of the orbit; with ``k_max`` > 0 an indices table is attached."""
-    out = {
+def orbit_to_json(orbit: ClosedOrbit) -> dict:
+    """JSON record of the orbit."""
+    return {
         "label": orbit.label,
         "anchor": [float(v) for v in orbit.anchor],
         "prime_period": float(orbit.prime_period),
@@ -105,9 +105,6 @@ def orbit_to_json(orbit: ClosedOrbit, k_max: int = 0) -> dict:
         "deck_power": int(orbit.deck_power),
         "period": float(orbit.period),
     }
-    if k_max > 0:
-        out["indices"] = index_table(orbit, k_max)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +168,12 @@ def catalog(sys: ContactSystem, C: float) -> list[ClosedOrbit]:
 class TransverseFrame:
     """Two contact-plane sections along an orbit on a uniform time grid.
 
-    Normalized so dlambda(e1, e2) = 1 at every sample; ``cls`` records the
-    trivialization class relative to the capping-disk class.
+    Normalized so dlambda(e1, e2) = 1 at every sample.
     """
 
     points: np.ndarray  # (N+1, 4)
     e1: np.ndarray      # (N+1, 4)
     e2: np.ndarray      # (N+1, 4)
-    cls: FrameClass = FrameClass(0)
 
     def __post_init__(self):
         n = self.points.shape[0]
@@ -189,18 +184,6 @@ class TransverseFrame:
     def n_intervals(self) -> int:
         return self.points.shape[0] - 1
 
-    def shifted(self, m: int) -> "TransverseFrame":
-        """Rotate the sections by m full turns over the period."""
-        ts = np.linspace(0.0, 1.0, self.points.shape[0])
-        c = np.cos(2.0 * math.pi * m * ts)[:, None]
-        s = np.sin(2.0 * math.pi * m * ts)[:, None]
-        return TransverseFrame(
-            points=self.points,
-            e1=c * self.e1 + s * self.e2,
-            e2=-s * self.e1 + c * self.e2,
-            cls=self.cls.shifted(m),
-        )
-
 
 def disk_frame(orbit: ClosedOrbit, n: int = _GRID_INTERVALS) -> TransverseFrame:
     """Unitary frame along the orbit in the capping-disk class.
@@ -208,7 +191,7 @@ def disk_frame(orbit: ClosedOrbit, n: int = _GRID_INTERVALS) -> TransverseFrame:
     The first section is the global section W normalized so that the frame
     is dlambda-symplectic; the second is its rotation by the complex
     structure.  W extends over the spanning disk of each principal circle,
-    so the induced class is the disk class (offset 0).
+    so the induced class is the disk class.
     """
     sys = orbit.system
     pts = _turn_grid(sys, orbit.anchor, orbit.period, n)
@@ -218,7 +201,7 @@ def disk_frame(orbit: ClosedOrbit, n: int = _GRID_INTERVALS) -> TransverseFrame:
     if np.any(norm <= 1e-12):
         raise IllConditioned("frame section degenerates along the orbit")
     scale = np.sqrt(norm)[:, None]
-    return TransverseFrame(points=pts, e1=w / scale, e2=iw / scale, cls=FrameClass(0))
+    return TransverseFrame(points=pts, e1=w / scale, e2=iw / scale)
 
 
 def frame_pairing(sys: ContactSystem, frame: TransverseFrame) -> np.ndarray:
@@ -267,21 +250,19 @@ def linearized_path(orbit: ClosedOrbit, frame: Optional[TransverseFrame] = None)
 
 
 def asymptotic_loop(
-    orbit: Optional[ClosedOrbit],
-    frame: Optional[TransverseFrame] = None,
-    path: Optional[SymplecticPath] = None,
-    sym_tol: float = 1e-6,
+    orbit: Optional[ClosedOrbit], path: Optional[SymplecticPath] = None
 ) -> SymmetricLoop:
     """Extract S(t) = -i phi'(t) phi(t)^{-1} from the linearized path.
 
     S is symmetric exactly when the frame is unitary; the symmetry defect is
-    checked against ``sym_tol`` and the symmetrized samples are returned.
-    When ``path`` is given the orbit is not needed.
+    checked against ``_SYM_TOL`` and the symmetrized samples are returned.
+    The path defaults to the orbit's in the disk frame; when ``path`` is
+    given the orbit is not needed.
     """
     if path is None:
         if orbit is None:
             raise PreconditionViolation("need an orbit or a precomputed path")
-        path = linearized_path(orbit, frame)
+        path = linearized_path(orbit)
     mats = path.mats
     n = path.n_intervals
     A = path.monodromy
@@ -297,7 +278,7 @@ def asymptotic_loop(
     S = np.einsum("ij,njk,nkl->nil", MINUS_I, dphi, np.linalg.inv(mats[:n]))
     defect = np.max(np.abs(S - np.transpose(S, (0, 2, 1))))
     scale = max(1.0, float(np.max(np.abs(S))))
-    if defect > sym_tol * scale:
+    if defect > _SYM_TOL * scale:
         raise IllConditioned(
             f"extracted S(t) has symmetry defect {defect:.3e}; frame is not unitary"
         )
@@ -332,7 +313,7 @@ def _check_iterate(orbit: ClosedOrbit, k: int) -> None:
         )
 
 
-def _orbit_lift(orbit: ClosedOrbit, frame_offset: int = 0):
+def _orbit_lift(orbit: ClosedOrbit):
     """Index reader k_eff -> OrbitIndexResult for the iterates of a prime orbit.
 
     The orbit is linearized once: the lift is the path, in the capping-disk
@@ -346,8 +327,7 @@ def _orbit_lift(orbit: ClosedOrbit, frame_offset: int = 0):
     """
     m_close = _closure_order(orbit)
     base = replace(orbit, multiplicity=m_close)
-    frame = disk_frame(base).shifted(frame_offset) if frame_offset else None
-    lift_path = linearized_path(base, frame)
+    lift_path = linearized_path(base)
     mats = lift_path.mats
     if np.max(np.abs(np.transpose(mats, (0, 2, 1)) @ mats - np.eye(2))) > 1e-8:
         raise IllConditioned(f"the lift of {orbit.label} is not a rotation path")
@@ -376,29 +356,28 @@ def _orbit_lift(orbit: ClosedOrbit, frame_offset: int = 0):
     return index
 
 
-def orbit_index(orbit: ClosedOrbit, k: int = 1, frame_offset: int = 0) -> OrbitIndexResult:
+def orbit_index(orbit: ClosedOrbit, k: int = 1) -> OrbitIndexResult:
     """Conley-Zehnder index and rotation number of the k-th iterate.
 
-    Both are computed in the capping-disk trivialization class (optionally
-    shifted by ``frame_offset`` whole turns).  For quotient orbits the class
-    is induced by the spanning disk of the iterate that closes on the
-    sphere; iterates that do not close upstairs are reported in the
-    fractional-disk convention mu_tilde({k * rho_prime}).  Each call
-    linearizes the orbit once and reads the index off that lift by the
-    iteration formula; ``index_table`` shares one lift over all k.
+    Both are computed in the capping-disk trivialization class.  For
+    quotient orbits the class is induced by the spanning disk of the
+    iterate that closes on the sphere; iterates that do not close upstairs
+    are reported in the fractional-disk convention mu_tilde({k * rho_prime}).
+    Each call linearizes the orbit once and reads the index off that lift by
+    the iteration formula; ``index_table`` shares one lift over all k.
     """
     if k < 1:
         raise PreconditionViolation("iterate exponent must be >= 1")
     _check_iterate(orbit, k)
-    return _orbit_lift(orbit, frame_offset)(k * orbit.multiplicity)
+    return _orbit_lift(orbit)(k * orbit.multiplicity)
 
 
-def index_table(orbit: ClosedOrbit, k_max: int, frame_offset: int = 0) -> list[dict]:
+def index_table(orbit: ClosedOrbit, k_max: int) -> list[dict]:
     """Index/rotation table for iterates 1..k_max, read off one lift, as JSON-ready records."""
     if k_max < 1:
         return []
     _check_iterate(orbit, k_max)
-    index = _orbit_lift(orbit, frame_offset)
+    index = _orbit_lift(orbit)
     rows = []
     for k in range(1, k_max + 1):
         res = index(k * orbit.multiplicity)

@@ -25,9 +25,10 @@ and the contact form and dlambda on those samples are the row kernels of
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -63,6 +64,9 @@ from .orbits import ClosedOrbit, _check_iterate, _orbit_lift, catalog, principal
 
 PAGE_TOL = 1e-8  # largest miss of the page that ``page_coords`` reads
 _N_CHECK = 100  # radii and angles on which ``build_page`` checks transversality
+_R_LO, _R_HI = 0.05, 0.95  # radii between which ``sample_starts`` draws return starts
+
+log = logging.getLogger("reebkit")
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +80,7 @@ class Page:
     system: ContactSystem
     disk: PDisk
     phase: float
-    orientation: int = 1
-    min_transverse: float = 0.0
+    min_transverse: float  # smallest rate of the w-phase over the checked interior
 
     @property
     def p(self) -> int:
@@ -215,10 +218,10 @@ def build_page(sys: ContactSystem, phase: float = 0.0) -> Page:
     if not math.isfinite(phase):
         raise PreconditionViolation(f"page phase must be finite, got {phase}")
     lens = sys.lens if sys.lens is not None else LensParams(1, 1)
-    page = Page(system=sys, disk=PDisk(lens), phase=float(phase))
+    disk, phase = PDisk(lens), float(phase)
     rs = np.linspace(1e-3, 1.0 - 1e-3, _N_CHECK)
     ths = np.linspace(0.0, 2.0 * math.pi, _N_CHECK, endpoint=False)
-    pts, _, _ = _page_arrays(page, rs, ths)
+    pts, _, _ = pdisk_arrays(disk, rs[:, None], ths[None, :], phase)
     pts = pts.reshape(-1, 4)
     # transverse component of the Reeb field = rate of the w-phase
     reeb = _reeb_rows(sys, pts)
@@ -228,9 +231,7 @@ def build_page(sys: ContactSystem, phase: float = 0.0) -> Page:
     min_rate = float(np.min(np.abs(rate)))
     if min_rate <= 0.0 or np.any(rate * np.sign(rate[0]) <= 0):
         raise ReebkitError("Reeb field is not transverse to the page interior")
-    page.min_transverse = min_rate
-    page.orientation = int(np.sign(rate[0]))
-    return page
+    return Page(system=sys, disk=disk, phase=phase, min_transverse=min_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +478,9 @@ def disk_area_bound(page: Page) -> float:
 # the verifier
 
 
-def sample_starts(rng: np.random.Generator, n: int, r_lo: float = 0.05, r_hi: float = 0.95):
+def sample_starts(rng: np.random.Generator, n: int):
     """Page starts approximately area-uniform: uniform in (r^2, theta)."""
-    r2 = rng.uniform(r_lo**2, r_hi**2, size=n)
+    r2 = rng.uniform(_R_LO**2, _R_HI**2, size=n)
     th = rng.uniform(0.0, 2.0 * math.pi, size=n)
     return [(float(math.sqrt(a)), float(b)) for a, b in zip(r2, th)]
 
@@ -506,7 +507,6 @@ def verify_gss_conditions(
     C: float,
     n_samples: int = 100,
     seed: int = 0,
-    progress: Optional[Callable[[str], None]] = None,
 ) -> tuple[dict, list[dict]]:
     """Numerically check the disk-like global surface of section conditions.
 
@@ -532,12 +532,8 @@ def verify_gss_conditions(
 
     A sample count outside [0, ``_MAX_SAMPLES``] and an action cutoff that
     is not finite or admits too many orbits are refused before any work.
+    Each stage is noted at INFO on the ``reebkit`` logger.
     """
-
-    def note(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
     lifts: dict = {}  # label -> index reader of that principal orbit's lift
 
     def lifted_index(orbit: ClosedOrbit, k: int = 1):
@@ -569,7 +565,7 @@ def verify_gss_conditions(
     }
     checks: dict[str, bool] = {}
 
-    note("binding invariants")
+    log.info("binding invariants")
     disk = PDisk(lens)
     sl = binding_sl_numeric(disk)
     K, _Kp = principal_orbits(sys)
@@ -588,7 +584,7 @@ def verify_gss_conditions(
     checks["sl"] = sl == -p
     checks["index"] = idx.mu >= 3 and not idx.degenerate
 
-    note("page construction")
+    log.info("page construction")
     page = build_page(sys, 0.0)
     _rs, _ths, form = page_form_samples(page, 101, 100, interior_margin=1e-3)
     report["page"] = {
@@ -600,7 +596,7 @@ def verify_gss_conditions(
     }
     checks["dlambda_positive"] = bool(form.min() > 0.0)
 
-    note("fixed point")
+    log.info("fixed point")
     fp = fixed_point(page)
     fp_time = return_map(page, (max(fp[0], 1e-3), fp[1])).return_time
     report["fixed_point"] = {
@@ -609,7 +605,7 @@ def verify_gss_conditions(
         "return_time": fp_time,
     }
 
-    note("catalogued orbits and linking")
+    log.info("catalogued orbits and linking")
     orb_rows = []
     pstar_ok = True
     for entry in entries:
@@ -646,7 +642,7 @@ def verify_gss_conditions(
 
     samples: list[dict] = []
     if n_samples > 0:
-        note("return sampling")
+        log.info("return sampling")
         samples = [_return_sample(page, s) for s in sample_starts(rng, n_samples)]
         ok_fwd = sum(1 for s in samples if s["forward_time"] > 0)
         ok_bwd = sum(1 for s in samples if s["backward_time"] > 0)
@@ -659,7 +655,7 @@ def verify_gss_conditions(
     else:
         report["gss_sampling"] = {"status": "skipped"}
 
-    note("area preservation")
+    log.info("area preservation")
     defect = float(np.ptp(form, axis=1).max() / np.abs(form).max())
     report["area_preservation"] = {"form_theta_defect": defect}
     checks["area_preservation"] = defect < 1e-4

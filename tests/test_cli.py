@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import math
 import os
@@ -342,14 +343,15 @@ _SUBCOMMAND_ARGV = {
     "sigma": ["sigma", "--config", json.dumps(ELL_L21), "--action-bound", "2"],
     "return-map": ["return-map", "--config", json.dumps(ELL_L21), "--start", "0.5,0.3"],
 }
-# every option changes a result; --help aside, these are all there are
+# every option changes a result; --help aside, these are all there are.  Only
+# verify draws at random, so only verify takes a seed
 _OPTIONS = {
-    "index": {"--config", "--out", "--seed", "--orbit", "--k", "--format"},
+    "index": {"--config", "--out", "--orbit", "--k", "--format"},
     "verify": {"--config", "--out", "--seed", "--action-bound", "--samples", "--svg", "--csv"},
-    "lens": {"--out", "--seed", "--p"},
-    "tree-validate": {"--out", "--seed", "--tree", "--sigma"},
-    "sigma": {"--config", "--out", "--seed", "--catalog", "--action-bound"},
-    "return-map": {"--config", "--out", "--seed", "--phase", "--start", "--direction"},
+    "lens": {"--out", "--p"},
+    "tree-validate": {"--out", "--tree", "--sigma"},
+    "sigma": {"--config", "--out", "--catalog", "--action-bound"},
+    "return-map": {"--config", "--out", "--phase", "--start", "--direction"},
 }
 
 
@@ -361,12 +363,84 @@ def test_cli_options_are_pinned():
         for name, p in sub.choices.items()
     }
     assert found == _OPTIONS
-    assert sum(len(v) for v in found.values()) == 31
+    assert sum(len(v) for v in found.values()) == 26
+
+
+# every library parameter with a default, as module.function.parameter; a new
+# one has to be argued where it is added, and the pin moved with it
+_LIBRARY_DEFAULTS = {
+    "bookkeeping.parse.depth",
+    "cli.main.argv",
+    "cli.common.config",
+    "geometry.reeb_vector.method",
+    "geometry.flow.tol",
+    "geometry.flow.method",
+    "index.make_rotation_path.n",
+    "index.make_hyperbolic_path.n",
+    "index.path_from_loop.n",
+    "index.random_symmetric_loop.degree",
+    "index.random_symmetric_loop.scale",
+    "index.random_symmetric_loop.n",
+    "index.random_nondegenerate_path.degree",
+    "index.random_nondegenerate_path.scale",
+    "index.random_nondegenerate_path.n",
+    "index._delta_many.max_jump",
+    "index.spectrum.window",
+    "index.rotation_number_with_error.iterates",
+    "index.SymmetricLoop.constant.n",
+    "integrate.dopri45.rtol",
+    "integrate.dopri45.atol",
+    "integrate.dopri45.project",
+    "integrate.dopri45.max_step",
+    "knots.pdisk_arrays.phase",
+    "knots.pdisk_point.phase",
+    "orbits.disk_frame.n",
+    "orbits.linearized_path.frame",
+    "orbits.asymptotic_loop.path",
+    "orbits.orbit_index.k",
+    "section.brentq.xtol",
+    "section.build_page.phase",
+    "section.return_map.direction",
+    "section.page_form_samples.interior_margin",
+    "section.verify_gss_conditions.n_samples",
+    "section.verify_gss_conditions.seed",
+    "section.lifted_index.k",
+}
+
+
+def _library_defaults() -> list:
+    """(module.function.parameter) of every def and lambda in the package with a default."""
+    found = []
+    for path in sorted(Path(reebkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            fn: f"{cls.name}.{fn.name}"
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = owner.get(node, getattr(node, "name", "<lambda>"))
+            args = node.args
+            positional = args.posonlyargs + args.args
+            named = positional[len(positional) - len(args.defaults):] if args.defaults else []
+            named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [f"{path.stem}.{name}.{a.arg}" for a in named]
+    return found
+
+
+def test_library_defaults_are_pinned():
+    found = _library_defaults()
+    assert len(found) == len(set(found)) == 36
+    assert set(found) == _LIBRARY_DEFAULTS
 
 
 @pytest.mark.parametrize(
     "command, option",
     [(c, o) for c in _SUBCOMMAND_ARGV for o in (["--jobs", "2"], ["--tol", "1e-10"])]
+    # the deterministic subcommands take no seed
+    + [(c, ["--seed", "3"]) for c in _SUBCOMMAND_ARGV if c != "verify"]
     + [("lens", ["--config", json.dumps(ELL_L21)]),
        ("tree-validate", ["--config", json.dumps(ELL_L21)]),
        ("sigma", ["--catalog", "c.json"])],

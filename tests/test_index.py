@@ -555,12 +555,6 @@ def test_wind_relative_rejects_vanishing():
         rk.wind_relative(Z, W)
 
 
-def test_frame_class_cocycle():
-    a, b, c = rk.FrameClass(0), rk.FrameClass(3), rk.FrameClass(-2)
-    assert a.wind_relative(a) == 0
-    assert c.wind_relative(a) == c.wind_relative(b) + b.wind_relative(a)
-
-
 # ---------------------------------------------------------------------------
 # corpus properties (the full 100-path corpus is exercised in the acceptance
 # suite; spot-check the axioms here on a smaller seeded batch)
@@ -752,7 +746,8 @@ def test_corpus_draws_are_accepted_as_with_dop853(corpus, dop853_draws):
     kept = []
     for loop, mats, ok in dop853_draws:
         path = rk.path_from_loop(loop)
-        assert path.nondegenerate(1e-6) == ok
+        accepted = abs(np.linalg.det(path.monodromy - np.eye(2))) >= rk.index.DRAW_MARGIN
+        assert accepted == ok
         if ok:
             kept.append((loop, rk.SymplecticPath(mats)))
     assert len(kept) == len(corpus.records)
@@ -781,7 +776,7 @@ def _dense_window(loop: rk.SymmetricLoop, window: int, n_modes: int = 256) -> li
     ks = np.arange(-(n_modes // 2), n_modes - n_modes // 2)
     vals, vecs = np.linalg.eigh(rk.index._operator_block(alpha, m, ks, ks))
     order = np.argsort(vals)
-    return rk.index._window(vals[order], vecs[:, order], ks, window, 1e-6)[0]
+    return rk.index._window(vals[order], vecs[:, order], ks, window)[0]
 
 
 def _assert_matches_dense(loop: rk.SymmetricLoop, window: int) -> rk.SpectralData:

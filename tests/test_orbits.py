@@ -67,8 +67,7 @@ def test_orbit_json(ell_s3):
     K, _ = rk.principal_orbits(ell_s3)
     rec = rk.orbit_to_json(K.iterate(2))
     assert rec["multiplicity"] == 2 and rec["period"] == pytest.approx(2.0)
-    with_table = rk.orbit_to_json(K, k_max=2)
-    assert [r["mu_cz"] for r in with_table["indices"]] == [3, 7]
+    assert "indices" not in rec
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +162,11 @@ def test_linearized_path_equals_integrated_variational_flow(b, lens, offset):
     sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=b, lens=rk.LensParams(*lens) if lens else None)
     for orbit in rk.principal_orbits(sys_):
         base = replace(orbit, multiplicity=_closure_order(orbit))
-        frame = rk.disk_frame(base).shifted(offset)
+        # the disk frame's sections turned by `offset` full turns over the period
+        disk = rk.disk_frame(base)
+        ts = np.linspace(0.0, 1.0, disk.points.shape[0])[:, None]
+        c, s = np.cos(2.0 * math.pi * offset * ts), np.sin(2.0 * math.pi * offset * ts)
+        frame = rk.TransverseFrame(disk.points, c * disk.e1 + s * disk.e2, -s * disk.e1 + c * disk.e2)
         path = rk.linearized_path(base, frame)
         assert np.abs(path.mats - _integrated_path(base, frame)).max() < 1e-9
 
@@ -268,30 +271,19 @@ def test_quotient_fractional_iterate(ell_l21):
     assert res.mu == 1  # (1 + 1/sqrt2)/2 lies in (0, 1)
 
 
-def test_frame_change_shifts_index_by_two(ell_s3):
-    K, _ = rk.principal_orbits(ell_s3)
-    base = rk.orbit_index(K, 1)
-    for m in (1, -1, 2):
-        shifted = rk.orbit_index(K, 1, frame_offset=m)
-        assert shifted.mu == base.mu - 2 * m
-        assert shifted.rho == pytest.approx(base.rho - m, abs=1e-9)
-
-
-def test_frame_change_rule_on_quotient(ell_l21):
-    K, _ = rk.principal_orbits(ell_l21)
-    base = rk.orbit_index(K, 2)
-    shifted = rk.orbit_index(K, 2, frame_offset=1)
-    assert shifted.mu == base.mu - 2
-    assert shifted.rho == pytest.approx(base.rho - 1, abs=1e-9)
-
-
-def test_boundary_frame_relation(ell_s3):
-    # the class induced by the disk-tangent section winds +1 against the disk
-    # class, so rotation numbers differ by exactly one
-    K, _ = rk.principal_orbits(ell_s3)
-    rho_disk = rk.orbit_index(K, 1).rho
-    rho_boundary = rk.orbit_index(K, 1, frame_offset=1).rho
-    assert rho_boundary + 1 == pytest.approx(rho_disk, abs=1e-9)
+def test_frame_change_shifts_index_by_two(ell_s3, ell_l21):
+    # a frame turned by m full turns against the disk frame sees the lift
+    # multiplied by the loop of Maslov index -m: mu drops by 2m and rho by m
+    for sys_ in (ell_s3, ell_l21):
+        for orbit in rk.principal_orbits(sys_):
+            m_close = _closure_order(orbit)
+            lift = rk.linearized_path(replace(orbit, multiplicity=m_close))
+            base = rk.orbit_index(orbit, m_close)
+            assert base.convention == "disk" and not base.degenerate
+            for m in (1, -1, 2):
+                turned = rk.prepend_loop(lift, -m)
+                assert rk.cz_geometric(turned) == (base.mu - 2 * m, False)
+                assert rk.rotation_number(turned) == pytest.approx(base.rho - m, abs=1e-9)
 
 
 def test_spectral_geometric_agree_on_catalog(ell_s3):
@@ -325,9 +317,8 @@ def test_index_table_rows(ell_s3):
 # the shared lift
 
 
-@pytest.mark.parametrize("offset", [0, 1])
 @pytest.mark.parametrize("lens", [None, (2, 1), (3, 2), (5, 2)], ids=["S3", "L21", "L32", "L52"])
-def test_index_table_equals_per_k_orbit_index(lens, offset):
+def test_index_table_equals_per_k_orbit_index(lens):
     # k up to 2p + 1 reaches the fractional-disk rows, the disk rows and lift
     # iterates above 1
     sys_ = rk.ContactSystem(
@@ -335,9 +326,9 @@ def test_index_table_equals_per_k_orbit_index(lens, offset):
     )
     k_max = 2 * sys_.p + 1
     for orbit in rk.principal_orbits(sys_):
-        rows = rk.index_table(orbit, k_max, frame_offset=offset)
+        rows = rk.index_table(orbit, k_max)
         for row in rows:
-            res = rk.orbit_index(orbit, row["k"], frame_offset=offset)
+            res = rk.orbit_index(orbit, row["k"])
             assert (row["mu_cz"], row["rho"], row["degenerate"], row["convention"]) == tuple(res)
         conventions = {row["convention"] for row in rows}
         assert conventions == ({"disk", "fractional-disk"} if sys_.p > 1 else {"disk"})
@@ -353,7 +344,7 @@ def test_index_table_linearizes_once(ell_s3, linearize_calls):
 # the iteration formula against the geometric route
 
 
-def _geometric_rows(orbit, k_max, frame_offset):
+def _geometric_rows(orbit, k_max):
     """(mu, rho, degenerate, convention) for k <= k_max from each lift iterate's winding interval.
 
     This is the reader's former route, with the interval scanned as the
@@ -364,10 +355,7 @@ def _geometric_rows(orbit, k_max, frame_offset):
     """
     m_close = _closure_order(orbit)
     base = replace(orbit, multiplicity=m_close)
-    frame = rk.disk_frame(base)
-    if frame_offset:
-        frame = frame.shifted(frame_offset)
-    lift = rk.linearized_path(base, frame)
+    lift = rk.linearized_path(base)
     rho_lift = rk.rotation_number(lift)
     rows = []
     for k in range(1, k_max + 1):
@@ -399,10 +387,9 @@ def _geometric_rows(orbit, k_max, frame_offset):
 def test_index_table_equals_geometric_route(a, b, lens):
     sys_ = rk.ContactSystem("ellipsoid", a=a, b=b, lens=rk.LensParams(*lens) if lens else None)
     for orbit in rk.principal_orbits(sys_):
-        for offset in (0, 1):
-            rows = rk.index_table(orbit, 12, frame_offset=offset)
-            got = [(r["mu_cz"], r["rho"], r["degenerate"], r["convention"]) for r in rows]
-            assert got == _geometric_rows(orbit, 12, offset)
+        rows = rk.index_table(orbit, 12)
+        got = [(r["mu_cz"], r["rho"], r["degenerate"], r["convention"]) for r in rows]
+        assert got == _geometric_rows(orbit, 12)
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)

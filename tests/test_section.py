@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -494,6 +495,21 @@ def test_verifier_other_lens_parameters(p, q):
     assert report["all_pass"], report["violated"]
     assert report["binding"]["sl_numeric"] == -p
     assert report["binding"]["mu_cz_Kp"] == 3
+
+
+def test_verifier_logs_its_stages_at_info(ell_l21, caplog):
+    # the reebkit logger stays silent at the default WARNING level ...
+    caplog.set_level(logging.WARNING, logger="reebkit")
+    rk.verify_gss_conditions(ell_l21, C=2.0, n_samples=2)
+    assert caplog.records == []
+    # ... and notes each stage at INFO
+    caplog.set_level(logging.INFO, logger="reebkit")
+    rk.verify_gss_conditions(ell_l21, C=2.0, n_samples=2)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("reebkit", logging.INFO, stage)
+        for stage in ("binding invariants", "page construction", "fixed point",
+                      "catalogued orbits and linking", "return sampling", "area preservation")
+    ]
 
 
 def test_sample_starts_seeded_and_interior():
