@@ -286,6 +286,25 @@ def test_frame_change_shifts_index_by_two(ell_s3, ell_l21):
                 assert rk.rotation_number(turned) == pytest.approx(base.rho - m, abs=1e-9)
 
 
+def test_frame_change_rule_on_quotient(ell_l21):
+    # on L(2,1) the second iterate of K closes; one full turn of the frame
+    # lowers mu by two and rho by one
+    K, _ = rk.principal_orbits(ell_l21)
+    base = rk.orbit_index(K, 2)
+    shifted = rk.prepend_loop(rk.linearized_path(replace(K, multiplicity=2)), -1)
+    assert rk.cz_geometric(shifted) == (base.mu - 2, False)
+    assert rk.rotation_number(shifted) == pytest.approx(base.rho - 1, abs=1e-9)
+
+
+def test_boundary_frame_relation(ell_s3):
+    # the class induced by the disk-tangent section winds +1 against the disk
+    # class, so rotation numbers differ by exactly one
+    K, _ = rk.principal_orbits(ell_s3)
+    rho_disk = rk.orbit_index(K, 1).rho
+    boundary = rk.prepend_loop(rk.linearized_path(replace(K, multiplicity=1)), -1)
+    assert rk.rotation_number(boundary) + 1 == pytest.approx(rho_disk, abs=1e-9)
+
+
 def test_spectral_geometric_agree_on_catalog(ell_s3):
     for orbit in rk.catalog(ell_s3, 4.0):
         base = rk.ClosedOrbit(
