@@ -84,7 +84,6 @@ from .knots import (
 from .orbits import (
     ClosedOrbit,
     OrbitIndexResult,
-    TransverseFrame,
     asymptotic_loop,
     catalog,
     disk_frame,

@@ -8,6 +8,7 @@ bubbling-off tree of (period, index) labels must satisfy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,11 +29,13 @@ class PeriodCatalog:
     bound: float
 
     def __post_init__(self):
+        if not math.isfinite(self.bound):
+            raise PreconditionViolation(f"the catalog bound must be finite, got {self.bound}")
         cleaned = []
         for label, period in self.entries:
             period = float(period)
-            if period <= 0:
-                raise PreconditionViolation("periods must be positive")
+            if not 0 < period < math.inf:
+                raise PreconditionViolation(f"periods must be positive and finite, got {period}")
             if period <= self.bound + 1e-15:
                 cleaned.append((str(label), period))
         self.entries = sorted(cleaned, key=lambda e: e[1])
@@ -128,8 +131,18 @@ class BubblingTree:
 _MAX_TREE_DEPTH = 200  # below the JSON decoder's nesting limit, far below the recursion limit
 
 
+def _finite(value, what: str) -> float:
+    """A JSON number that is finite, as a float; strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise StructuralError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def tree_from_json(data: dict) -> BubblingTree:
-    """The tree of a JSON object; one nested deeper than ``_MAX_TREE_DEPTH`` is refused."""
+    """The tree of a JSON object; one nested deeper than ``_MAX_TREE_DEPTH`` is refused.
+
+    Periods, the bound and edge periods must be finite numbers, and each ``mu`` an integer.
+    """
     if not isinstance(data, dict) or "root" not in data or "bound" not in data:
         raise StructuralError("tree JSON needs 'root' and 'bound' fields")
 
@@ -141,18 +154,18 @@ def tree_from_json(data: dict) -> BubblingTree:
         children = node.get("children", [])
         if not isinstance(children, list):
             raise StructuralError("'children' must be a list")
+        mu = node["mu"]
+        if isinstance(mu, bool) or not isinstance(mu, int):
+            raise StructuralError(f"'mu' must be an integer, got {mu!r}")
+        edge = node.get("parent_edge_period")
         return TreeVertex(
-            period=float(node["period"]),
-            mu=int(node["mu"]),
+            period=_finite(node["period"], "'period'"),
+            mu=mu,
             children=[parse(c, depth + 1) for c in children],
-            parent_edge_period=(
-                float(node["parent_edge_period"])
-                if node.get("parent_edge_period") is not None
-                else None
-            ),
+            parent_edge_period=None if edge is None else _finite(edge, "'parent_edge_period'"),
         )
 
-    return BubblingTree(root=parse(data["root"]), bound=float(data["bound"]))
+    return BubblingTree(root=parse(data["root"]), bound=_finite(data["bound"], "'bound'"))
 
 
 def tree_to_json(tree: BubblingTree) -> dict:
@@ -177,8 +190,8 @@ def validate_tree(tree: BubblingTree, sigma: float) -> tuple[bool, list]:
     period; (e) all periods are within the energy bound.  Returns a pass
     flag and the list of (rule, vertex-path) violations.
     """
-    if sigma <= 0:
-        raise PreconditionViolation("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise PreconditionViolation(f"sigma must be positive and finite, got {sigma}")
     violations: list[tuple[str, str]] = []
 
     def walk(v: TreeVertex, path: str):

@@ -63,6 +63,8 @@ class ContactSystem:
             raise PreconditionViolation(
                 f"capacities a, b must be positive and finite, got ({self.a}, {self.b})"
             )
+        if not all(math.isfinite(2.0 * math.pi / c) for c in (self.a, self.b)):
+            raise PreconditionViolation(f"capacities ({self.a}, {self.b}) overflow the rate 2 pi / c")
 
     @property
     def p(self) -> int:
@@ -324,14 +326,6 @@ def _turn_grid(sys: ContactSystem, v: np.ndarray, T: float, n: int) -> np.ndarra
     return out
 
 
-def flow_closed(sys: ContactSystem, pt, t: float) -> np.ndarray:
-    """Closed-form Reeb flow: rotate the z- and w-planes at the family rates."""
-    pt = check_point(pt)
-    z, w = to_complex(pt)
-    w1, w2 = sys.plane_rates()
-    return from_complex(_turn(z, w1, t), _turn(w, w2, t))
-
-
 def _project_sphere(y: np.ndarray) -> np.ndarray:
     return y / np.linalg.norm(y)
 
@@ -339,10 +333,10 @@ def _project_sphere(y: np.ndarray) -> np.ndarray:
 def flow(sys: ContactSystem, pt, t: float, tol: float = 1e-10, method: str = "closed") -> np.ndarray:
     """Time-``t`` Reeb flow of ``pt``.
 
-    ``method='closed'`` (the default) uses the closed form available for both
-    families; ``'numeric'`` integrates the Reeb field with the adaptive
-    stepper and post-step renormalization to the sphere (error bound ~ tol
-    per unit time).  Any other method is a ``ValueError``.
+    ``method='closed'`` (the default) turns the z- and w-planes at the family
+    rates; ``'numeric'`` integrates the Reeb field with the adaptive stepper
+    and post-step renormalization to the sphere (error bound ~ tol per unit
+    time).  Any other method is a ``ValueError``.
     """
     if method not in ("closed", "numeric"):
         raise ValueError(f"unknown method {method!r}")
@@ -351,14 +345,15 @@ def flow(sys: ContactSystem, pt, t: float, tol: float = 1e-10, method: str = "cl
     pt = check_point(pt)
     if t == 0.0:
         return pt.copy()
+    w1, w2 = sys.plane_rates()
     if method == "closed":
-        return flow_closed(sys, pt, t)
+        z, w = to_complex(pt)
+        return from_complex(_turn(z, w1, t), _turn(w, w2, t))
 
     def rhs(_t, y):
         # the projected point is on the sphere: no need for reeb_vector's check
         return _reeb_rows(sys, _project_sphere(y))
 
-    w1, w2 = sys.plane_rates()
     res = dopri45(
         rhs,
         0.0,

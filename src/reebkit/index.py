@@ -191,11 +191,6 @@ class SymmetricLoop:
     def n_samples(self) -> int:
         return self.mats.shape[0]
 
-    @property
-    def ts(self) -> np.ndarray:
-        n = self.n_samples
-        return np.arange(n) / n
-
     @classmethod
     def constant(cls, mat: np.ndarray, n: int = 256) -> "SymmetricLoop":
         mat = np.asarray(mat, dtype=float)
@@ -452,9 +447,7 @@ def _jump_threshold(mats: np.ndarray) -> float:
     return _transitions_and_threshold(mats)[1]
 
 
-def _delta_many(
-    mats: np.ndarray, dirs: np.ndarray, max_jump: float = math.pi / 2
-) -> np.ndarray:
+def _delta_many(mats: np.ndarray, dirs: np.ndarray, max_jump: float) -> np.ndarray:
     (m00, m01), (m10, m11) = np.moveaxis(mats, 0, -1)[..., None]  # each (samples, 1)
     d0, d1 = dirs[:, 0], dirs[:, 1]
     ang = np.arctan2(m10 * d0 + m11 * d1, m00 * d0 + m01 * d1)

@@ -150,33 +150,30 @@ def _smoothstep_deriv(u: np.ndarray) -> np.ndarray:
     return np.where(inside, 6.0 * u * (1.0 - u), 0.0)
 
 
+BLEND_LO, BLEND_HI = 0.2, 0.8  # the radii between which the disk profile blends
+
+
 @dataclass(frozen=True)
 class PDisk:
     """The immersed disk spanning the binding of L(p, q).
 
-    The radial profile interpolates between f(r) = r near the center and
-    f(r) = cos(pi/2 (1 - r)) near the boundary with a cubic smoothstep blend
-    on [blend_lo, blend_hi].
+    The radial profile is the same for every lens: it interpolates between
+    f(r) = r near the center and f(r) = cos(pi/2 (1 - r)) near the boundary
+    with a cubic smoothstep blend on [``BLEND_LO``, ``BLEND_HI``].
     """
 
     lens: LensParams
-    blend_lo: float = 0.2
-    blend_hi: float = 0.8
-
-    def __post_init__(self):
-        if not (0.0 < self.blend_lo < self.blend_hi < 1.0):
-            raise PreconditionViolation("blend window must satisfy 0 < lo < hi < 1")
 
     def profile(self, r):
         r = np.asarray(r, dtype=float)
-        s = _smoothstep((r - self.blend_lo) / (self.blend_hi - self.blend_lo))
+        s = _smoothstep((r - BLEND_LO) / (BLEND_HI - BLEND_LO))
         return (1.0 - s) * r + s * np.cos(0.5 * math.pi * (1.0 - r))
 
     def profile_deriv(self, r):
         r = np.asarray(r, dtype=float)
-        u = (r - self.blend_lo) / (self.blend_hi - self.blend_lo)
+        u = (r - BLEND_LO) / (BLEND_HI - BLEND_LO)
         s = _smoothstep(u)
-        ds = _smoothstep_deriv(u) / (self.blend_hi - self.blend_lo)
+        ds = _smoothstep_deriv(u) / (BLEND_HI - BLEND_LO)
         g2 = np.cos(0.5 * math.pi * (1.0 - r))
         dg2 = 0.5 * math.pi * np.sin(0.5 * math.pi * (1.0 - r))
         return (1.0 - s) + s * dg2 + ds * (g2 - r)
@@ -209,11 +206,6 @@ def pdisk_arrays(disk: PDisk, r, theta, phase: float = 0.0):
 def pdisk_point(disk: PDisk, r: float, theta: float, phase: float = 0.0) -> np.ndarray:
     """Lift to the sphere of the disk point at polar coordinates (r, theta), by ``pdisk_arrays``."""
     return pdisk_arrays(disk, r, theta, phase)[0]
-
-
-def pdisk_radial_tangent(disk: PDisk, r: float, theta: float) -> np.ndarray:
-    """Radial derivative of the lifted parametrization at (r, theta)."""
-    return pdisk_arrays(disk, r, theta)[1]
 
 
 _SL_SAMPLES, _SL_COLLAR = 4096, 1e-3  # binding_sl_numeric's collar circle r = 1 - _SL_COLLAR

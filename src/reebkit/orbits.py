@@ -1,22 +1,25 @@
-"""Closed Reeb orbits, transverse linearized flow, asymptotic-operator loops.
+"""Closed Reeb orbits, their linearized flow in the disk frame, asymptotic-operator loops.
 
 The supported systems have exactly two prime closed orbits, the principal
 circles K = {w = 0} and K' = {z = 0}; on a quotient their prime periods
 divide by the order of the deck group.  The Reeb flow is linear on C^2, so
 the linearized flow along an orbit is the flow itself, in closed form; it is
-projected to the contact plane and expressed in a unitary frame built from
-the global section W(z, w) = (-conj(w), conj(z)) of the contact structure.
-That section extends over the spanning disks of the principal circles, so
-the frame represents the capping-disk trivialization class.  In it the linearized
-path is a rotation path: its rotation number is the monodromy's exact class
-mod 1 moved by the whole turns of one direction, and every iterate's index is read off it.
+projected to the contact plane and expressed in the one frame the package
+builds, ``disk_frame``: the unitary frame of the global section
+W(z, w) = (-conj(w), conj(z)) of the contact structure.  W extends over the
+spanning disks of the principal circles, so the frame represents the
+capping-disk trivialization class, the class in which the criterion
+mu_CZ(K^p) >= 3 is read; a path in another class is ``index.prepend_loop``
+of this one.  In it the linearized path is a rotation path: its rotation
+number is the monodromy's exact class mod 1 moved by the whole turns of one
+direction, and every iterate's index is read off it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,9 +94,6 @@ class ClosedOrbit:
             raise PreconditionViolation("iterate exponent must be >= 1")
         return replace(self, multiplicity=self.multiplicity * k)
 
-    def point(self, t: float) -> np.ndarray:
-        return flow(self.system, self.anchor, t)
-
 
 def orbit_to_json(orbit: ClosedOrbit) -> dict:
     """JSON record of the orbit."""
@@ -161,85 +161,54 @@ def catalog(sys: ContactSystem, C: float) -> list[ClosedOrbit]:
 
 
 # ---------------------------------------------------------------------------
-# transverse frames
+# the disk frame and the linearized flow
 
 
-@dataclass
-class TransverseFrame:
-    """Two contact-plane sections along an orbit on a uniform time grid.
+def disk_frame(orbit: ClosedOrbit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unitary frame along the orbit in the capping-disk class, as arrays (points, e1, e2).
 
-    Normalized so dlambda(e1, e2) = 1 at every sample.
-    """
-
-    points: np.ndarray  # (N+1, 4)
-    e1: np.ndarray      # (N+1, 4)
-    e2: np.ndarray      # (N+1, 4)
-
-    def __post_init__(self):
-        n = self.points.shape[0]
-        if not (self.e1.shape == self.e2.shape == (n, 4)):
-            raise PreconditionViolation("frame arrays must share the grid shape")
-
-    @property
-    def n_intervals(self) -> int:
-        return self.points.shape[0] - 1
-
-
-def disk_frame(orbit: ClosedOrbit, n: int = _GRID_INTERVALS) -> TransverseFrame:
-    """Unitary frame along the orbit in the capping-disk class.
-
-    The first section is the global section W normalized so that the frame
-    is dlambda-symplectic; the second is its rotation by the complex
-    structure.  W extends over the spanning disk of each principal circle,
-    so the induced class is the disk class.
+    Each has one row per time of the ``_GRID_INTERVALS``-interval grid over
+    one period.  e1 is the global section W normalized so that
+    dlambda(e1, e2) = 1, and e2 = i e1.  W extends over the spanning disk of
+    each principal circle, so the induced class is the disk class.
     """
     sys = orbit.system
-    pts = _turn_grid(sys, orbit.anchor, orbit.period, n)
+    pts = _turn_grid(sys, orbit.anchor, orbit.period, _GRID_INTERVALS)
     w = section_W(pts)
     iw = ambient_rotation(w)
     norm = _dlambda_rows(sys, pts, w, iw)
     if np.any(norm <= 1e-12):
         raise IllConditioned("frame section degenerates along the orbit")
     scale = np.sqrt(norm)[:, None]
-    return TransverseFrame(points=pts, e1=w / scale, e2=iw / scale)
+    return pts, w / scale, iw / scale
 
 
-def frame_pairing(sys: ContactSystem, frame: TransverseFrame) -> np.ndarray:
-    return _dlambda_rows(sys, frame.points, frame.e1, frame.e2)
-
-
-# ---------------------------------------------------------------------------
-# linearized flow
-
-
-def linearized_path(orbit: ClosedOrbit, frame: Optional[TransverseFrame] = None) -> SymplecticPath:
-    """The transverse linearized flow over one period, expressed in the frame.
+def linearized_path(orbit: ClosedOrbit) -> SymplecticPath:
+    """The transverse linearized flow over one period, expressed in the disk frame.
 
     The flow is linear, so the frame's first vectors are carried along by
     turning them with the points; their images are projected to the contact
-    plane along the Reeb direction and re-expanded in the frame.  A grid on
-    which the disk-frame path turns more than pi/2 per interval, (w1 + w2) T / n,
-    is refused before any frame is built: there the index layer's phase
+    plane along the Reeb direction and re-expanded in the frame.  An orbit
+    that turns more than pi/2 per interval of the grid, (w1 + w2) T / n, is
+    refused before the frame is built: there the index layer's phase
     unwrapping refuses a rotation path, and past pi the turns alias.
     """
     sys = orbit.system
-    n = _GRID_INTERVALS if frame is None else frame.n_intervals
+    n = _GRID_INTERVALS
     turn = sum(sys.plane_rates()) * orbit.period / n
     if turn > math.pi / 2:
         raise GridTooCoarse(
             f"the linearized flow of {orbit.label} turns {turn:.3g} rad per interval "
             f"of the {n}-interval grid, more than pi/2"
         )
-    if frame is None:
-        frame = disk_frame(orbit)
-    pts = frame.points
+    pts, e1, e2 = disk_frame(orbit)
     R = _reeb_rows(sys, pts)
     mats = np.empty((n + 1, 2, 2))
-    for col, v0 in enumerate((frame.e1[0], frame.e2[0])):
+    for col, v0 in enumerate((e1[0], e2[0])):
         v = _turn_grid(sys, v0, orbit.period, n)
         u = v - _lambda_rows(sys, pts, v)[:, None] * R
-        mats[:, 0, col] = _dlambda_rows(sys, pts, u, frame.e2)
-        mats[:, 1, col] = _dlambda_rows(sys, pts, frame.e1, u)
+        mats[:, 0, col] = _dlambda_rows(sys, pts, u, e2)
+        mats[:, 1, col] = _dlambda_rows(sys, pts, e1, u)
     dets = np.linalg.det(mats)
     drift = np.max(np.abs(dets - 1.0))
     if drift > _DET_TOL:
@@ -249,20 +218,13 @@ def linearized_path(orbit: ClosedOrbit, frame: Optional[TransverseFrame] = None)
     return SymplecticPath(mats)
 
 
-def asymptotic_loop(
-    orbit: Optional[ClosedOrbit], path: Optional[SymplecticPath] = None
-) -> SymmetricLoop:
-    """Extract S(t) = -i phi'(t) phi(t)^{-1} from the linearized path.
+def asymptotic_loop(path: SymplecticPath) -> SymmetricLoop:
+    """Extract S(t) = -i phi'(t) phi(t)^{-1} from a linearized path.
 
     S is symmetric exactly when the frame is unitary; the symmetry defect is
     checked against ``_SYM_TOL`` and the symmetrized samples are returned.
-    The path defaults to the orbit's in the disk frame; when ``path`` is
-    given the orbit is not needed.
+    An orbit's loop is ``asymptotic_loop(linearized_path(orbit))``.
     """
-    if path is None:
-        if orbit is None:
-            raise PreconditionViolation("need an orbit or a precomputed path")
-        path = linearized_path(orbit)
     mats = path.mats
     n = path.n_intervals
     A = path.monodromy

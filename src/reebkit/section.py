@@ -54,6 +54,8 @@ from .geometry import (
 )
 from .integrate import _MAX_STEPS
 from .knots import (
+    BLEND_HI,
+    BLEND_LO,
     PDisk,
     binding_sl_numeric,
     lens_binding_monodromy,
@@ -104,7 +106,7 @@ _BRENT_RTOL = 4.0 * 2.0**-52  # 4 * eps
 _BRENT_ITER = 100
 
 
-def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12) -> float:
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
     """A root of ``f`` in the bracket [a, b] by Brent's method.
 
     A line-for-line port of scipy's ``brentq.c`` (R. P. Brent, *Algorithms
@@ -412,9 +414,12 @@ def quad_dlambda_area(page: Page, corners: list[tuple[float, float]]) -> float:
     return total
 
 
-def page_form_samples(page: Page, n_r: int, n_th: int, interior_margin: float = 0.0):
-    """The pulled-back area form dlambda(d_r u, d_th u) on a product grid."""
-    rs = np.linspace(interior_margin, 1.0 - interior_margin, n_r)
+_FORM_MARGIN = 1e-3  # the form grid's radii stay this far inside the page
+
+
+def page_form_samples(page: Page, n_r: int, n_th: int):
+    """The pulled-back area form dlambda(d_r u, d_th u) on a product grid of the interior."""
+    rs = np.linspace(_FORM_MARGIN, 1.0 - _FORM_MARGIN, n_r)
     ths = np.linspace(0.0, 2.0 * math.pi, n_th, endpoint=False)
     pts, d_r, d_th = _page_arrays(page, rs, ths)
     shape = pts.shape[:2]
@@ -431,7 +436,7 @@ def _page_form_integral(page: Page, n_r: int, n_th: int) -> float:
     endpoints; composite Simpson per panel keeps full order there.  The
     theta direction is periodic and handled by the trapezoid rule.
     """
-    knots = [0.0, page.disk.blend_lo, page.disk.blend_hi, 1.0]
+    knots = [0.0, BLEND_LO, BLEND_HI, 1.0]
     ths = np.linspace(0.0, 2.0 * math.pi, n_th, endpoint=False)
     total = 0.0
     for a, b in zip(knots, knots[1:]):
@@ -536,7 +541,7 @@ def verify_gss_conditions(
     """
     lifts: dict = {}  # label -> index reader of that principal orbit's lift
 
-    def lifted_index(orbit: ClosedOrbit, k: int = 1):
+    def lifted_index(orbit: ClosedOrbit, k: int):
         _check_iterate(orbit, k)
         if orbit.label not in lifts:
             lifts[orbit.label] = _orbit_lift(orbit)
@@ -586,7 +591,7 @@ def verify_gss_conditions(
 
     log.info("page construction")
     page = build_page(sys, 0.0)
-    _rs, _ths, form = page_form_samples(page, 101, 100, interior_margin=1e-3)
+    _rs, _ths, form = page_form_samples(page, 101, 100)
     report["page"] = {
         "phase": page.phase,
         "min_transverse": page.min_transverse,
@@ -609,7 +614,7 @@ def verify_gss_conditions(
     orb_rows = []
     pstar_ok = True
     for entry in entries:
-        res = lifted_index(entry)
+        res = lifted_index(entry, 1)
         contractible = (entry.multiplicity * entry.deck_power) % p == 0
         row = {
             "label": entry.label,

@@ -84,7 +84,7 @@ def test_criterion_4_ellipsoid_index_table():
         # frame -> S(t) -> spectrum -> 2 wind + parity
         orbit_k = K.iterate(k)
         path = rk.linearized_path(orbit_k)
-        loop = rk.asymptotic_loop(orbit_k, path=path)
+        loop = rk.asymptotic_loop(path)
         mu_pipeline = rk.cz_spectral(loop).index
         assert mu_pipeline == mu_oracle, (k, mu_pipeline, mu_oracle)
         # the geometric route agrees as well

@@ -384,7 +384,6 @@ _LIBRARY_DEFAULTS = {
     "index.random_nondegenerate_path.degree",
     "index.random_nondegenerate_path.scale",
     "index.random_nondegenerate_path.n",
-    "index._delta_many.max_jump",
     "index.spectrum.window",
     "index.rotation_number_with_error.iterates",
     "index.SymmetricLoop.constant.n",
@@ -394,17 +393,11 @@ _LIBRARY_DEFAULTS = {
     "integrate.dopri45.max_step",
     "knots.pdisk_arrays.phase",
     "knots.pdisk_point.phase",
-    "orbits.disk_frame.n",
-    "orbits.linearized_path.frame",
-    "orbits.asymptotic_loop.path",
     "orbits.orbit_index.k",
-    "section.brentq.xtol",
     "section.build_page.phase",
     "section.return_map.direction",
-    "section.page_form_samples.interior_margin",
     "section.verify_gss_conditions.n_samples",
     "section.verify_gss_conditions.seed",
-    "section.lifted_index.k",
 }
 
 
@@ -432,7 +425,7 @@ def _library_defaults() -> list:
 
 def test_library_defaults_are_pinned():
     found = _library_defaults()
-    assert len(found) == len(set(found)) == 36
+    assert len(found) == len(set(found)) == 29
     assert set(found) == _LIBRARY_DEFAULTS
 
 
@@ -512,6 +505,11 @@ def _no_sampling(*_args, **_kwargs):
         ["index", "--config", '{"family": "ellipsoid", "a": 1, "b": 1.4, "lens": 2}'],
         ["index", "--config", '{"family": "ellipsoid", "a": 1, "b": 1.4'],
         ["index", "--config", '{"family": "ellipsoid", "a": 1' + "0" * 400 + ', "b": 1.4}'],
+        # capacities below about 3.5e-308, whose plane rate 2 pi / b is infinite
+        ["index", "--config", json.dumps({**ELL_L21, "b": 1e-309})],
+        ["verify", "--config", json.dumps({**ELL_L21, "b": 1e-309})],
+        ["sigma", "--config", json.dumps({**ELL_L21, "b": 5e-324})],
+        ["return-map", "--config", json.dumps({**ELL_S3, "b": 5e-324}), "--start", "0.5,0.3"],
     ],
     ids=["infinite-capacity", "fractional-lens-order", "huge-capacity-verify",
          "huge-capacity-return-map", "huge-capacity-index",
@@ -522,7 +520,8 @@ def _no_sampling(*_args, **_kwargs):
          "iterate-above-bound", "huge-iterate", "zero-iterate", "huge-lens-order",
          "unknown-flag", "non-integer-iterate", "unknown-format", "missing-config",
          "no-family", "list-lens", "lens-without-q", "string-lens", "true-lens", "number-lens",
-         "truncated-json", "capacity-beyond-float"],
+         "truncated-json", "capacity-beyond-float", "tiny-capacity-index", "tiny-capacity-verify",
+         "subnormal-capacity-sigma", "subnormal-capacity-return-map"],
 )
 def test_hostile_config_exits_usage(argv, capsys, monkeypatch):
     # every refusal comes before any return is sampled
@@ -543,8 +542,20 @@ def _nested_tree(depth):
 @pytest.mark.parametrize(
     "content",
     ["not json", '{"entries": [["a", 1.0]]}', "[1, 2]",
-     '{"bound": 1, "root": {"period": "x", "mu": 2}}', _nested_tree(300), _nested_tree(600)],
-    ids=["not-json", "no-bound", "list", "non-numeric-period", "nested-300", "nested-600"],
+     '{"bound": 1, "root": {"period": "x", "mu": 2}}', _nested_tree(300), _nested_tree(600),
+     # json.loads reads NaN and Infinity as floats; each shape serves both commands
+     '{"bound": Infinity, "root": {"period": 1, "mu": 2}, "entries": [["a", 1.0]]}',
+     '{"bound": 5, "root": {"period": NaN, "mu": 2}, "entries": [["a", NaN], ["b", 1.0]]}',
+     '{"bound": 5, "root": {"period": 3, "mu": 2, "children": [{"period": 1, "mu": 2, '
+     '"parent_edge_period": Infinity}]}}',
+     '{"bound": 5, "root": {"period": "1", "mu": 2}}',
+     '{"bound": true, "root": {"period": 1, "mu": 2}}',
+     '{"bound": 5, "root": {"period": 1, "mu": 2.9}}',
+     '{"bound": 5, "root": {"period": 1, "mu": "3"}}',
+     '{"bound": 5, "root": {"period": 1, "mu": true}}'],
+    ids=["not-json", "no-bound", "list", "non-numeric-period", "nested-300", "nested-600",
+         "infinite-bound", "nan-period", "infinite-edge-period", "string-period", "boolean-bound",
+         "fractional-mu", "string-mu", "boolean-mu"],
 )
 def test_malformed_tree_and_catalog_files_exit_usage(command, content, tmp_path, capsys):
     path = tmp_path / "data.json"
@@ -555,6 +566,15 @@ def test_malformed_tree_and_catalog_files_exit_usage(command, content, tmp_path,
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+def test_sigma_that_is_not_finite_and_positive_exits_usage(sigma, tmp_path, capsys):
+    path = tmp_path / "tree.json"
+    path.write_text('{"bound": 5, "root": {"period": 3, "mu": 3}}')
+    assert main(["tree-validate", "--tree", str(path), f"--sigma={sigma}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: sigma must be positive") and err.count("\n") == 1
 
 
 _JSON_SCALARS = st.one_of(
@@ -582,6 +602,15 @@ def _configs(draw):
     return config
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_json(text: str):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(config=_configs())
@@ -595,11 +624,103 @@ def test_fuzzed_configs_exit_with_one_line(config, capsys):
         ["verify", "--samples", "3"],
     ):
         code = main(argv + ["--config", cfg])
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code in (0, 1, 2, 3), (argv, cfg)
         assert "Traceback" not in err
         if code:
             assert err.count("\n") == 1 and err.endswith("\n"), (argv, cfg, err)
+        if code in (0, 3):
+            _strict_json(out)
+
+
+# hostile command-line values: non-finite, huge, tiny, negative, empty and not numbers
+_HOSTILE_TOKENS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e309", "-1e309", "NaN", "Infinity"]),
+    st.sampled_from(["5e-324", "0", "-0", "-1", "1e9", "9" * 30, "", "x", "1,2", "0x10"]),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.text(max_size=4),
+)
+
+
+def _maybe_hostile(valid, hostile):
+    """``valid`` three times in four, else ``hostile``."""
+    return st.integers(0, 3).flatmap(lambda i: hostile if i == 0 else valid)
+
+
+def _token(valid):
+    """A command-line value: one drawn from ``valid`` (a strategy of strings) or a hostile one."""
+    return _maybe_hostile(valid, _HOSTILE_TOKENS)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _file_number(lo, hi):
+    return _maybe_hostile(st.floats(lo, hi), _JSON_SCALARS)
+
+
+_VERTICES = st.recursive(
+    st.fixed_dictionaries({"period": _file_number(0.1, 5.0),
+                           "mu": _maybe_hostile(st.integers(0, 4), _JSON_SCALARS)},
+                          optional={"parent_edge_period": _file_number(0.1, 5.0)}),
+    lambda children: st.fixed_dictionaries({"period": _file_number(0.1, 5.0), "mu": st.integers(0, 4),
+                                            "children": st.lists(children, max_size=2)}),
+    max_leaves=3,
+)
+# file contents, written with NaN and Infinity where the values are so
+_TREES = _maybe_hostile(st.fixed_dictionaries({"root": _VERTICES, "bound": _file_number(0.1, 9.0)}),
+                        _HOSTILE).map(json.dumps)
+_CATALOGS = _maybe_hostile(
+    st.fixed_dictionaries({"entries": st.lists(st.tuples(st.text(max_size=2), _file_number(0.1, 5.0)),
+                                               max_size=3),
+                           "bound": _file_number(0.1, 9.0)}),
+    _HOSTILE,
+).map(json.dumps)
+
+
+@st.composite
+def _fuzzed_runs(draw):
+    """One run of each subcommand, (argv, file content or None), with hostile values drawn in."""
+    cfg = ["--config", json.dumps(ELL_L21)]
+    start = f"{draw(_token(_floats(0.01, 0.99)))},{draw(_token(_floats(-10.0, 10.0)))}"
+    return [
+        (["index", *cfg, "--orbit", draw(st.sampled_from(["K", "Kprime"])),
+          f"--k={draw(_token(st.integers(1, 50).map(str)))}"], None),
+        (["return-map", *cfg, f"--start={start}", f"--phase={draw(_token(_floats(-10.0, 10.0)))}"],
+         None),
+        (["verify", *cfg, f"--samples={draw(_token(st.integers(0, 50).map(str)))}",
+          f"--action-bound={draw(_token(_floats(0.1, 10.0)))}"], None),
+        # a table of p costs O(p^2): small p keep the test fast, the hostile ones pass the cap
+        (["lens", f"--p={draw(_token(st.integers(-2, 40).map(str)))}"], None),
+        (["sigma", *cfg, f"--action-bound={draw(_token(_floats(0.1, 50.0)))}"], None),
+        (["sigma", "--catalog"], draw(_CATALOGS)),
+        (["tree-validate", f"--sigma={draw(_token(_floats(0.01, 2.0)))}", "--tree"], draw(_TREES)),
+    ]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(runs=_fuzzed_runs())
+def test_fuzzed_arguments_exit_with_one_line(runs, tmp_path, capsys):
+    for argv, content in runs:
+        if content is not None:
+            path = tmp_path / "data.json"
+            path.write_text(content)
+            argv = argv + [str(path)]
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 5.0, argv
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), (argv, content)
+        assert "Traceback" not in err
+        if code in (1, 2):
+            assert err.count("\n") == 1 and err.endswith("\n"), (argv, content, err)
+        else:
+            # a verification failure writes its report and no message
+            assert err == "", (argv, content, err)
+            _strict_json(out)
 
 
 def test_huge_iterate_named_and_refused_before_linearizing(capsys, linearize_calls):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import reebkit as rk
 from reebkit.errors import PreconditionViolation
-from reebkit.knots import coprime_residues, pdisk_radial_tangent
+from reebkit.knots import coprime_residues, pdisk_arrays
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ def test_pdisk_immersion_away_from_boundary():
     for _ in range(200):
         r = float(rng.uniform(0.01, 0.999))
         th = float(rng.uniform(0, 2 * math.pi))
-        dr = pdisk_radial_tangent(disk, r, th)
+        dr = pdisk_arrays(disk, r, th)[1]
         f = float(disk.profile(r))
         dth = np.array([-f * math.sin(th), f * math.cos(th), 0.0, 0.0])
         gram = np.array([[dr @ dr, dr @ dth], [dr @ dth, dth @ dth]])

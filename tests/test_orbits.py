@@ -77,17 +77,15 @@ def test_orbit_json(ell_s3):
 def test_linearized_round_hopf_is_rigid_rotation():
     sys_ = rk.ContactSystem("round")
     orbit = rk.ClosedOrbit(sys_, np.array([1.0, 0, 0, 0]), math.pi)
-    n = 128
-    pts = np.array([rk.flow(sys_, orbit.anchor, math.pi * j / n) for j in range(n + 1)])
-    e1 = np.tile([0.0, 0.0, 1.0, 0.0], (n + 1, 1))
-    e2 = np.tile([0.0, 0.0, 0.0, 1.0], (n + 1, 1))
-    frame = rk.TransverseFrame(points=pts, e1=e1, e2=e2)
-    path = rk.linearized_path(orbit, frame)
-    # rotation at ambient rate 2 over period pi: one full turn
-    expected = rk.make_rotation_path(2 * math.pi, n=n)
-    assert np.abs(path.mats - expected.mats).max() < 1e-8
-    res = rk.cz_geometric(path)
-    assert res.degenerate  # the round form is degenerate along Hopf fibers
+    path = rk.linearized_path(orbit)
+    # the flow turns the w-plane at ambient rate 2 and the disk frame's section
+    # W = (0, conj z) turns back at rate 2: two full turns over period pi
+    assert np.abs(path.mats - rk.make_rotation_path(4 * math.pi).mats).max() < 1e-8
+    # in the constant frame of the w-plane, one turn fewer
+    constant = rk.prepend_loop(path, -1)
+    assert np.abs(constant.mats - rk.make_rotation_path(2 * math.pi).mats).max() < 1e-8
+    # the round form is degenerate along Hopf fibers
+    assert rk.cz_geometric(path).degenerate and rk.cz_geometric(constant).degenerate
 
 
 def test_linearized_time_zero_is_identity(ell_s3):
@@ -104,12 +102,12 @@ def test_linearized_short_orbit_disk_frame_rotation(ell_s3):
     assert np.abs(path.monodromy - rot).max() < 1e-9
 
 
-def _integrated_path(orbit, frame):
+def _integrated_path(orbit, pts, e1, e2):
     """The linearized flow by dopri45 on the 12-dimensional variational system.
 
     This is the former route: the point and both frame vectors are
     integrated together under the ambient Jacobian of the Reeb field, then
-    projected to the contact plane and re-expanded in the frame.
+    projected to the contact plane and re-expanded in the frame (pts, e1, e2).
     """
     sys_ = orbit.system
     w1, w2 = sys_.plane_rates()
@@ -130,9 +128,9 @@ def _integrated_path(orbit, frame):
             y[sl] -= (y[sl] @ y[:4]) * y[:4]
         return y
 
-    n = frame.n_intervals
+    n = pts.shape[0] - 1
     ys = np.empty((n + 1, 12))
-    ys[0] = np.concatenate([orbit.anchor, frame.e1[0], frame.e2[0]])
+    ys[0] = np.concatenate([orbit.anchor, e1[0], e2[0]])
     ts = np.linspace(0.0, orbit.period, n + 1)
     for i in range(n):
         # one grid interval at a time, each from the end of the last
@@ -140,14 +138,13 @@ def _integrated_path(orbit, frame):
             rhs, ts[i], ys[i], ts[i + 1], rtol=1e-11, atol=1e-11, project=project,
             max_step=0.5 / max(w1, w2),
         ).y_end
-    pts = frame.points
     R = np.array([rk.reeb_vector(sys_, pt) for pt in pts])
     mats = np.empty((n + 1, 2, 2))
     for col, sl in enumerate((slice(4, 8), slice(8, 12))):
         v = ys[:, sl]
         u = v - _lambda_rows(sys_, pts, v)[:, None] * R
-        mats[:, 0, col] = _dlambda_rows(sys_, pts, u, frame.e2)
-        mats[:, 1, col] = _dlambda_rows(sys_, pts, frame.e1, u)
+        mats[:, 0, col] = _dlambda_rows(sys_, pts, u, e2)
+        mats[:, 1, col] = _dlambda_rows(sys_, pts, e1, u)
     mats /= np.sqrt(np.linalg.det(mats))[:, None, None]
     mats[0] = np.eye(2)
     return mats
@@ -162,13 +159,14 @@ def test_linearized_path_equals_integrated_variational_flow(b, lens, offset):
     sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=b, lens=rk.LensParams(*lens) if lens else None)
     for orbit in rk.principal_orbits(sys_):
         base = replace(orbit, multiplicity=_closure_order(orbit))
-        # the disk frame's sections turned by `offset` full turns over the period
-        disk = rk.disk_frame(base)
-        ts = np.linspace(0.0, 1.0, disk.points.shape[0])[:, None]
+        # the disk frame's sections turned by `offset` full turns over the period,
+        # in which the path is the disk-frame path turned back by `offset` turns
+        pts, e1, e2 = rk.disk_frame(base)
+        ts = np.linspace(0.0, 1.0, pts.shape[0])[:, None]
         c, s = np.cos(2.0 * math.pi * offset * ts), np.sin(2.0 * math.pi * offset * ts)
-        frame = rk.TransverseFrame(disk.points, c * disk.e1 + s * disk.e2, -s * disk.e1 + c * disk.e2)
-        path = rk.linearized_path(base, frame)
-        assert np.abs(path.mats - _integrated_path(base, frame)).max() < 1e-9
+        integrated = _integrated_path(base, pts, c * e1 + s * e2, -s * e1 + c * e2)
+        path = rk.prepend_loop(rk.linearized_path(base), -offset)
+        assert np.abs(path.mats - integrated).max() < 1e-9
 
 
 @pytest.mark.parametrize("lens", [None, (2, 1), (12, 5)], ids=["S3", "L21", "L125"])
@@ -181,10 +179,10 @@ def test_disk_frame_points_equal_scalar_flow(lens):
             it = orbit.iterate(m)
             n = 512
             pts = np.array([rk.flow(sys_, it.anchor, it.period * j / n) for j in range(n + 1)])
-            assert np.array_equal(rk.disk_frame(it).points, pts)
+            assert np.array_equal(rk.disk_frame(it)[0], pts)
 
 
-def test_linearized_path_refuses_coarse_grid_up_front(ell_s3, monkeypatch):
+def test_linearized_path_refuses_coarse_grid_up_front(monkeypatch):
     # (w1 + w2) T / n above pi/2: refused before a frame is built
     monkeypatch.setattr(rk.orbits, "disk_frame", None)
     _, Kp = rk.principal_orbits(rk.ContactSystem("ellipsoid", a=1.0, b=128.0))
@@ -192,19 +190,12 @@ def test_linearized_path_refuses_coarse_grid_up_front(ell_s3, monkeypatch):
         rk.linearized_path(Kp)
     with pytest.raises(GridTooCoarse):
         rk.index_table(Kp, 1)
-    # a given frame's grid counts: 2 intervals over K^2 turn about 5.4 rad each
-    K, _ = rk.principal_orbits(ell_s3)
-    zeros = np.zeros((3, 4))
-    with pytest.raises(GridTooCoarse):
-        rk.linearized_path(K.iterate(2), rk.TransverseFrame(zeros, zeros, zeros))
 
 
 def test_disk_frame_pairing_normalized(ell_s3):
-    from reebkit.orbits import frame_pairing
-
     K, Kp = rk.principal_orbits(ell_s3)
     for orbit in (K, Kp):
-        pair = frame_pairing(ell_s3, rk.disk_frame(orbit, n=64))
+        pair = _dlambda_rows(ell_s3, *rk.disk_frame(orbit))
         assert np.abs(pair - 1.0).max() < 1e-12
 
 
@@ -214,7 +205,7 @@ def test_disk_frame_pairing_normalized(ell_s3):
 
 def test_asymptotic_loop_rigid_rotation_constant(ell_s3):
     K, _ = rk.principal_orbits(ell_s3)
-    loop = rk.asymptotic_loop(K)
+    loop = rk.asymptotic_loop(rk.linearized_path(K))
     c = 2 * math.pi * (1 + 1 / SQRT2)
     assert np.abs(loop.mats - c * np.eye(2)).max() < 1e-6
 
@@ -222,13 +213,13 @@ def test_asymptotic_loop_rigid_rotation_constant(ell_s3):
 def test_asymptotic_loop_identity_path_is_zero():
     mats = np.repeat(np.eye(2)[None], 129, axis=0)
     path = rk.SymplecticPath(mats)
-    loop = rk.asymptotic_loop(None, path=path)
+    loop = rk.asymptotic_loop(path)
     assert np.abs(loop.mats).max() < 1e-12
 
 
 def test_asymptotic_loop_differentiates_rotation():
     path = rk.make_rotation_path(1.7)
-    loop = rk.asymptotic_loop(None, path=path)
+    loop = rk.asymptotic_loop(path)
     assert np.abs(loop.mats - 1.7 * np.eye(2)).max() < 1e-8
 
 
@@ -311,7 +302,7 @@ def test_spectral_geometric_agree_on_catalog(ell_s3):
             orbit.system, orbit.anchor, orbit.prime_period, 1, orbit.deck_power, orbit.label
         ).iterate(orbit.multiplicity)
         path = rk.linearized_path(base)
-        loop = rk.asymptotic_loop(base, path=path)
+        loop = rk.asymptotic_loop(path)
         g = rk.cz_geometric(path)
         s = rk.cz_spectral(loop)
         assert g.index == s.index
@@ -449,7 +440,7 @@ def test_spectral_index_of_iterates_equals_closed_form(a, b, p, q_pick, k):
         assert a == b
         return
     x = k * (1 + a / b) / p
-    res = rk.cz_spectral(rk.asymptotic_loop(K.iterate(k)))
+    res = rk.cz_spectral(rk.asymptotic_loop(rk.linearized_path(K.iterate(k))))
     if abs(x - round(x)) > 1e-6:
         assert res == (rk.mu_tilde((x, x)), False)
     else:

@@ -357,7 +357,7 @@ def test_linking_refuses_a_near_binding_orbit_off_a_whole_count():
 
 def test_page_form_positive_on_interior(ell_l21):
     page = rk.build_page(ell_l21, 0.0)
-    _rs, _ths, vals = page_form_samples(page, 101, 64, interior_margin=1e-3)
+    _rs, _ths, vals = page_form_samples(page, 101, 64)
     assert vals.min() > 0
 
 
@@ -446,8 +446,8 @@ def test_verifier_skips_dynamics_without_samples(ell_l21):
 def test_verifier_flags_a_theta_dependent_form(ell_l21, monkeypatch):
     real = section.page_form_samples
 
-    def tilted(page, n_r, n_th, interior_margin=0.0):
-        rs, ths, vals = real(page, n_r, n_th, interior_margin)
+    def tilted(page, n_r, n_th):
+        rs, ths, vals = real(page, n_r, n_th)
         return rs, ths, vals * (1.0 + 1e-3 * np.cos(ths))[None, :]
 
     monkeypatch.setattr(section, "page_form_samples", tilted)
