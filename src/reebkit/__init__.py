@@ -69,7 +69,6 @@ from .index import (
 )
 from .knots import (
     KnotData,
-    PDisk,
     binding_knot_data,
     binding_sl_numeric,
     classification_tables,
@@ -77,7 +76,6 @@ from .knots import (
     lens_homeomorphic,
     lens_homotopy_equivalent,
     monodromy_from_winding,
-    pdisk_point,
     self_linking_from_winding,
     slope_intersection,
 )

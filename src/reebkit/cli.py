@@ -170,8 +170,6 @@ def write_samples_csv(path: str, samples: list[dict]) -> None:
 
 def _cmd_verify(args) -> int:
     sys_ = _load_system(args.config)
-    if sys_.lens is None:
-        raise PreconditionViolation("verify needs a quotient system (a 'lens' block)")
     report, samples = verify_gss_conditions(
         sys_, C=args.action_bound, n_samples=args.samples, seed=args.seed
     )

@@ -11,7 +11,8 @@ supported on the sphere:
 
 A quotient by the free Z_p action ``(z, w) -> (e^{2pi i/p} z, e^{2pi i q/p} w)``
 turns the system into a lens space; points are always stored as lifts to S^3
-and lens-space equality is tested through the deck orbit.
+and lens-space equality is tested through the deck orbit.  S^3 itself is the
+quotient L(1, 1), the lens of every system that is built without one.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class LensParams:
 
 @dataclass(frozen=True)
 class ContactSystem:
-    """A contact form on S^3, optionally quotiented to a lens space."""
+    """A contact form on the lens space L(p, q); ``lens=None`` means S^3, stored as L(1, 1)."""
 
     family: str = "round"
     a: float = 1.0
@@ -57,6 +58,8 @@ class ContactSystem:
     lens: Optional[LensParams] = None
 
     def __post_init__(self):
+        if self.lens is None:
+            object.__setattr__(self, "lens", LensParams(1, 1))
         if self.family not in ("round", "ellipsoid"):
             raise PreconditionViolation(f"unknown family {self.family!r}")
         if not (0 < self.a < math.inf and 0 < self.b < math.inf):
@@ -68,11 +71,11 @@ class ContactSystem:
 
     @property
     def p(self) -> int:
-        return self.lens.p if self.lens is not None else 1
+        return self.lens.p
 
     @property
     def q(self) -> int:
-        return self.lens.q if self.lens is not None else 1
+        return self.lens.q
 
     def plane_rates(self) -> tuple[float, float]:
         """Angular rates of the Reeb rotation in the z- and w-planes."""
@@ -82,8 +85,9 @@ class ContactSystem:
 
 
 def system_to_json(sys: ContactSystem) -> dict:
+    """JSON record of the system; S^3, L(1, 1), is written without a ``lens``."""
     out: dict = {"family": sys.family, "a": sys.a, "b": sys.b}
-    if sys.lens is not None:
+    if sys.p > 1:
         out["lens"] = {"p": sys.lens.p, "q": sys.lens.q}
     return out
 

@@ -8,8 +8,9 @@ that disk.
 
 ``pdisk_arrays`` is the one parametrization of that disk: it gives points,
 r- and theta-derivatives on arrays, and at any w-phase it parametrizes the
-page of ``section``.  The contact form and the global section W it is
-measured against live in ``geometry``.
+page of ``section``.  Its radial profile ``disk_profile`` is the same for
+every lens, so only ``binding_sl_numeric`` reads the order p.  The contact
+form and the global section W it is measured against live in ``geometry``.
 """
 
 from __future__ import annotations
@@ -153,33 +154,30 @@ def _smoothstep_deriv(u: np.ndarray) -> np.ndarray:
 BLEND_LO, BLEND_HI = 0.2, 0.8  # the radii between which the disk profile blends
 
 
-@dataclass(frozen=True)
-class PDisk:
-    """The immersed disk spanning the binding of L(p, q).
+def disk_profile(r):
+    """|z| of the spanning disk at radius r, the same for every lens.
 
-    The radial profile is the same for every lens: it interpolates between
-    f(r) = r near the center and f(r) = cos(pi/2 (1 - r)) near the boundary
-    with a cubic smoothstep blend on [``BLEND_LO``, ``BLEND_HI``].
+    It interpolates between f(r) = r near the center and
+    f(r) = cos(pi/2 (1 - r)) near the boundary with a cubic smoothstep
+    blend on [``BLEND_LO``, ``BLEND_HI``].
     """
-
-    lens: LensParams
-
-    def profile(self, r):
-        r = np.asarray(r, dtype=float)
-        s = _smoothstep((r - BLEND_LO) / (BLEND_HI - BLEND_LO))
-        return (1.0 - s) * r + s * np.cos(0.5 * math.pi * (1.0 - r))
-
-    def profile_deriv(self, r):
-        r = np.asarray(r, dtype=float)
-        u = (r - BLEND_LO) / (BLEND_HI - BLEND_LO)
-        s = _smoothstep(u)
-        ds = _smoothstep_deriv(u) / (BLEND_HI - BLEND_LO)
-        g2 = np.cos(0.5 * math.pi * (1.0 - r))
-        dg2 = 0.5 * math.pi * np.sin(0.5 * math.pi * (1.0 - r))
-        return (1.0 - s) + s * dg2 + ds * (g2 - r)
+    r = np.asarray(r, dtype=float)
+    s = _smoothstep((r - BLEND_LO) / (BLEND_HI - BLEND_LO))
+    return (1.0 - s) * r + s * np.cos(0.5 * math.pi * (1.0 - r))
 
 
-def pdisk_arrays(disk: PDisk, r, theta, phase: float = 0.0):
+def disk_profile_deriv(r):
+    """The r-derivative of ``disk_profile``."""
+    r = np.asarray(r, dtype=float)
+    u = (r - BLEND_LO) / (BLEND_HI - BLEND_LO)
+    s = _smoothstep(u)
+    ds = _smoothstep_deriv(u) / (BLEND_HI - BLEND_LO)
+    g2 = np.cos(0.5 * math.pi * (1.0 - r))
+    dg2 = 0.5 * math.pi * np.sin(0.5 * math.pi * (1.0 - r))
+    return (1.0 - s) + s * dg2 + ds * (g2 - r)
+
+
+def pdisk_arrays(r, theta, phase: float = 0.0):
     """Lifted disk points and their r- and theta-derivatives, broadcast over (r, theta).
 
     The lift puts the w-coordinate at phase ``phase``; the page at that
@@ -189,8 +187,8 @@ def pdisk_arrays(disk: PDisk, r, theta, phase: float = 0.0):
     r = np.asarray(r, dtype=float)
     if not (0.0 <= r.min() and r.max() <= 1.0):
         raise PreconditionViolation("need 0 <= r <= 1")
-    f = disk.profile(r)
-    df = disk.profile_deriv(r)
+    f = disk_profile(r)
+    df = disk_profile_deriv(r)
     g = np.sqrt(np.maximum(1.0 - f * f, 0.0))
     dg = -f * df / np.maximum(g, 1e-15)
     cp, sp = math.cos(phase), math.sin(phase)
@@ -203,24 +201,18 @@ def pdisk_arrays(disk: PDisk, r, theta, phase: float = 0.0):
     return pts, d_r, d_th
 
 
-def pdisk_point(disk: PDisk, r: float, theta: float, phase: float = 0.0) -> np.ndarray:
-    """Lift to the sphere of the disk point at polar coordinates (r, theta), by ``pdisk_arrays``."""
-    return pdisk_arrays(disk, r, theta, phase)[0]
-
-
 _SL_SAMPLES, _SL_COLLAR = 4096, 1e-3  # binding_sl_numeric's collar circle r = 1 - _SL_COLLAR
 
 
-def binding_sl_numeric(disk: PDisk) -> int:
-    """Self-linking of the binding from phase tracking along a boundary collar.
+def binding_sl_numeric(p: int) -> int:
+    """Self-linking of the binding of L(p, q) from phase tracking along a boundary collar.
 
     The pushed-forward global section is compared against the radial
     derivative of the disk on the collar circle r = 1 - ``_SL_COLLAR``; the
     self-linking number is p times their relative winding.
     """
-    p = disk.lens.p
     thetas = 2.0 * math.pi * np.arange(_SL_SAMPLES) / _SL_SAMPLES
-    pts, rad, _ = pdisk_arrays(disk, 1.0 - _SL_COLLAR, thetas)
+    pts, rad, _ = pdisk_arrays(1.0 - _SL_COLLAR, thetas)
     # project the radial vector to the contact plane along the Reeb direction
     # of the standard form
     R = _reeb_rows(ContactSystem(), pts)

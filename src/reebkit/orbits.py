@@ -61,8 +61,8 @@ class ClosedOrbit:
     """A periodic Reeb trajectory (x, T) with prime period and multiplicity.
 
     ``deck_power`` is the deck-group element carrying the anchor to its
-    image after one prime period; it vanishes for orbits that close on the
-    sphere itself.
+    image after one prime period; it is 0 for orbits that close on the
+    sphere itself, every orbit of S^3 = L(1, 1) among them.
     """
 
     system: ContactSystem
@@ -77,8 +77,7 @@ class ClosedOrbit:
         if self.multiplicity < 1:
             raise PreconditionViolation("multiplicity must be >= 1")
         end = flow(self.system, self.anchor, self.prime_period)
-        lens = self.system.lens
-        target = deck_action(lens, self.deck_power, self.anchor) if lens else self.anchor
+        target = deck_action(self.system.lens, self.deck_power, self.anchor)
         if np.linalg.norm(end - target) > CLOSURE_TOL:
             raise PreconditionViolation(
                 "orbit does not close: flow over one prime period misses the deck image "
@@ -112,22 +111,15 @@ def orbit_to_json(orbit: ClosedOrbit) -> dict:
 
 
 def principal_orbits(sys: ContactSystem) -> tuple[ClosedOrbit, ClosedOrbit]:
-    """The two prime orbits: the z-circle K and the w-circle K'."""
+    """The two prime orbits: the z-circle K and the w-circle K', of periods a / p and b / p."""
     if sys.family != "ellipsoid":
         raise DegenerateInput("orbit families not isolated for the round form")
     if abs(sys.a - sys.b) <= 1e-9:
         raise DegenerateInput("orbit families not isolated for a = b")
     p, q = sys.p, sys.q
-    k_anchor = np.array([1.0, 0.0, 0.0, 0.0])
-    kp_anchor = np.array([0.0, 0.0, 1.0, 0.0])
-    if p == 1:
-        K = ClosedOrbit(sys, k_anchor, sys.a, label="K")
-        Kp = ClosedOrbit(sys, kp_anchor, sys.b, label="K'")
-    else:
-        K = ClosedOrbit(sys, k_anchor, sys.a / p, deck_power=1, label="K")
-        Kp = ClosedOrbit(
-            sys, kp_anchor, sys.b / p, deck_power=pow(q, -1, p), label="K'"
-        )
+    K = ClosedOrbit(sys, np.array([1.0, 0.0, 0.0, 0.0]), sys.a / p, deck_power=1 % p, label="K")
+    Kp = ClosedOrbit(sys, np.array([0.0, 0.0, 1.0, 0.0]), sys.b / p, deck_power=pow(q, -1, p),
+                     label="K'")
     return K, Kp
 
 
@@ -261,10 +253,7 @@ class OrbitIndexResult(NamedTuple):
 def _closure_order(orbit: ClosedOrbit) -> int:
     """Smallest m with the m-th iterate closing on the sphere."""
     p = orbit.system.p
-    d = orbit.deck_power % p if p > 1 else 0
-    if d == 0:
-        return 1
-    return p // math.gcd(d, p)
+    return p // math.gcd(orbit.deck_power % p, p)
 
 
 def _check_iterate(orbit: ClosedOrbit, k: int) -> None:

@@ -18,9 +18,9 @@ page's area constant is 1 + the action of the page boundary.  The verifier
 reads all three so; ``disk_area_bound`` and ``quad_dlambda_area`` are the
 2d quadratures that the tests hold them against.
 
-The page is sampled through the disk parametrization ``knots.pdisk_arrays``,
-and the contact form and dlambda on those samples are the row kernels of
-``geometry``; this module defines neither.
+A page is sampled through the disk parametrization ``knots.pdisk_arrays`` at
+its w-phase, alike for every lens, and the contact form and dlambda on those
+samples are the row kernels of ``geometry``; this module defines neither.
 """
 
 from __future__ import annotations
@@ -56,11 +56,10 @@ from .integrate import _MAX_STEPS
 from .knots import (
     BLEND_HI,
     BLEND_LO,
-    PDisk,
     binding_sl_numeric,
+    disk_profile,
     lens_binding_monodromy,
     pdisk_arrays,
-    pdisk_point,
 )
 from .orbits import ClosedOrbit, _check_iterate, _orbit_lift, catalog, principal_orbits
 
@@ -77,10 +76,9 @@ log = logging.getLogger("reebkit")
 
 @dataclass
 class Page:
-    """One page of the open book: the w-phase slice at ``phase`` (on lifts)."""
+    """One page of the open book: the w-phase slice at ``phase`` (on lifts), by ``pdisk_arrays``."""
 
     system: ContactSystem
-    disk: PDisk
     phase: float
     min_transverse: float  # smallest rate of the w-phase over the checked interior
 
@@ -89,14 +87,9 @@ class Page:
         return self.system.p
 
 
-def _page_arrays(page: Page, rs: np.ndarray, thetas: np.ndarray):
-    """Sampled points and coordinate tangents of the page on the (rs, thetas) grid."""
-    return pdisk_arrays(page.disk, rs[:, None], thetas[None, :], page.phase)
-
-
 def page_point(page: Page, r: float, theta: float) -> np.ndarray:
-    """Lift of the page point with polar coordinates (r, theta), by ``pdisk_point``."""
-    return pdisk_point(page.disk, r, theta, page.phase)
+    """Lift of the page point with polar coordinates (r, theta), by ``pdisk_arrays``."""
+    return pdisk_arrays(r, theta, page.phase)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +172,14 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float) -> floa
     raise RuntimeError(f"Failed to converge after {_BRENT_ITER} iterations.")
 
 
-def _profile_inverse(disk: PDisk, value: float) -> float:
-    """The radius r with ``disk.profile(r) == value``, by ``brentq`` to 1e-14 in r."""
+def _profile_inverse(value: float) -> float:
+    """The radius r with ``disk_profile(r) == value``, by ``brentq`` to 1e-14 in r."""
     value = min(max(value, 0.0), 1.0)
     if value <= 0.0:
         return 0.0
     if value >= 1.0:
         return 1.0
-    return brentq(lambda r: float(disk.profile(r)) - value, 0.0, 1.0, xtol=1e-14)
+    return brentq(lambda r: float(disk_profile(r)) - value, 0.0, 1.0, xtol=1e-14)
 
 
 def _deck_index(lens: LensParams, j: int) -> int:
@@ -199,7 +192,7 @@ def page_coords(page: Page, pt) -> tuple[float, float]:
 
     A point on another slice of the deck orbit is moved to the page's slice
     by the deck action first; one more than ``PAGE_TOL`` off every slice is
-    refused.  The radius inverts ``PDisk.profile`` with ``brentq``.
+    refused.  The radius inverts ``disk_profile`` with ``brentq``.
     """
     pt = check_point(pt)
     p = page.p
@@ -209,9 +202,9 @@ def page_coords(page: Page, pt) -> tuple[float, float]:
     j = round(off)
     if abs(off - j) * level > PAGE_TOL and abs(w) > PAGE_TOL:
         raise PreconditionViolation("point does not lie on the page")
-    if p > 1 and j % p != 0:
+    if j % p != 0:
         z, w = to_complex(deck_action(page.system.lens, _deck_index(page.system.lens, j), pt))
-    r = _profile_inverse(page.disk, abs(z))
+    r = _profile_inverse(abs(z))
     return r, math.atan2(z.imag, z.real)
 
 
@@ -219,11 +212,10 @@ def build_page(sys: ContactSystem, phase: float = 0.0) -> Page:
     """Construct the page at ``phase`` and verify Reeb transversality on its interior."""
     if not math.isfinite(phase):
         raise PreconditionViolation(f"page phase must be finite, got {phase}")
-    lens = sys.lens if sys.lens is not None else LensParams(1, 1)
-    disk, phase = PDisk(lens), float(phase)
+    phase = float(phase)
     rs = np.linspace(1e-3, 1.0 - 1e-3, _N_CHECK)
     ths = np.linspace(0.0, 2.0 * math.pi, _N_CHECK, endpoint=False)
-    pts, _, _ = pdisk_arrays(disk, rs[:, None], ths[None, :], phase)
+    pts, _, _ = pdisk_arrays(rs[:, None], ths[None, :], phase)
     pts = pts.reshape(-1, 4)
     # transverse component of the Reeb field = rate of the w-phase
     reeb = _reeb_rows(sys, pts)
@@ -233,7 +225,7 @@ def build_page(sys: ContactSystem, phase: float = 0.0) -> Page:
     min_rate = float(np.min(np.abs(rate)))
     if min_rate <= 0.0 or np.any(rate * np.sign(rate[0]) <= 0):
         raise ReebkitError("Reeb field is not transverse to the page interior")
-    return Page(system=sys, disk=disk, phase=phase, min_transverse=min_rate)
+    return Page(system=sys, phase=phase, min_transverse=min_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +383,7 @@ def _edge_action(page: Page, a: tuple[float, float], b: tuple[float, float]) -> 
     ra, ta = a
     rb, tb = b
     s = 0.5 * (_GAUSS_X + 1.0)
-    pts, d_r, d_th = pdisk_arrays(page.disk, ra + (rb - ra) * s, ta + (tb - ta) * s, page.phase)
+    pts, d_r, d_th = pdisk_arrays(ra + (rb - ra) * s, ta + (tb - ta) * s, page.phase)
     vel = d_r * (rb - ra) + d_th * (tb - ta)
     vals = _lambda_rows(page.system, pts, vel)
     return float(np.sum(_GAUSS_W * vals) * 0.5)
@@ -421,7 +413,7 @@ def page_form_samples(page: Page, n_r: int, n_th: int):
     """The pulled-back area form dlambda(d_r u, d_th u) on a product grid of the interior."""
     rs = np.linspace(_FORM_MARGIN, 1.0 - _FORM_MARGIN, n_r)
     ths = np.linspace(0.0, 2.0 * math.pi, n_th, endpoint=False)
-    pts, d_r, d_th = _page_arrays(page, rs, ths)
+    pts, d_r, d_th = pdisk_arrays(rs[:, None], ths[None, :], page.phase)
     shape = pts.shape[:2]
     vals = _dlambda_rows(
         page.system, pts.reshape(-1, 4), d_r.reshape(-1, 4), d_th.reshape(-1, 4)
@@ -441,7 +433,7 @@ def _page_form_integral(page: Page, n_r: int, n_th: int) -> float:
     total = 0.0
     for a, b in zip(knots, knots[1:]):
         rs = np.linspace(a, b, n_r + 1)
-        pts, d_r, d_th = _page_arrays(page, rs, ths)
+        pts, d_r, d_th = pdisk_arrays(rs[:, None], ths[None, :], page.phase)
         shape = pts.shape[:2]
         vals = np.abs(
             _dlambda_rows(
@@ -553,8 +545,7 @@ def verify_gss_conditions(
         raise PreconditionViolation(
             f"the sample count must be in [0, {_MAX_SAMPLES}], got {n_samples}"
         )
-    lens = sys.lens if sys.lens is not None else LensParams(1, 1)
-    p = lens.p
+    lens, p = sys.lens, sys.p
     entries = catalog(sys, C)
     rng = np.random.default_rng(seed)
     report: dict = {
@@ -571,8 +562,7 @@ def verify_gss_conditions(
     checks: dict[str, bool] = {}
 
     log.info("binding invariants")
-    disk = PDisk(lens)
-    sl = binding_sl_numeric(disk)
+    sl = binding_sl_numeric(p)
     K, _Kp = principal_orbits(sys)
     idx = lifted_index(K, p)
     report["binding"] = {

@@ -101,7 +101,7 @@ def test_criterion_5_lens_invariants():
     for p in range(1, 13):
         for q in coprime_residues(p):
             lens = rk.LensParams(p, q)
-            assert rk.binding_sl_numeric(rk.PDisk(lens)) == -p, (p, q)
+            assert rk.binding_sl_numeric(lens.p) == -p, (p, q)
             assert rk.lens_binding_monodromy(lens) == (p - q) % p, (p, q)
             checked += 1
     _report("criterion 5 (sl = -p and mon = -q for p <= 12)", f"{checked} pairs")

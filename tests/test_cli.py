@@ -132,8 +132,31 @@ def test_verify_skipped_dynamics(sys_file, tmp_path):
     assert json.loads(out.read_text())["gss_sampling"] == {"status": "skipped"}
 
 
-def test_verify_requires_quotient(s3_file, capsys):
-    assert main(["verify", "--config", s3_file, "--samples", "0"]) == 1
+def test_verify_on_s3_with_or_without_lens_block(s3_file, tmp_path):
+    # S^3 is L(1, 1): written with or without the lens block it is one system
+    l11 = tmp_path / "l11.json"
+    l11.write_text(json.dumps({**ELL_S3, "lens": {"p": 1, "q": 1}}))
+    outputs = []
+    for config in (s3_file, str(l11)):
+        paths = [tmp_path / f"{Path(config).stem}.{ext}" for ext in ("json", "csv", "svg")]
+        argv = ["verify", "--config", config, "--action-bound", "4", "--samples", "12",
+                "--out", str(paths[0]), "--csv", str(paths[1]), "--svg", str(paths[2])]
+        assert main(argv) == 0
+        outputs.append([path.read_bytes() for path in paths])
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0][0])
+    assert report["all_pass"] and report["binding"]["sl_numeric"] == -1
+    assert report["system"]["lens"] == {"p": 1, "q": 1}
+
+
+def test_s3_is_stored_as_l11():
+    assert reebkit.ContactSystem(lens=None) == reebkit.ContactSystem(lens=reebkit.LensParams(1, 1))
+    assert reebkit.ContactSystem().lens == reebkit.LensParams(1, 1)
+    assert "lens" not in reebkit.system_to_json(reebkit.ContactSystem("round"))
+    l11 = reebkit.system_from_json({**ELL_S3, "lens": {"p": 1, "q": 1}})
+    assert reebkit.system_to_json(l11) == ELL_S3
+    l21 = reebkit.system_from_json(ELL_L21)
+    assert reebkit.system_to_json(l21) == ELL_L21
 
 
 def test_verify_unwritable_output(sys_file, tmp_path):
@@ -150,7 +173,7 @@ def test_verify_unwritable_output(sys_file, tmp_path):
 
 def test_verify_failed_check_exits_three(sys_file, tmp_path, monkeypatch):
     out = tmp_path / "report.json"
-    monkeypatch.setattr(reebkit.section, "binding_sl_numeric", lambda disk: -999)
+    monkeypatch.setattr(reebkit.section, "binding_sl_numeric", lambda p: -999)
     code = main(
         ["verify", "--config", sys_file, "--action-bound", "2", "--samples", "0",
          "--out", str(out)]
@@ -392,7 +415,6 @@ _LIBRARY_DEFAULTS = {
     "integrate.dopri45.project",
     "integrate.dopri45.max_step",
     "knots.pdisk_arrays.phase",
-    "knots.pdisk_point.phase",
     "orbits.orbit_index.k",
     "section.build_page.phase",
     "section.return_map.direction",
@@ -425,7 +447,7 @@ def _library_defaults() -> list:
 
 def test_library_defaults_are_pinned():
     found = _library_defaults()
-    assert len(found) == len(set(found)) == 29
+    assert len(found) == len(set(found)) == 28
     assert set(found) == _LIBRARY_DEFAULTS
 
 

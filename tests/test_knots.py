@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import reebkit as rk
 from reebkit.errors import PreconditionViolation
-from reebkit.knots import coprime_residues, pdisk_arrays
+from reebkit.knots import coprime_residues, disk_profile, disk_profile_deriv, pdisk_arrays
 
 
 # ---------------------------------------------------------------------------
@@ -180,54 +180,53 @@ def test_classification_tables_p2():
 
 
 def test_profile_endpoints_and_monotone():
-    disk = rk.PDisk(rk.LensParams(3, 1))
     rs = np.linspace(0.0, 1.0, 2001)
-    f = disk.profile(rs)
+    f = disk_profile(rs)
     assert f[0] == 0.0 and f[-1] == pytest.approx(1.0, abs=1e-15)
     assert np.all(np.diff(f) > 0)
     # prescribed germs
-    assert np.allclose(disk.profile(np.array([0.05, 0.1])), [0.05, 0.1])
+    assert np.allclose(disk_profile(np.array([0.05, 0.1])), [0.05, 0.1])
     near1 = np.array([0.9, 0.97])
-    assert np.allclose(disk.profile(near1), np.cos(0.5 * math.pi * (1 - near1)))
+    assert np.allclose(disk_profile(near1), np.cos(0.5 * math.pi * (1 - near1)))
 
 
 def test_profile_derivative_matches_finite_differences():
-    disk = rk.PDisk(rk.LensParams(2, 1))
     rs = np.linspace(0.01, 0.99, 57)
     h = 1e-6
-    fd = (disk.profile(rs + h) - disk.profile(rs - h)) / (2 * h)
-    assert np.abs(disk.profile_deriv(rs) - fd).max() < 1e-8
+    fd = (disk_profile(rs + h) - disk_profile(rs - h)) / (2 * h)
+    assert np.abs(disk_profile_deriv(rs) - fd).max() < 1e-8
+
+
+def _disk_point(r, theta):
+    return pdisk_arrays(r, theta)[0]
 
 
 def test_pdisk_point_examples():
-    disk = rk.PDisk(rk.LensParams(5, 2))
-    center = rk.pdisk_point(disk, 0.0, 1.2)
+    center = _disk_point(0.0, 1.2)
     assert np.allclose(center, [0, 0, 1, 0])
-    boundary = rk.pdisk_point(disk, 1.0, 0.7)
+    boundary = _disk_point(1.0, 0.7)
     assert np.allclose(boundary, [math.cos(0.7), math.sin(0.7), 0, 0], atol=1e-12)
-    assert abs(np.linalg.norm(rk.pdisk_point(disk, 0.43, 2.0)) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(_disk_point(0.43, 2.0)) - 1.0) < 1e-12
     with pytest.raises(PreconditionViolation):
-        rk.pdisk_point(disk, math.nextafter(1.0, 2.0), 0.0)
+        _disk_point(math.nextafter(1.0, 2.0), 0.0)
 
 
 def test_pdisk_boundary_covers_binding_p_to_one():
     L = rk.LensParams(5, 2)
-    disk = rk.PDisk(L)
     # the p boundary angles theta + 2 pi k / p are deck-equivalent lifts
-    base = rk.pdisk_point(disk, 1.0, 0.3)
+    base = _disk_point(1.0, 0.3)
     for k in range(1, 5):
-        other = rk.pdisk_point(disk, 1.0, 0.3 + 2 * math.pi * k / 5)
+        other = _disk_point(1.0, 0.3 + 2 * math.pi * k / 5)
         assert rk.lens_equivalent(L, base, other)
 
 
 def test_pdisk_immersion_away_from_boundary():
-    disk = rk.PDisk(rk.LensParams(4, 3))
     rng = np.random.default_rng(0)
     for _ in range(200):
         r = float(rng.uniform(0.01, 0.999))
         th = float(rng.uniform(0, 2 * math.pi))
-        dr = pdisk_arrays(disk, r, th)[1]
-        f = float(disk.profile(r))
+        dr = pdisk_arrays(r, th)[1]
+        f = float(disk_profile(r))
         dth = np.array([-f * math.sin(th), f * math.cos(th), 0.0, 0.0])
         gram = np.array([[dr @ dr, dr @ dth], [dr @ dth, dth @ dth]])
         assert np.linalg.det(gram) > 1e-12
@@ -238,16 +237,15 @@ def test_pdisk_immersion_away_from_boundary():
 
 
 def test_binding_sl_numeric_examples():
-    assert rk.binding_sl_numeric(rk.PDisk(rk.LensParams(2, 1))) == -2
-    assert rk.binding_sl_numeric(rk.PDisk(rk.LensParams(5, 2))) == -5
-    assert rk.binding_sl_numeric(rk.PDisk(rk.LensParams(1, 1))) == -1
+    assert rk.binding_sl_numeric(2) == -2
+    assert rk.binding_sl_numeric(5) == -5
+    assert rk.binding_sl_numeric(1) == -1
 
 
 def test_binding_sl_matches_formula_small_p():
+    # the disk is the same for every L(p, q): the numeric value reads p alone
     for p in range(1, 41):
-        for q in coprime_residues(p):
-            disk = rk.PDisk(rk.LensParams(p, q))
-            assert rk.binding_sl_numeric(disk) == rk.self_linking_from_winding(p, -1)
+        assert rk.binding_sl_numeric(p) == rk.self_linking_from_winding(p, -1)
 
 
 def test_binding_knot_data():

@@ -11,6 +11,7 @@ import reebkit.section as section
 from reebkit.cli import main
 from reebkit.errors import IllConditioned, IntegrationFailure, PreconditionViolation
 from reebkit.integrate import _MAX_STEPS
+from reebkit.knots import disk_profile, pdisk_arrays
 from reebkit.section import _edge_action, page_form_samples, sample_starts
 
 SQRT2 = math.sqrt(2.0)
@@ -397,9 +398,8 @@ def test_quad_area_matches_form_integral(ell_l21):
     area = rk.quad_dlambda_area(page, corners)
     _rs, _ths, vals = page_form_samples(page, 3, 4)
     from reebkit.geometry import _dlambda_rows
-    from reebkit.section import _page_arrays
 
-    pts, d_r, d_th = _page_arrays(page, np.array([r0 + s / 2]), np.array([th0 + s / 2]))
+    pts, d_r, d_th = pdisk_arrays(r0 + s / 2, th0 + s / 2, page.phase)
     q = _dlambda_rows(page.system, pts.reshape(-1, 4), d_r.reshape(-1, 4), d_th.reshape(-1, 4))[0]
     assert area == pytest.approx(q * s * s, rel=1e-4)
 
@@ -631,14 +631,14 @@ def _reference_first_crossing(sys, pt0, direction, level, time_budget, tol, flow
     raise IntegrationFailure("no crossing")
 
 
-def _reference_profile_inverse(disk, value):
-    """``brentq`` on the numpy profile ``PDisk.profile``."""
+def _reference_profile_inverse(value):
+    """``brentq`` on the numpy profile ``knots.disk_profile``."""
     value = min(max(value, 0.0), 1.0)
     if value <= 0.0:
         return 0.0
     if value >= 1.0:
         return 1.0
-    return brentq(lambda r: float(disk.profile(r)) - value, 0.0, 1.0, xtol=1e-14)
+    return brentq(lambda r: float(disk_profile(r)) - value, 0.0, 1.0, xtol=1e-14)
 
 
 def _reference_return_map(page, start, direction="forward", tol=1e-10):
@@ -688,11 +688,10 @@ def test_return_map_equals_flow_stepping_reference(lens):
 
 
 def test_profile_inverse_equals_brentq_on_numpy_profile():
-    disk = rk.PDisk(rk.LensParams(2, 1))
     values = np.linspace(-0.1, 1.1, 241).tolist() + [1e-12, 1.0 - 1e-12]
     values += np.random.default_rng(1).uniform(0.0, 1.0, 200).tolist()
     for v in values:
-        assert section._profile_inverse(disk, v) == _reference_profile_inverse(disk, v), v
+        assert section._profile_inverse(v) == _reference_profile_inverse(v), v
 
 
 def test_verify_csv_bytes_equal_flow_stepping_reference(tmp_path, monkeypatch):
