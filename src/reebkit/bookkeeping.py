@@ -9,6 +9,7 @@ bubbling-off tree of (period, index) labels must satisfy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -17,25 +18,34 @@ from .errors import PreconditionViolation, ResolutionFailure, StructuralError
 PERIOD_RESOLUTION = 1e-9  # closest two catalog periods ``sigma_gap`` tells apart
 
 
+def _finite(value, what: str) -> float:
+    """A real number that is finite, as a float; strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise StructuralError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # period catalogs and the gap constant
 
 
 @dataclass
 class PeriodCatalog:
-    """Labelled periods below an action bound, kept sorted ascending."""
+    """Labelled periods below an action bound, kept sorted ascending.
+
+    The periods and the bound must be finite numbers, as ``_finite`` reads them.
+    """
 
     entries: list  # (label, period) pairs
     bound: float
 
     def __post_init__(self):
-        if not math.isfinite(self.bound):
-            raise PreconditionViolation(f"the catalog bound must be finite, got {self.bound}")
+        self.bound = _finite(self.bound, "the catalog bound")
         cleaned = []
         for label, period in self.entries:
-            period = float(period)
-            if not 0 < period < math.inf:
-                raise PreconditionViolation(f"periods must be positive and finite, got {period}")
+            period = _finite(period, "a catalog period")
+            if period <= 0:
+                raise PreconditionViolation(f"periods must be positive, got {period}")
             if period <= self.bound + 1e-15:
                 cleaned.append((str(label), period))
         self.entries = sorted(cleaned, key=lambda e: e[1])
@@ -129,13 +139,6 @@ class BubblingTree:
 
 
 _MAX_TREE_DEPTH = 200  # below the JSON decoder's nesting limit, far below the recursion limit
-
-
-def _finite(value, what: str) -> float:
-    """A JSON number that is finite, as a float; strings and booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise StructuralError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def tree_from_json(data: dict) -> BubblingTree:

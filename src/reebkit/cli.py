@@ -72,7 +72,7 @@ def _load_json_file(path: str, what: str, build):
     text = _read_file(path, what)
     try:
         return build(json.loads(text))
-    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
         raise StructuralError(f"malformed {what} file {path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -205,16 +205,18 @@ def _cmd_tree_validate(args) -> int:
 
 def _cmd_sigma(args) -> int:
     if args.catalog:
+        if args.action_bound is not None:
+            raise PreconditionViolation("--action-bound bounds --config; a catalog has its own bound")
         cat = _load_json_file(
             args.catalog, "catalog",
-            lambda data: PeriodCatalog(entries=data["entries"], bound=float(data["bound"])),
+            lambda data: PeriodCatalog(entries=data["entries"], bound=data["bound"]),
         )
     elif args.config:
         sys_ = _load_system(args.config)
-        orbits = catalog(sys_, args.action_bound)
+        bound = 5.0 if args.action_bound is None else args.action_bound
+        orbits = catalog(sys_, bound)
         cat = PeriodCatalog(
-            entries=[(f"{o.label}^{o.multiplicity}", o.period) for o in orbits],
-            bound=args.action_bound,
+            entries=[(f"{o.label}^{o.multiplicity}", o.period) for o in orbits], bound=bound
         )
     else:
         raise PreconditionViolation("sigma needs --catalog or --config")
@@ -300,7 +302,8 @@ def _build_parser() -> _Parser:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--config", help=config_help)
     source.add_argument("--catalog", default=None, help="period catalog JSON file")
-    p.add_argument("--action-bound", type=float, default=5.0)
+    p.add_argument("--action-bound", type=float, default=None,
+                   help="bound on the periods of --config (default 5.0); refused with --catalog")
     p.set_defaults(fn=_cmd_sigma)
 
     p = sub.add_parser("return-map", help="one application of the page return map")

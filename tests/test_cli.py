@@ -458,14 +458,19 @@ def test_library_defaults_are_pinned():
     + [(c, ["--seed", "3"]) for c in _SUBCOMMAND_ARGV if c != "verify"]
     + [("lens", ["--config", json.dumps(ELL_L21)]),
        ("tree-validate", ["--config", json.dumps(ELL_L21)]),
-       ("sigma", ["--catalog", "c.json"])],
+       ("sigma", ["--catalog", "c.json"]),
+       # a catalog file carries its own bound; the file is not read
+       (["sigma", "--catalog", "c.json"], ["--action-bound", "3"])],
     ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"),
 )
 def test_options_without_effect_exit_usage(command, option, capsys):
-    assert main(_SUBCOMMAND_ARGV[command] + option) == 1
+    base = _SUBCOMMAND_ARGV[command] if isinstance(command, str) else command
+    assert main(base + option) == 1
     out, err = capsys.readouterr()
     if option[0] == "--catalog":  # sigma's periods come from --config or --catalog, not both
         message = "argument --catalog: not allowed with argument --config"
+    elif option[0] == "--action-bound":
+        message = "--action-bound bounds --config; a catalog has its own bound"
     else:
         message = f"unrecognized arguments: {' '.join(option)}"
     assert out == "" and err == f"error: {message}\n"
@@ -570,14 +575,20 @@ def _nested_tree(depth):
      '{"bound": 5, "root": {"period": NaN, "mu": 2}, "entries": [["a", NaN], ["b", 1.0]]}',
      '{"bound": 5, "root": {"period": 3, "mu": 2, "children": [{"period": 1, "mu": 2, '
      '"parent_edge_period": Infinity}]}}',
-     '{"bound": 5, "root": {"period": "1", "mu": 2}}',
-     '{"bound": true, "root": {"period": 1, "mu": 2}}',
+     '{"bound": 5, "root": {"period": "1", "mu": 2}, "entries": [["a", 1.0], ["b", "2.5"]]}',
+     '{"bound": true, "root": {"period": 1, "mu": 2}, "entries": [["a", 1.0]]}',
      '{"bound": 5, "root": {"period": 1, "mu": 2.9}}',
      '{"bound": 5, "root": {"period": 1, "mu": "3"}}',
-     '{"bound": 5, "root": {"period": 1, "mu": true}}'],
+     '{"bound": 5, "root": {"period": 1, "mu": true}}',
+     '{"bound": 5, "root": {"period": true, "mu": 2}, "entries": [["a", true], ["b", 2.5]]}',
+     '{"bound": "3", "root": {"period": 1, "mu": 2}, "entries": [["a", 1.0]]}',
+     # an integer beyond the float range, which float() cannot convert
+     '{"bound": 5, "root": {"period": 1' + "0" * 400 + ', "mu": 2}, "entries": [["a", 1'
+     + "0" * 400 + ']]}'],
     ids=["not-json", "no-bound", "list", "non-numeric-period", "nested-300", "nested-600",
          "infinite-bound", "nan-period", "infinite-edge-period", "string-period", "boolean-bound",
-         "fractional-mu", "string-mu", "boolean-mu"],
+         "fractional-mu", "string-mu", "boolean-mu", "boolean-period", "string-bound",
+         "huge-integer-period"],
 )
 def test_malformed_tree_and_catalog_files_exit_usage(command, content, tmp_path, capsys):
     path = tmp_path / "data.json"
