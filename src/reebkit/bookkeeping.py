@@ -31,10 +31,7 @@ def _finite(value, what: str) -> float:
 
 @dataclass
 class PeriodCatalog:
-    """Labelled periods below an action bound, kept sorted ascending.
-
-    The periods and the bound must be finite numbers, as ``_finite`` reads them.
-    """
+    """Labelled finite periods below a finite action bound, kept sorted ascending."""
 
     entries: list  # (label, period) pairs
     bound: float

@@ -216,7 +216,8 @@ def _cmd_sigma(args) -> int:
         bound = 5.0 if args.action_bound is None else args.action_bound
         orbits = catalog(sys_, bound)
         cat = PeriodCatalog(
-            entries=[(f"{o.label}^{o.multiplicity}", o.period) for o in orbits], bound=bound
+            entries=[(f"{o.label}^{o.multiplicity}", o.period) for o in orbits],
+            bound=bound,
         )
     else:
         raise PreconditionViolation("sigma needs --catalog or --config")

@@ -336,7 +336,7 @@ def return_map(
     _scan_step(sys, level, 2.0 * t_star)
     sgn = 1 if direction == "forward" else -1
     u = _turn(complex(math.cos(theta), math.sin(theta)), w1, sgn * t_star)
-    if page.p > 1:
+    if page.p > 1:  # on S^3 the factor is 1 + 0j, and a product with it can flip a zero's sign
         u *= _deck_turns(sys.lens, _deck_index(sys.lens, sgn))[0]
     return ReturnRecord((r, theta), t_star, (r, math.atan2(u.imag, u.real)), direction)
 
