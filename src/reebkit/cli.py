@@ -150,20 +150,10 @@ def write_samples_csv(path: str, samples: list[dict]) -> None:
         "backward_time,backward_r,backward_theta"
     ]
     for s in samples:
+        (r, th), (fr, fth), (br, bth) = s["start"], s["forward_image"], s["backward_image"]
         lines.append(
-            ",".join(
-                f"{v:.12g}"
-                for v in (
-                    s["start"][0],
-                    s["start"][1],
-                    s["forward_time"],
-                    s["forward_image"][0],
-                    s["forward_image"][1],
-                    s["backward_time"],
-                    s["backward_image"][0],
-                    s["backward_image"][1],
-                )
-            )
+            f"{r:.12g},{th:.12g},{s['forward_time']:.12g},{fr:.12g},{fth:.12g},"
+            f"{s['backward_time']:.12g},{br:.12g},{bth:.12g}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
