@@ -560,6 +560,14 @@ def test_hostile_config_exits_usage(argv, capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_at_the_sample_cap_exits_zero(tmp_path):
+    # the cap itself is allowed; one sample more is refused above
+    csv = tmp_path / "samples.csv"
+    assert main(["verify", "--config", json.dumps(ELL_L21), "--samples", "100000",
+                 "--out", str(tmp_path / "report.json"), "--csv", str(csv)]) == 0
+    assert len(csv.read_text(encoding="utf-8").splitlines()) == 100_001
+
+
 def _nested_tree(depth):
     vertex = '{"period": 1, "mu": 2, "children": ['
     return '{"bound": 9, "root": ' + vertex * depth + '{"period": 1, "mu": 2}' + "]}" * depth + "}"

@@ -656,8 +656,17 @@ def _reference_return_map(page, start, direction="forward", tol=1e-10):
     )
 
 
-def _use_reference(monkeypatch):
-    monkeypatch.setattr(section, "return_map", _reference_return_map)
+def _use_reference(monkeypatch, turned: dict):
+    """Route ``section._returns`` through ``_reference_return_map``; count starts in ``turned``."""
+
+    def returns(page, starts, direction):
+        recs = [_reference_return_map(page, start, direction) for start in starts]
+        turned[direction] += len(recs)
+        # every start's scan returns in the same time, to the digits a report prints
+        assert len({f"{rec.return_time:.12g}" for rec in recs}) == 1, direction
+        return recs[0].return_time, [rec.image for rec in recs]
+
+    monkeypatch.setattr(section, "_returns", returns)
     monkeypatch.setattr(section, "_profile_inverse", _reference_profile_inverse)
 
 
@@ -694,8 +703,11 @@ def test_profile_inverse_equals_brentq_on_numpy_profile():
         assert section._profile_inverse(v) == _reference_profile_inverse(v), v
 
 
-def test_verify_csv_bytes_equal_flow_stepping_reference(tmp_path, monkeypatch):
-    cfg = '{"family": "ellipsoid", "a": 1.0, "b": 1.4142135623730951, "lens": {"p": 2, "q": 1}}'
+@pytest.mark.parametrize("lens", [None, (2, 1), (3, 2)], ids=str)
+def test_verify_csv_bytes_equal_flow_stepping_reference(lens, tmp_path, monkeypatch):
+    # S^3 takes the kernel's branch without the deck product
+    cfg = json.dumps({"family": "ellipsoid", "a": 1.0, "b": SQRT2,
+                      **({"lens": {"p": lens[0], "q": lens[1]}} if lens else {})})
 
     def run(tag):
         out, csv = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
@@ -705,11 +717,14 @@ def test_verify_csv_bytes_equal_flow_stepping_reference(tmp_path, monkeypatch):
         return out.read_bytes(), csv.read_bytes()
 
     fast = run("fast")
+    turned = {"forward": 0, "backward": 0}
     with monkeypatch.context() as m:
-        _use_reference(m)
+        _use_reference(m, turned)
         slow = run("slow")
     assert fast == slow
     assert len(fast[1].decode().splitlines()) == 201
+    # the scan ran from the fixed point and from every sampled start, both ways
+    assert turned == {"forward": 201, "backward": 200}
 
 
 # ---------------------------------------------------------------------------
