@@ -67,17 +67,21 @@ def _read_file(path: str, what: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_json_file(path: str, what: str, build):
-    """``build`` applied to the JSON of a file; any wrong shape is a ``StructuralError``."""
-    text = _read_file(path, what)
+def _load_json(spec: str, what: str, build, inline: bool):
+    """``build`` applied to the JSON of a file, or of ``spec`` itself if ``inline``.
+
+    Every input from outside the program is decoded here; any wrong shape
+    is a ``StructuralError``.
+    """
+    source, text = (f"inline {what}", spec) if inline else (f"{what} file {spec}", _read_file(spec, what))
     try:
         return build(json.loads(text))
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
-        raise StructuralError(f"malformed {what} file {path}: {type(exc).__name__}: {exc}") from exc
+        raise StructuralError(f"malformed {source}: {type(exc).__name__}: {exc}") from exc
 
 
 def _load_system(spec: str) -> ContactSystem:
-    return system_from_json(spec if spec.strip().startswith("{") else _read_file(spec, "config"))
+    return _load_json(spec, "config", system_from_json, spec.strip().startswith("{"))
 
 
 def _select_orbit(sys_: ContactSystem, name: str):
@@ -180,7 +184,7 @@ def _cmd_lens(args) -> int:
 
 
 def _cmd_tree_validate(args) -> int:
-    tree = _load_json_file(args.tree, "tree", tree_from_json)
+    tree = _load_json(args.tree, "tree", tree_from_json, False)
     ok, violations = validate_tree(tree, args.sigma)
     _emit(
         {
@@ -197,9 +201,9 @@ def _cmd_sigma(args) -> int:
     if args.catalog:
         if args.action_bound is not None:
             raise PreconditionViolation("--action-bound bounds --config; a catalog has its own bound")
-        cat = _load_json_file(
+        cat = _load_json(
             args.catalog, "catalog",
-            lambda data: PeriodCatalog(entries=data["entries"], bound=data["bound"]),
+            lambda data: PeriodCatalog(entries=data["entries"], bound=data["bound"]), False,
         )
     elif args.config:
         sys_ = _load_system(args.config)
@@ -308,8 +312,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("REEBKIT_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    # getLevelName maps a level name to its number and any other string to a string
+    level = logging.getLevelName(os.environ.get("REEBKIT_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -323,10 +328,7 @@ def main(argv=None) -> int:
     except DegenerateInput as exc:
         _sys.stderr.write(f"degenerate: {exc}\n")
         return EXIT_DEGENERATE
-    except (FileNotFoundError, OSError) as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (PreconditionViolation, StructuralError, ReebkitError) as exc:
+    except (OSError, ReebkitError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -1,13 +1,13 @@
 """Contact geometry of the unit 3-sphere and its cyclic quotients.
 
 Points of S^3 in R^4 = C^2 are plain numpy arrays ``(x1, y1, x2, y2)`` with
-``z = x1 + i y1`` and ``w = x2 + i y2``.  Two families of contact forms are
-supported on the sphere:
-
-* ``round``     -- the standard Liouville form, Reeb flow ``(z,w) -> (e^{2it}z, e^{2it}w)``;
-* ``ellipsoid`` -- the weighted form pulled back from the ellipsoid with
-  capacities ``(a, b)``; the Reeb flow rotates the z-plane at angular rate
-  ``2*pi/a`` and the w-plane at ``2*pi/b``, entirely on the unit sphere.
+``z = x1 + i y1`` and ``w = x2 + i y2``.  One family of contact forms is
+supported on the sphere: the ``ellipsoid`` form, pulled back from the
+ellipsoid with capacities ``(a, b)``, whose Reeb flow rotates the z-plane at
+angular rate ``2*pi/a`` and the w-plane at ``2*pi/b``, entirely on the unit
+sphere.  ``round``, the standard Liouville form with the Hopf flow
+``(z,w) -> (e^{2it}z, e^{2it}w)``, is the ellipsoid E(pi, pi) and is stored
+as such.
 
 A quotient by the free Z_p action ``(z, w) -> (e^{2pi i/p} z, e^{2pi i q/p} w)``
 turns the system into a lens space; points are always stored as lifts to S^3
@@ -17,7 +17,6 @@ quotient L(1, 1), the lens of every system that is built without one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -30,6 +29,7 @@ from .integrate import dopri45
 SPHERE_TOL = 1e-12
 TANGENT_TOL = 1e-10
 DECK_TOL = 1e-9  # largest distance at which ``lens_equivalent`` matches two points
+_MAX_ORDER = 2**53  # largest lens order p; a float holds every integer up to it
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,8 @@ class LensParams:
     def __post_init__(self):
         if not all(isinstance(n, int) and not isinstance(n, bool) for n in (self.p, self.q)):
             raise PreconditionViolation(f"p and q must be integers, got ({self.p!r}, {self.q!r})")
+        if self.p > _MAX_ORDER:
+            raise PreconditionViolation(f"p must be at most 2**53, got a {self.p.bit_length()}-bit p")
         if self.p < 1 or not (1 <= self.q <= self.p):
             raise PreconditionViolation(f"need p >= 1 and 1 <= q <= p, got ({self.p}, {self.q})")
         if math.gcd(self.p, self.q) != 1:
@@ -50,7 +52,11 @@ class LensParams:
 
 @dataclass(frozen=True)
 class ContactSystem:
-    """A contact form on the lens space L(p, q); ``lens=None`` means S^3, stored as L(1, 1)."""
+    """A contact form on the lens space L(p, q); ``lens=None`` means S^3, stored as L(1, 1).
+
+    ``family="round"`` is the ellipsoid E(pi, pi), stored as such; its given
+    capacities are replaced.
+    """
 
     family: str = "round"
     a: float = 1.0
@@ -60,7 +66,10 @@ class ContactSystem:
     def __post_init__(self):
         if self.lens is None:
             object.__setattr__(self, "lens", LensParams(1, 1))
-        if self.family not in ("round", "ellipsoid"):
+        if self.family == "round":
+            for field, value in (("family", "ellipsoid"), ("a", math.pi), ("b", math.pi)):
+                object.__setattr__(self, field, value)
+        if self.family != "ellipsoid":
             raise PreconditionViolation(f"unknown family {self.family!r}")
         if not (0 < self.a < math.inf and 0 < self.b < math.inf):
             raise PreconditionViolation(
@@ -79,8 +88,6 @@ class ContactSystem:
 
     def plane_rates(self) -> tuple[float, float]:
         """Angular rates of the Reeb rotation in the z- and w-planes."""
-        if self.family == "round":
-            return 2.0, 2.0
         return 2.0 * math.pi / self.a, 2.0 * math.pi / self.b
 
 
@@ -93,16 +100,11 @@ def system_to_json(sys: ContactSystem) -> dict:
 
 
 def system_from_json(data) -> ContactSystem:
-    """The system of a JSON config; a missing or null ``lens`` means S^3.
+    """The system of a decoded JSON config; a missing or null ``lens`` means S^3.
 
     Configs come from outside the program, so every wrong shape raises
     ``PreconditionViolation``.
     """
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except ValueError as exc:
-            raise PreconditionViolation(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "family" not in data:
         raise PreconditionViolation("config must be a JSON object with a 'family'")
     lens = data.get("lens")
@@ -210,25 +212,19 @@ def _omega0_rows(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 
 def _H_rows(sys: ContactSystem, pts: np.ndarray) -> np.ndarray:
-    # lambda = lambda0 / H for the ellipsoid family
+    # lambda = lambda0 / H
     return (math.pi / sys.a) * (pts[:, 0] ** 2 + pts[:, 1] ** 2) + (math.pi / sys.b) * (
         pts[:, 2] ** 2 + pts[:, 3] ** 2
     )
 
 
 def _lambda_rows(sys: ContactSystem, pts: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    lam = _lambda0_rows(pts, vs)
-    if sys.family == "round":
-        return lam
-    return lam / _H_rows(sys, pts)
+    return _lambda0_rows(pts, vs) / _H_rows(sys, pts)
 
 
 def _dlambda_rows(
     sys: ContactSystem, pts: np.ndarray, us: np.ndarray, vs: np.ndarray
 ) -> np.ndarray:
-    om = _omega0_rows(us, vs)
-    if sys.family == "round":
-        return om
     H = _H_rows(sys, pts)
     grad = np.empty_like(pts)
     grad[:, 0] = 2 * math.pi / sys.a * pts[:, 0]
@@ -237,7 +233,7 @@ def _dlambda_rows(
     grad[:, 3] = 2 * math.pi / sys.b * pts[:, 3]
     dfu = -np.sum(grad * us, axis=1) / H**2
     dfv = -np.sum(grad * vs, axis=1) / H**2
-    return dfu * _lambda0_rows(pts, vs) - dfv * _lambda0_rows(pts, us) + om / H
+    return dfu * _lambda0_rows(pts, vs) - dfv * _lambda0_rows(pts, us) + _omega0_rows(us, vs) / H
 
 
 def lambda0_eval(pt, v) -> float:
@@ -310,23 +306,25 @@ def _turn(u: complex, rate: float, t: float) -> complex:
     return u * complex(math.cos(rate * t), math.sin(rate * t))
 
 
-def _turn_grid(sys: ContactSystem, v: np.ndarray, T: float, n: int) -> np.ndarray:
-    """Rows of ``v`` turned at the family rates for the grid times T j / n, j = 0..n.
+def _turn_grid(sys: ContactSystem, vs: np.ndarray, T: float, n: int) -> np.ndarray:
+    """Each row of ``vs`` turned at the plane rates for the grid times T j / n, j = 0..n.
 
-    The float operations are those of ``flow(sys, v, T * j / n)``, cos and
-    sin included, so a turned point equals the scalar flow bit for bit.  The
-    flow is linear on C^2, so the same kernel turns tangent vectors: it is
-    its own linearization.
+    Returns shape (len(vs), n + 1, 4), and all rows share one table of cos
+    and sin values.  The float operations are those of ``_turn`` at time
+    T * j / n on each plane coordinate, cos and sin included, so a turned
+    point equals the scalar ``flow`` bit for bit.  The flow is linear on
+    C^2, so the same kernel turns tangent vectors: it is its own
+    linearization.
     """
     ts = T * np.arange(n + 1) / n
-    out = np.empty((n + 1, 4))
+    out = np.empty((len(vs), n + 1, 4))
     for col, rate in zip((0, 2), sys.plane_rates()):
         angles = (rate * ts).tolist()
         c = np.array([math.cos(t) for t in angles])
         s = np.array([math.sin(t) for t in angles])
-        x, y = v[col], v[col + 1]
-        out[:, col] = x * c - y * s
-        out[:, col + 1] = x * s + y * c
+        x, y = vs[:, col, None], vs[:, col + 1, None]
+        out[:, :, col] = x * c - y * s
+        out[:, :, col + 1] = x * s + y * c
     return out
 
 
@@ -337,7 +335,7 @@ def _project_sphere(y: np.ndarray) -> np.ndarray:
 def flow(sys: ContactSystem, pt, t: float, tol: float = 1e-10, method: str = "closed") -> np.ndarray:
     """Time-``t`` Reeb flow of ``pt``.
 
-    ``method='closed'`` (the default) turns the z- and w-planes at the family
+    ``method='closed'`` (the default) turns the z- and w-planes at the plane
     rates; ``'numeric'`` integrates the Reeb field with the adaptive stepper
     and post-step renormalization to the sphere (error bound ~ tol per unit
     time).  Any other method is a ``ValueError``.

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolation
-from .geometry import (
-    ContactSystem,
-    LensParams,
-    _lambda0_rows,
-    _reeb_rows,
-    ambient_rotation,
-    section_W,
-)
+from .geometry import LensParams, ambient_rotation, section_W
 from .index import wind_relative
 
 
@@ -213,11 +206,9 @@ def binding_sl_numeric(p: int) -> int:
     """
     thetas = 2.0 * math.pi * np.arange(_SL_SAMPLES) / _SL_SAMPLES
     pts, rad, _ = pdisk_arrays(1.0 - _SL_COLLAR, thetas)
-    # project the radial vector to the contact plane along the Reeb direction
-    # of the standard form
-    R = _reeb_rows(ContactSystem(), pts)
-    rad = rad - np.sum(rad * pts, axis=1)[:, None] * pts
-    rad = rad - _lambda0_rows(pts, rad)[:, None] * R
+    # W and iW are orthogonal to the point and to i pt, the Reeb direction of
+    # the standard form, so the dot products read the radial vector's
+    # contact-plane part without projecting it there first
     e1 = section_W(pts)
     e2 = ambient_rotation(e1)
     x_coords = np.tile([1.0, 0.0], (_SL_SAMPLES, 1))

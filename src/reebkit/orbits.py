@@ -4,11 +4,12 @@ The supported systems have exactly two prime closed orbits, the principal
 circles K = {w = 0} and K' = {z = 0}; on a quotient their prime periods
 divide by the order of the deck group.  The Reeb flow is linear on C^2, so
 the linearized flow along an orbit is the flow itself, in closed form; it is
-projected to the contact plane and expressed in the one frame the package
-builds, ``disk_frame``: the unitary frame of the global section
-W(z, w) = (-conj(w), conj(z)) of the contact structure.  W extends over the
-spanning disks of the principal circles, so the frame represents the
-capping-disk trivialization class, the class in which the criterion
+read in the one frame the package builds, ``disk_frame``, by pairing with
+dlambda, which vanishes on the Reeb direction, so nothing is projected to
+the contact plane first.  The frame is the unitary frame of the global
+section W(z, w) = (-conj(w), conj(z)) of the contact structure.  W extends
+over the spanning disks of the principal circles, so the frame represents
+the capping-disk trivialization class, the class in which the criterion
 mu_CZ(K^p) >= 3 is read; a path in another class is ``index.prepend_loop``
 of this one.  In it the linearized path is a rotation path: its rotation
 number is the monodromy's exact class mod 1 moved by the whole turns of one
@@ -27,8 +28,6 @@ from .errors import DegenerateInput, GridTooCoarse, IllConditioned, Precondition
 from .geometry import (
     ContactSystem,
     _dlambda_rows,
-    _lambda_rows,
-    _reeb_rows,
     _turn_grid,
     ambient_rotation,
     check_point,
@@ -112,8 +111,6 @@ def orbit_to_json(orbit: ClosedOrbit) -> dict:
 
 def principal_orbits(sys: ContactSystem) -> tuple[ClosedOrbit, ClosedOrbit]:
     """The two prime orbits: the z-circle K and the w-circle K', of periods a / p and b / p."""
-    if sys.family != "ellipsoid":
-        raise DegenerateInput("orbit families not isolated for the round form")
     if abs(sys.a - sys.b) <= 1e-9:
         raise DegenerateInput("orbit families not isolated for a = b")
     p, q = sys.p, sys.q
@@ -165,7 +162,7 @@ def disk_frame(orbit: ClosedOrbit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     each principal circle, so the induced class is the disk class.
     """
     sys = orbit.system
-    pts = _turn_grid(sys, orbit.anchor, orbit.period, _GRID_INTERVALS)
+    pts = _turn_grid(sys, orbit.anchor[None], orbit.period, _GRID_INTERVALS)[0]
     w = section_W(pts)
     iw = ambient_rotation(w)
     norm = _dlambda_rows(sys, pts, w, iw)
@@ -179,8 +176,9 @@ def linearized_path(orbit: ClosedOrbit) -> SymplecticPath:
     """The transverse linearized flow over one period, expressed in the disk frame.
 
     The flow is linear, so the frame's first vectors are carried along by
-    turning them with the points; their images are projected to the contact
-    plane along the Reeb direction and re-expanded in the frame.  An orbit
+    turning them with the points, and their images are read in the frame by
+    pairing with dlambda.  dlambda vanishes on the Reeb direction, so the
+    images need no projection to the contact plane first.  An orbit
     that turns more than pi/2 per interval of the grid, (w1 + w2) T / n, is
     refused before the frame is built: there the index layer's phase
     unwrapping refuses a rotation path, and past pi the turns alias.
@@ -194,11 +192,8 @@ def linearized_path(orbit: ClosedOrbit) -> SymplecticPath:
             f"of the {n}-interval grid, more than pi/2"
         )
     pts, e1, e2 = disk_frame(orbit)
-    R = _reeb_rows(sys, pts)
     mats = np.empty((n + 1, 2, 2))
-    for col, v0 in enumerate((e1[0], e2[0])):
-        v = _turn_grid(sys, v0, orbit.period, n)
-        u = v - _lambda_rows(sys, pts, v)[:, None] * R
+    for col, u in enumerate(_turn_grid(sys, np.stack([e1[0], e2[0]]), orbit.period, n)):
         mats[:, 0, col] = _dlambda_rows(sys, pts, u, e2)
         mats[:, 1, col] = _dlambda_rows(sys, pts, e1, u)
     dets = np.linalg.det(mats)

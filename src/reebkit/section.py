@@ -33,13 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateInput,
-    IllConditioned,
-    IntegrationFailure,
-    PreconditionViolation,
-    ReebkitError,
-)
+from .errors import IllConditioned, IntegrationFailure, PreconditionViolation, ReebkitError
 from .geometry import (
     ContactSystem,
     LensParams,
@@ -543,8 +537,6 @@ def verify_gss_conditions(
             lifts[orbit.label] = _orbit_lift(orbit)
         return lifts[orbit.label](k * orbit.multiplicity)
 
-    if sys.family != "ellipsoid":
-        raise DegenerateInput("the verifier needs a nondegenerate (ellipsoid) system")
     if not 0 <= n_samples <= _MAX_SAMPLES:
         raise PreconditionViolation(
             f"the sample count must be in [0, {_MAX_SAMPLES}], got {n_samples}"

@@ -159,6 +159,21 @@ def test_s3_is_stored_as_l11():
     assert reebkit.system_to_json(l21) == ELL_L21
 
 
+def test_round_is_stored_as_ellipsoid_pi_pi(capsys):
+    # the round form is E(pi, pi), whose rates 2 pi / pi are exactly the Hopf rate 2
+    e_pi = reebkit.ContactSystem("ellipsoid", a=math.pi, b=math.pi)
+    assert reebkit.ContactSystem("round") == e_pi == reebkit.ContactSystem()
+    assert reebkit.ContactSystem("round", a=5.0, b=0.1) == e_pi
+    assert reebkit.ContactSystem("round").plane_rates() == (2.0, 2.0)
+    assert main(["return-map", "--config", '{"family": "round", "a": 5}', "--start", "0.5,0.3"]) == 0
+    assert json.loads(capsys.readouterr().out)["system"] == {
+        "family": "ellipsoid", "a": 3.14159265359, "b": 3.14159265359}
+    for argv in (["index"], ["verify"], ["sigma"]):
+        assert main(argv + ["--config", '{"family": "round"}']) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "degenerate: orbit families not isolated for a = b\n"
+
+
 def test_verify_unwritable_output(sys_file, tmp_path):
     # a path through a regular file cannot be written, root or not
     blocker = tmp_path / "blocker"
@@ -358,6 +373,17 @@ def test_cli_runs_without_scipy(tmp_path):
     assert result["samples"] == 513 and result["scipy_after_paths"] == []
 
 
+@pytest.mark.parametrize("level", ["BASIC_FORMAT", "_styles"])
+def test_log_variable_naming_no_level_falls_back_to_warning(level, tmp_path):
+    # in a fresh process, where basicConfig is not a no-op as it is under pytest
+    env = dict(os.environ, PYTHONPATH=str(Path(reebkit.__file__).resolve().parents[1]),
+               REEBKIT_LOG=level)
+    proc = subprocess.run([sys.executable, "-m", "reebkit.cli", "lens", "--p", "7"], env=env,
+                          capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["p"] == 7
+
+
 _SUBCOMMAND_ARGV = {
     "index": ["index", "--config", json.dumps(ELL_L21), "--k", "2"],
     "verify": ["verify", "--config", json.dumps(ELL_L21), "--samples", "0"],
@@ -480,6 +506,14 @@ def _no_sampling(*_args, **_kwargs):
     raise AssertionError("return samples were drawn")
 
 
+class _ConfigFile(str):
+    """An argv entry that the test writes to a file and replaces by the file's path."""
+
+
+_NESTED_CONFIG = '{"family": "ellipsoid", "a": ' + "[" * 2000 + "]" * 2000 + "}"
+_HUGE_ORDER = json.dumps({**ELL_L21, "lens": {"p": 10**400 + 1, "q": 1}})
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -537,6 +571,14 @@ def _no_sampling(*_args, **_kwargs):
         ["verify", "--config", json.dumps({**ELL_L21, "b": 1e-309})],
         ["sigma", "--config", json.dumps({**ELL_L21, "b": 5e-324})],
         ["return-map", "--config", json.dumps({**ELL_S3, "b": 5e-324}), "--start", "0.5,0.3"],
+        # configs nested past the decoder's recursion limit, inline and in a file
+        ["index", "--config", _NESTED_CONFIG],
+        ["index", "--config", _ConfigFile(_NESTED_CONFIG)],
+        # a lens order beyond the float range
+        ["index", "--config", _HUGE_ORDER],
+        ["verify", "--config", _HUGE_ORDER],
+        ["return-map", "--config", _HUGE_ORDER, "--start", "0.5,0.3"],
+        ["sigma", "--config", _HUGE_ORDER],
     ],
     ids=["infinite-capacity", "fractional-lens-order", "huge-capacity-verify",
          "huge-capacity-return-map", "huge-capacity-index",
@@ -548,11 +590,18 @@ def _no_sampling(*_args, **_kwargs):
          "unknown-flag", "non-integer-iterate", "unknown-format", "missing-config",
          "no-family", "list-lens", "lens-without-q", "string-lens", "true-lens", "number-lens",
          "truncated-json", "capacity-beyond-float", "tiny-capacity-index", "tiny-capacity-verify",
-         "subnormal-capacity-sigma", "subnormal-capacity-return-map"],
+         "subnormal-capacity-sigma", "subnormal-capacity-return-map",
+         "nested-inline-config", "nested-config-file", "huge-order-index", "huge-order-verify",
+         "huge-order-return-map", "huge-order-sigma"],
 )
-def test_hostile_config_exits_usage(argv, capsys, monkeypatch):
+def test_hostile_config_exits_usage(argv, tmp_path, capsys, monkeypatch):
     # every refusal comes before any return is sampled
     monkeypatch.setattr(reebkit.section, "sample_starts", _no_sampling)
+    path = tmp_path / "config.json"
+    for arg in argv:
+        if isinstance(arg, _ConfigFile):
+            path.write_text(arg)
+    argv = [str(path) if isinstance(arg, _ConfigFile) else arg for arg in argv]
     start = time.perf_counter()
     assert main(argv) == 1
     assert time.perf_counter() - start < 5.0

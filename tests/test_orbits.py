@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import reebkit as rk
 from reebkit.errors import DegenerateInput, GridTooCoarse, IllConditioned, PreconditionViolation
-from reebkit.geometry import _dlambda_rows, _lambda_rows
+from reebkit.geometry import _dlambda_rows, _lambda_rows, _turn, _turn_grid, from_complex, to_complex
 from reebkit.integrate import dopri45
-from reebkit.orbits import _MAX_CATALOG, _closure_order
+from reebkit.orbits import _GRID_INTERVALS, _MAX_CATALOG, _closure_order
 from test_index import _scanned_winding_interval
 
 SQRT2 = math.sqrt(2.0)
@@ -180,6 +180,27 @@ def test_disk_frame_points_equal_scalar_flow(lens):
             n = 512
             pts = np.array([rk.flow(sys_, it.anchor, it.period * j / n) for j in range(n + 1)])
             assert np.array_equal(rk.disk_frame(it)[0], pts)
+
+
+@pytest.mark.parametrize("lens", [None, (2, 1), (3, 2)], ids=["S3", "L21", "L32"])
+def test_turn_grid_rows_equal_scalar_turn(lens):
+    # rows turned on the shared cos/sin table equal the scalar turn bit for bit;
+    # flow itself refuses the frame vectors, which are off the unit sphere
+    sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(*lens) if lens else None)
+    w1, w2 = sys_.plane_rates()
+    n = _GRID_INTERVALS
+    for orbit in rk.principal_orbits(sys_):
+        pts, e1, e2 = rk.disk_frame(orbit)
+        vs = np.stack([orbit.anchor, e1[0], e2[0]])
+        grid = _turn_grid(sys_, vs, orbit.period, n)
+        assert grid.shape == (3, n + 1, 4)
+        for v, rows in zip(vs, grid):
+            z, w = to_complex(v)
+            turned = []
+            for j in range(n + 1):
+                t = orbit.period * j / n
+                turned.append(from_complex(_turn(z, w1, t), _turn(w, w2, t)))
+            assert np.array_equal(rows, np.array(turned))
 
 
 def test_linearized_path_refuses_coarse_grid_up_front(monkeypatch):
