@@ -94,6 +94,7 @@ from .orbits import (
 from .section import (
     Page,
     ReturnRecord,
+    ReturnSamples,
     build_page,
     disk_area_bound,
     fixed_point,

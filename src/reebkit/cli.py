@@ -26,7 +26,7 @@ from .errors import DegenerateInput, PreconditionViolation, ReebkitError, Struct
 from .geometry import ContactSystem, system_from_json, system_to_json
 from .knots import classification_tables
 from .orbits import catalog, index_table, principal_orbits
-from .section import build_page, return_map, verify_gss_conditions
+from .section import ReturnSamples, build_page, return_map, verify_gss_conditions
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,8 +120,27 @@ def _cmd_index(args) -> int:
     return EXIT_OK
 
 
-def write_svg_scatter(path: str, samples: list[dict]) -> None:
-    """Hand-rolled scatter plot of (start, forward image) pairs in page coordinates."""
+# rows that the sample writers join before each write, so that a file at the
+# sample cap is never built whole in memory
+_CHUNK_ROWS = 4096
+
+
+def _write_rows(fh, rows) -> None:
+    """Write the strings of ``rows`` to ``fh``, ``_CHUNK_ROWS`` at a time."""
+    chunk = []
+    for row in rows:
+        chunk.append(row)
+        if len(chunk) == _CHUNK_ROWS:
+            fh.write("".join(chunk))
+            chunk.clear()
+    fh.write("".join(chunk))
+
+
+def write_svg_scatter(path: str, samples: ReturnSamples) -> None:
+    """Hand-rolled scatter plot of (start, forward image) pairs in page coordinates.
+
+    The circles are written ``_CHUNK_ROWS`` samples at a time.
+    """
     size = 500
     c = size / 2
     scale = 0.46 * size
@@ -129,37 +148,52 @@ def write_svg_scatter(path: str, samples: list[dict]) -> None:
     def xy(r, th):
         return c + scale * r * math.cos(th), c - scale * r * math.sin(th)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-        f'<circle cx="{c}" cy="{c}" r="{scale}" fill="none" stroke="#444" stroke-width="1"/>',
-    ]
-    for rec in samples:
-        x0, y0 = xy(*rec["start"])
-        x1, y1 = xy(*rec["forward_image"])
-        parts.append(
-            f'<circle cx="{x0:.2f}" cy="{y0:.2f}" r="2.4" fill="#1f77b4" fill-opacity="0.8"/>'
+    def circles():
+        for start, image in zip(samples.starts, samples.forward_images):
+            x0, y0 = xy(*start)
+            x1, y1 = xy(*image)
+            yield (
+                f'<circle cx="{x0:.2f}" cy="{y0:.2f}" r="2.4" fill="#1f77b4" fill-opacity="0.8"/>\n'
+                f'<circle cx="{x1:.2f}" cy="{y1:.2f}" r="2.4" fill="#d62728" fill-opacity="0.8"/>\n'
+            )
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+            f'viewBox="0 0 {size} {size}">\n'
+            f'<rect width="{size}" height="{size}" fill="white"/>\n'
+            f'<circle cx="{c}" cy="{c}" r="{scale}" fill="none" stroke="#444" stroke-width="1"/>\n'
         )
-        parts.append(
-            f'<circle cx="{x1:.2f}" cy="{y1:.2f}" r="2.4" fill="#d62728" fill-opacity="0.8"/>'
-        )
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+        _write_rows(fh, circles())
+        fh.write("</svg>\n")
 
 
-def write_samples_csv(path: str, samples: list[dict]) -> None:
-    lines = [
-        "start_r,start_theta,forward_time,forward_r,forward_theta,"
-        "backward_time,backward_r,backward_theta"
-    ]
-    for s in samples:
-        (r, th), (fr, fth), (br, bth) = s["start"], s["forward_image"], s["backward_image"]
-        lines.append(
-            f"{r:.12g},{th:.12g},{s['forward_time']:.12g},{fr:.12g},{fth:.12g},"
-            f"{s['backward_time']:.12g},{br:.12g},{bth:.12g}"
+def write_samples_csv(path: str, samples: ReturnSamples) -> None:
+    """The return samples as CSV, one row per start, each float with 12 significant digits.
+
+    Each direction's return time is formatted once per file, and each row
+    formats its start radius once; an image radius equal to it (returns
+    keep the radius) reuses that string, and any other is formatted itself.
+    The rows are written ``_CHUNK_ROWS`` at a time.
+    """
+    tf, tb = f"{samples.forward_time:.12g}", f"{samples.backward_time:.12g}"
+
+    def rows():
+        for (r, th), (fr, fth), (br, bth) in zip(
+            samples.starts, samples.forward_images, samples.backward_images
+        ):
+            rs = f"{r:.12g}"
+            # equal floats print alike, except 0.0 and -0.0
+            frs = rs if fr == r != 0.0 else f"{fr:.12g}"
+            brs = rs if br == r != 0.0 else f"{br:.12g}"
+            yield f"{rs},{th:.12g},{tf},{frs},{fth:.12g},{tb},{brs},{bth:.12g}\n"
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            "start_r,start_theta,forward_time,forward_r,forward_theta,"
+            "backward_time,backward_r,backward_theta\n"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_rows(fh, rows())
 
 
 def _cmd_verify(args) -> int:

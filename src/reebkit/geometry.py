@@ -192,54 +192,46 @@ def tangent_basis(pt) -> np.ndarray:
 # They do not check their input; the scalar ``*_eval`` functions do.
 
 
-def _lambda0_rows(pts: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    return 0.5 * (
-        pts[:, 0] * vs[:, 1]
-        - pts[:, 1] * vs[:, 0]
-        + pts[:, 2] * vs[:, 3]
-        - pts[:, 3] * vs[:, 2]
-    )
+def _lambda0_cols(x, v):
+    # x and v are the four columns of the base points and of the vectors
+    return 0.5 * (x[0] * v[1] - x[1] * v[0] + x[2] * v[3] - x[3] * v[2])
 
 
-def _omega0_rows(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    # standard symplectic form dx1^dy1 + dx2^dy2
-    return (
-        us[:, 0] * vs[:, 1]
-        - us[:, 1] * vs[:, 0]
-        + us[:, 2] * vs[:, 3]
-        - us[:, 3] * vs[:, 2]
-    )
-
-
-def _H_rows(sys: ContactSystem, pts: np.ndarray) -> np.ndarray:
+def _H_cols(sys: ContactSystem, x):
     # lambda = lambda0 / H
-    return (math.pi / sys.a) * (pts[:, 0] ** 2 + pts[:, 1] ** 2) + (math.pi / sys.b) * (
-        pts[:, 2] ** 2 + pts[:, 3] ** 2
-    )
+    return (math.pi / sys.a) * (x[0] ** 2 + x[1] ** 2) + (math.pi / sys.b) * (x[2] ** 2 + x[3] ** 2)
 
 
 def _lambda_rows(sys: ContactSystem, pts: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    return _lambda0_rows(pts, vs) / _H_rows(sys, pts)
+    return _lambda0_cols(pts.T, vs.T) / _H_cols(sys, pts.T)
 
 
 def _dlambda_rows(
     sys: ContactSystem, pts: np.ndarray, us: np.ndarray, vs: np.ndarray
 ) -> np.ndarray:
-    H = _H_rows(sys, pts)
-    grad = np.empty_like(pts)
-    grad[:, 0] = 2 * math.pi / sys.a * pts[:, 0]
-    grad[:, 1] = 2 * math.pi / sys.a * pts[:, 1]
-    grad[:, 2] = 2 * math.pi / sys.b * pts[:, 2]
-    grad[:, 3] = 2 * math.pi / sys.b * pts[:, 3]
-    dfu = -np.sum(grad * us, axis=1) / H**2
-    dfv = -np.sum(grad * vs, axis=1) / H**2
-    return dfu * _lambda0_rows(pts, vs) - dfv * _lambda0_rows(pts, us) + _omega0_rows(us, vs) / H
+    """(d(1/H) ^ lambda0 + omega0 / H)(u, v), which is dlambda(u, v), on each row, by columns.
+
+    Each column of ``pts``, ``us`` and ``vs`` is read once, and the gradient
+    of H is paired with u and v column by column, left to right: the sums
+    of ``np.sum(grad * us, axis=1)`` over the four columns, bit for bit up
+    to the sign of an exact zero, without its (n, 4) temporaries.
+    """
+    x, u, v = tuple(pts.T), tuple(us.T), tuple(vs.T)
+    H = _H_cols(sys, x)
+    H2 = H**2
+    ka, kb = 2 * math.pi / sys.a, 2 * math.pi / sys.b
+    g0, g1, g2, g3 = ka * x[0], ka * x[1], kb * x[2], kb * x[3]
+    dfu = -(g0 * u[0] + g1 * u[1] + g2 * u[2] + g3 * u[3]) / H2
+    dfv = -(g0 * v[0] + g1 * v[1] + g2 * v[2] + g3 * v[3]) / H2
+    # the standard symplectic form dx1^dy1 + dx2^dy2
+    omega0 = u[0] * v[1] - u[1] * v[0] + u[2] * v[3] - u[3] * v[2]
+    return dfu * _lambda0_cols(x, v) - dfv * _lambda0_cols(x, u) + omega0 / H
 
 
 def lambda0_eval(pt, v) -> float:
     """The Liouville form (x1 dy1 - y1 dx1 + x2 dy2 - y2 dx2)/2 on a tangent vector."""
     v = check_tangent(pt, v)
-    return _lambda0_rows(np.asarray(pt, dtype=float)[None], v[None])[0]
+    return _lambda0_cols(np.asarray(pt, dtype=float), v)
 
 
 def lambda_eval(sys: ContactSystem, pt, v) -> float:

@@ -153,6 +153,17 @@ def catalog(sys: ContactSystem, C: float) -> list[ClosedOrbit]:
 # the disk frame and the linearized flow
 
 
+def _frame_rows(sys: ContactSystem, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The disk frame at each row of ``pts``: e1 = W scaled to dlambda(e1, e2) = 1, and e2 = i e1."""
+    w = section_W(pts)
+    iw = ambient_rotation(w)
+    norm = _dlambda_rows(sys, pts, w, iw)
+    if np.any(norm <= 1e-12):
+        raise IllConditioned("frame section degenerates along the orbit")
+    scale = np.sqrt(norm)[:, None]
+    return w / scale, iw / scale
+
+
 def disk_frame(orbit: ClosedOrbit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unitary frame along the orbit in the capping-disk class, as arrays (points, e1, e2).
 
@@ -161,27 +172,22 @@ def disk_frame(orbit: ClosedOrbit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dlambda(e1, e2) = 1, and e2 = i e1.  W extends over the spanning disk of
     each principal circle, so the induced class is the disk class.
     """
-    sys = orbit.system
-    pts = _turn_grid(sys, orbit.anchor[None], orbit.period, _GRID_INTERVALS)[0]
-    w = section_W(pts)
-    iw = ambient_rotation(w)
-    norm = _dlambda_rows(sys, pts, w, iw)
-    if np.any(norm <= 1e-12):
-        raise IllConditioned("frame section degenerates along the orbit")
-    scale = np.sqrt(norm)[:, None]
-    return pts, w / scale, iw / scale
+    pts = _turn_grid(orbit.system, orbit.anchor[None], orbit.period, _GRID_INTERVALS)[0]
+    return (pts, *_frame_rows(orbit.system, pts))
 
 
 def linearized_path(orbit: ClosedOrbit) -> SymplecticPath:
     """The transverse linearized flow over one period, expressed in the disk frame.
 
-    The flow is linear, so the frame's first vectors are carried along by
-    turning them with the points, and their images are read in the frame by
-    pairing with dlambda.  dlambda vanishes on the Reeb direction, so the
-    images need no projection to the contact plane first.  An orbit
-    that turns more than pi/2 per interval of the grid, (w1 + w2) T / n, is
-    refused before the frame is built: there the index layer's phase
-    unwrapping refuses a rotation path, and past pi the turns alias.
+    The flow is linear, so the anchor and the frame's vectors at the anchor
+    are turned together on one table of cos and sin values; the turned
+    anchor gives the points of ``disk_frame``, the frame is built on them,
+    and the turned vectors are read in it by pairing with dlambda.  dlambda
+    vanishes on the Reeb direction, so the images need no projection to the
+    contact plane first.  An orbit that turns more than pi/2 per interval of
+    the grid, (w1 + w2) T / n, is refused before the frame is built: there
+    the index layer's phase unwrapping refuses a rotation path, and past pi
+    the turns alias.
     """
     sys = orbit.system
     n = _GRID_INTERVALS
@@ -191,9 +197,12 @@ def linearized_path(orbit: ClosedOrbit) -> SymplecticPath:
             f"the linearized flow of {orbit.label} turns {turn:.3g} rad per interval "
             f"of the {n}-interval grid, more than pi/2"
         )
-    pts, e1, e2 = disk_frame(orbit)
+    anchor = orbit.anchor[None]
+    vs = np.concatenate([anchor, *_frame_rows(sys, anchor)])
+    pts, *turned = _turn_grid(sys, vs, orbit.period, n)
+    e1, e2 = _frame_rows(sys, pts)
     mats = np.empty((n + 1, 2, 2))
-    for col, u in enumerate(_turn_grid(sys, np.stack([e1[0], e2[0]]), orbit.period, n)):
+    for col, u in enumerate(turned):
         mats[:, 0, col] = _dlambda_rows(sys, pts, u, e2)
         mats[:, 1, col] = _dlambda_rows(sys, pts, e1, u)
     dets = np.linalg.det(mats)

@@ -309,10 +309,15 @@ def _returns(page: Page, starts, direction: str) -> tuple[float, list]:
     The radius is kept.  The angle is atan2 of the unit vector (cos theta,
     sin theta) turned at w1 for the return time and by the deck power
     ``_deck_index`` of the slice it lands on, so a start angle of any size
-    is reduced exactly; both factors are formed once per call.  A system
-    whose crossing scan (``_first_crossing``) over twice the return time
-    would need more than ``_MAX_STEPS`` steps is refused up front: there one
-    return turns the z-plane so far that the image keeps no digits.
+    is reduced exactly.  Both factors are formed once per call, and the
+    starts are turned by them elementwise: each complex product is formed
+    on numpy columns as CPython forms it, re = x c - y s and im = x s + y c,
+    so every image equals the scalar product's bit for bit.  cos, sin and
+    atan2 stay those of ``math`` (``np.arctan2`` differs in the last bit on
+    some inputs).  A system whose crossing scan (``_first_crossing``) over
+    twice the return time would need more than ``_MAX_STEPS`` steps is
+    refused up front: there one return turns the z-plane so far that the
+    image keeps no digits.
     """
     sys = page.system
     level = 2.0 * math.pi / page.p
@@ -321,15 +326,15 @@ def _returns(page: Page, starts, direction: str) -> tuple[float, list]:
     _scan_step(sys, level, 2.0 * t_star)
     sgn = 1 if direction == "forward" else -1
     turn = complex(math.cos(w1 * (sgn * t_star)), math.sin(w1 * (sgn * t_star)))
+    rs, thetas = zip(*starts) if starts else ((), ())
+    x = np.fromiter(map(math.cos, thetas), float, len(thetas))
+    y = np.fromiter(map(math.sin, thetas), float, len(thetas))
+    x, y = x * turn.real - y * turn.imag, x * turn.imag + y * turn.real
     # on S^3 the deck factor is 1 + 0j, and a product with it can flip a zero's sign
-    deck = _deck_turns(sys.lens, _deck_index(sys.lens, sgn))[0] if page.p > 1 else None
-    images = []
-    for r, theta in starts:
-        u = complex(math.cos(theta), math.sin(theta)) * turn
-        if deck is not None:
-            u *= deck
-        images.append((r, math.atan2(u.imag, u.real)))
-    return t_star, images
+    if page.p > 1:
+        deck = _deck_turns(sys.lens, _deck_index(sys.lens, sgn))[0]
+        x, y = x * deck.real - y * deck.imag, x * deck.imag + y * deck.real
+    return t_star, list(zip(rs, map(math.atan2, y.tolist(), x.tolist())))
 
 
 def return_map(
@@ -385,7 +390,23 @@ def linking_with_binding(sys: ContactSystem, orbit: ClosedOrbit, page: Page) -> 
 # areas
 
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(32)
+# Gauss-Legendre nodes and weights of order 32 on [-1, 1], symmetric about 0:
+# those of numpy.polynomial.legendre.leggauss(32) bit for bit, stored so that
+# importing the package does not import numpy.polynomial
+_GAUSS_X_POS = [float.fromhex(h) for h in (
+    "0x1.8bbc8488cc49ap-5", "0x1.27e0ea717f237p-3", "0x1.ea0f7e19c094bp-3", "0x1.53d55ce57bdf6p-2",
+    "0x1.af76b57c6f8f1p-2", "0x1.038862866b29dp-1", "0x1.2ce9146962ca4p-1", "0x1.537a89c487f8ap-1",
+    "0x1.76e0931d693bap-1", "0x1.96c69481c4bc5p-1", "0x1.b2e04fd686a13p-1", "0x1.caea9b4574cb9p-1",
+    "0x1.deac0259f7f42p-1", "0x1.edf5518053baap-1", "0x1.f8a212714bcdcp-1", "0x1.fe995e70409b6p-1",
+)]
+_GAUSS_W_POS = [float.fromhex(h) for h in (
+    "0x1.8b6d9eaec77a3p-4", "0x1.87bc776f8c6ccp-4", "0x1.8062fc0f6fef5p-4", "0x1.7572bdb3f6e49p-4",
+    "0x1.6705e18e13ecfp-4", "0x1.553ee25ebebc3p-4", "0x1.40483e126fd0ep-4", "0x1.2854103b35e00p-4",
+    "0x1.0d9b9a62cac04p-4", "0x1.e0bd76c924984p-5", "0x1.a1c6ae961fbeep-5", "0x1.5ee963a3354abp-5",
+    "0x1.18c5800a35609p-5", "0x1.a0060a8531ff0p-6", "0x1.0aa3c248696dep-6", "0x1.cbf8bc743ce34p-8",
+)]
+_GAUSS_X = np.array([-x for x in reversed(_GAUSS_X_POS)] + _GAUSS_X_POS)
+_GAUSS_W = np.array(_GAUSS_W_POS[::-1] + _GAUSS_W_POS)
 
 
 def _edge_action(page: Page, a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -489,10 +510,30 @@ def sample_starts(rng: np.random.Generator, n: int):
     """Page starts approximately area-uniform: uniform in (r^2, theta)."""
     r2 = rng.uniform(_R_LO**2, _R_HI**2, size=n)
     th = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return [(float(math.sqrt(a)), float(b)) for a, b in zip(r2, th)]
+    # np.sqrt is correctly rounded, as math.sqrt is
+    return list(zip(np.sqrt(r2).tolist(), th.tolist()))
 
 
-_MAX_SAMPLES = 100_000  # return samples of one verify; each keeps a dict in memory
+@dataclass(frozen=True)
+class ReturnSamples:
+    """The return samples of one verify, as columns, in the order of the starts.
+
+    ``starts`` holds the page starts (r, theta).  Every return of one
+    direction takes the same time, so each direction keeps its one return
+    time and the images (r, angle) of the starts.
+    """
+
+    starts: list[tuple[float, float]]
+    forward_time: float
+    forward_images: list[tuple[float, float]]
+    backward_time: float
+    backward_images: list[tuple[float, float]]
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+
+_MAX_SAMPLES = 100_000  # return samples of one verify; all are kept until the files are written
 # checks whose outcome the symmetry of the ellipsoid family fixes
 _DECIDED_BY_SYMMETRY = frozenset({"gss_returns"})
 
@@ -502,7 +543,7 @@ def verify_gss_conditions(
     C: float,
     n_samples: int = 100,
     seed: int = 0,
-) -> tuple[dict, list[dict]]:
+) -> tuple[dict, ReturnSamples]:
     """Numerically check the disk-like global surface of section conditions.
 
     For the binding K of the quotient system the report contains: the
@@ -525,7 +566,10 @@ def verify_gss_conditions(
     is the return map's fixed point.  Every return takes level / w2 > 0, so
     ``gss_returns`` cannot fail; ``decided_by_symmetry`` names such checks.
 
-    A sample count outside [0, ``_MAX_SAMPLES``] and an action cutoff that
+    The samples come back as a ``ReturnSamples``: the starts, and per
+    direction the one return time and the images, with no record per
+    sample; with no samples drawn the columns are empty.  A sample count
+    outside [0, ``_MAX_SAMPLES``], a negative seed and an action cutoff that
     is not finite or admits too many orbits are refused before any work.
     Each stage is noted at INFO on the ``reebkit`` logger.
     """
@@ -541,6 +585,8 @@ def verify_gss_conditions(
         raise PreconditionViolation(
             f"the sample count must be in [0, {_MAX_SAMPLES}], got {n_samples}"
         )
+    if seed < 0:
+        raise PreconditionViolation(f"the seed must be non-negative, got {seed}")
     lens, p = sys.lens, sys.p
     entries = catalog(sys, C)
     rng = np.random.default_rng(seed)
@@ -631,17 +677,14 @@ def verify_gss_conditions(
     }
     checks["pstar_linking"] = pstar_ok
 
-    samples: list[dict] = []
+    starts = []
     if n_samples > 0:
         log.info("return sampling")
         starts = sample_starts(rng, n_samples)
-        t_fwd, fwd = _returns(page, starts, "forward")
-        t_bwd, bwd = _returns(page, starts, "backward")
-        samples = [
-            {"start": [r, theta], "forward_time": t_fwd, "forward_image": list(f),
-             "backward_time": t_bwd, "backward_image": list(b)}
-            for (r, theta), f, b in zip(starts, fwd, bwd)
-        ]
+    t_fwd, fwd = _returns(page, starts, "forward")
+    t_bwd, bwd = _returns(page, starts, "backward")
+    samples = ReturnSamples(starts, t_fwd, fwd, t_bwd, bwd)
+    if n_samples > 0:
         # one return time per direction decides every sample
         report["gss_sampling"] = {
             "n": n_samples,

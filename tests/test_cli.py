@@ -7,8 +7,10 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -111,6 +113,54 @@ def test_verify_writes_report_and_artifacts(sys_file, tmp_path):
     assert svg_text.startswith("<svg") and "circle" in svg_text
     lines = csv.read_text().strip().splitlines()
     assert len(lines) == 9  # header + 8 samples
+
+
+def _naive_samples_csv(samples) -> str:
+    """The samples CSV with all eight fields of every row formatted, as one string."""
+    lines = ["start_r,start_theta,forward_time,forward_r,forward_theta,"
+             "backward_time,backward_r,backward_theta"]
+    for (r, th), (fr, fth), (br, bth) in zip(
+        samples.starts, samples.forward_images, samples.backward_images
+    ):
+        lines.append(f"{r:.12g},{th:.12g},{samples.forward_time:.12g},{fr:.12g},{fth:.12g},"
+                     f"{samples.backward_time:.12g},{br:.12g},{bth:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+def _random_samples(n, seed):
+    """``ReturnSamples`` of ``n`` random starts whose images keep their radius."""
+    rng = np.random.default_rng(seed)
+    starts = list(zip(rng.uniform(0.05, 0.95, n).tolist(), rng.uniform(-7.0, 7.0, n).tolist()))
+    return reebkit.ReturnSamples(starts, 1.25, [(r, th + 1.0) for r, th in starts],
+                                 1.25, [(r, th - 1.0) for r, th in starts])
+
+
+def test_samples_csv_equals_naive_writer_on_other_image_radii(tmp_path):
+    samples = _random_samples(3 * reebkit.cli._CHUNK_ROWS + 5, 4)
+    # image radii that differ from the start radius, equal to it, and signed zeros
+    starts = samples.starts[:-3] + [(-0.0, 1.0), (0.0, 2.0), (0.3, 3.0)]
+    fwd = [(r * 0.5, th) for r, th in samples.forward_images[:-3]]
+    fwd += [(0.0, 1.0), (-0.0, 2.0), (0.3, 3.0)]
+    bwd = [(math.nextafter(r, 1.0), th) for r, th in samples.backward_images[:-3]]
+    bwd += [(0.0, 1.0), (-0.0, 2.0), (math.nan, 3.0)]
+    mixed = reebkit.ReturnSamples(starts, math.pi, fwd, -0.0, bwd)
+    for case in (samples, mixed, reebkit.ReturnSamples([], 1.0, [], 2.0, [])):
+        path = tmp_path / "samples.csv"
+        reebkit.cli.write_samples_csv(str(path), case)
+        assert path.read_bytes() == _naive_samples_csv(case).encode()
+
+
+def test_samples_csv_at_the_cap_is_written_in_chunks(tmp_path):
+    samples = _random_samples(100_000, 5)
+    tracemalloc.start()
+    try:
+        reebkit.cli.write_samples_csv(str(tmp_path / "samples.csv"), samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file is about 10 MB, and a writer that joins all its rows peaks near 40 MB
+    assert peak < 8e6
+    assert (tmp_path / "samples.csv").stat().st_size > 9e6
 
 
 def test_verify_deterministic_reports(sys_file, tmp_path):
@@ -546,6 +596,8 @@ _HUGE_ORDER = json.dumps({**ELL_L21, "lens": {"p": 10**400 + 1, "q": 1}})
         ["sigma", "--config", json.dumps(ELL_L21), "--action-bound", "1e9"],
         ["verify", "--config", json.dumps(ELL_L21), "--samples", "-3"],
         ["verify", "--config", json.dumps(ELL_L21), "--samples", "100001"],
+        # numpy's generators take no negative seed
+        ["verify", "--config", json.dumps(ELL_L21), "--samples", "5", "--seed", "-1"],
         # no index is read beyond iterate 10 000, and --k must be positive
         ["index", "--config", json.dumps(ELL_S3), "--orbit", "K", "--k", "10001"],
         ["index", "--config", json.dumps(ELL_S3), "--orbit", "K", "--k", "1000000000"],
@@ -585,7 +637,7 @@ _HUGE_ORDER = json.dumps({**ELL_L21, "lens": {"p": 10**400 + 1, "q": 1}})
          "nan-tol", "infinite-tol", "nan-start-angle", "infinite-start-angle",
          "nan-phase", "infinite-phase",
          "nan-action-bound", "infinite-action-bound", "huge-action-bound",
-         "huge-action-bound-sigma", "negative-samples", "too-many-samples",
+         "huge-action-bound-sigma", "negative-samples", "too-many-samples", "negative-seed",
          "iterate-above-bound", "huge-iterate", "zero-iterate", "huge-lens-order",
          "unknown-flag", "non-integer-iterate", "unknown-format", "missing-config",
          "no-family", "list-lens", "lens-without-q", "string-lens", "true-lens", "number-lens",
@@ -781,7 +833,8 @@ def _fuzzed_runs(draw):
         (["return-map", *cfg, f"--start={start}", f"--phase={draw(_token(_floats(-10.0, 10.0)))}"],
          None),
         (["verify", *cfg, f"--samples={draw(_token(st.integers(0, 50).map(str)))}",
-          f"--action-bound={draw(_token(_floats(0.1, 10.0)))}"], None),
+          f"--action-bound={draw(_token(_floats(0.1, 10.0)))}",
+          f"--seed={draw(_token(st.integers(-5, 50).map(str)))}"], None),
         # a table of p costs O(p^2): small p keep the test fast, the hostile ones pass the cap
         (["lens", f"--p={draw(_token(st.integers(-2, 40).map(str)))}"], None),
         (["sigma", *cfg, f"--action-bound={draw(_token(_floats(0.1, 50.0)))}"], None),

@@ -6,7 +6,9 @@ from scipy.integrate import solve_ivp
 
 import reebkit as rk
 from reebkit.errors import PreconditionViolation
+from reebkit.geometry import _dlambda_rows
 from reebkit.integrate import dopri45
+from reebkit.knots import pdisk_arrays
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0, 0.0])
@@ -80,6 +82,40 @@ def test_reeb_defining_equations_at_random_points():
         for _ in range(3):
             v = tangent_at(rng, pt)
             assert abs(rk.dlambda_eval(sys_, pt, R, v)) < 1e-8
+
+
+def _dlambda_rows_by_row_sums(sys_, pts, us, vs):
+    """dlambda on rows as the kernel formed it with (n, 4) gradients and row sums."""
+    def lam0(p, v):
+        return 0.5 * (p[:, 0] * v[:, 1] - p[:, 1] * v[:, 0] + p[:, 2] * v[:, 3] - p[:, 3] * v[:, 2])
+
+    H = (math.pi / sys_.a) * (pts[:, 0] ** 2 + pts[:, 1] ** 2) + (math.pi / sys_.b) * (
+        pts[:, 2] ** 2 + pts[:, 3] ** 2
+    )
+    grad = np.empty_like(pts)
+    grad[:, 0] = 2 * math.pi / sys_.a * pts[:, 0]
+    grad[:, 1] = 2 * math.pi / sys_.a * pts[:, 1]
+    grad[:, 2] = 2 * math.pi / sys_.b * pts[:, 2]
+    grad[:, 3] = 2 * math.pi / sys_.b * pts[:, 3]
+    dfu = -np.sum(grad * us, axis=1) / H**2
+    dfv = -np.sum(grad * vs, axis=1) / H**2
+    omega0 = us[:, 0] * vs[:, 1] - us[:, 1] * vs[:, 0] + us[:, 2] * vs[:, 3] - us[:, 3] * vs[:, 2]
+    return dfu * lam0(pts, vs) - dfv * lam0(pts, us) + omega0 / H
+
+
+def test_dlambda_rows_by_columns_equal_row_sums_bit_for_bit():
+    rng = np.random.default_rng(7)
+    systems = [rk.ContactSystem("round"), rk.ContactSystem("ellipsoid", a=1.0, b=math.sqrt(2.0)),
+               rk.ContactSystem("ellipsoid", a=0.7, b=17.3, lens=rk.LensParams(3, 2))]
+    # the page grid of verify, and random rows of the sizes the kernel serves
+    rs = np.linspace(1e-3, 1.0 - 1e-3, 101)
+    ths = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
+    grid = tuple(a.reshape(-1, 4) for a in pdisk_arrays(rs[:, None], ths[None, :], 0.3))
+    cases = [grid] + [tuple(rng.normal(size=(3, n, 4))) for n in (1, 513, 4096, 10100)]
+    for sys_ in systems:
+        for pts, us, vs in cases:
+            got = _dlambda_rows(sys_, pts, us, vs)
+            assert got.tobytes() == _dlambda_rows_by_row_sums(sys_, pts, us, vs).tobytes()
 
 
 def test_reeb_unit_ellipsoid_is_round_up_to_rate():

@@ -204,8 +204,9 @@ def test_turn_grid_rows_equal_scalar_turn(lens):
 
 
 def test_linearized_path_refuses_coarse_grid_up_front(monkeypatch):
-    # (w1 + w2) T / n above pi/2: refused before a frame is built
-    monkeypatch.setattr(rk.orbits, "disk_frame", None)
+    # (w1 + w2) T / n above pi/2: refused before a frame is built or a vector turned
+    for name in ("disk_frame", "_frame_rows", "_turn_grid"):
+        monkeypatch.setattr(rk.orbits, name, None)
     _, Kp = rk.principal_orbits(rk.ContactSystem("ellipsoid", a=1.0, b=128.0))
     with pytest.raises(GridTooCoarse):
         rk.linearized_path(Kp)

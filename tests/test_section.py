@@ -390,6 +390,12 @@ def test_report_area_bound_is_one_plus_a(lens):
             assert rk.disk_area_bound(rk.build_page(sys_, 0.0)) == pytest.approx(bound, rel=1e-6)
 
 
+def test_gauss_nodes_equal_leggauss_bit_for_bit():
+    x, w = np.polynomial.legendre.leggauss(32)
+    assert section._GAUSS_X.tobytes() == x.tobytes()
+    assert section._GAUSS_W.tobytes() == w.tobytes()
+
+
 def test_quad_area_matches_form_integral(ell_l21):
     page = rk.build_page(ell_l21, 0.0)
     # small quadrilateral: boundary action vs integrand times coordinate area
@@ -439,7 +445,7 @@ def test_verifier_skips_dynamics_without_samples(ell_l21):
     report, samples = rk.verify_gss_conditions(ell_l21, C=2.0, n_samples=0, seed=0)
     assert report["gss_sampling"] == {"status": "skipped"}
     assert report["decided_by_symmetry"] == []
-    assert samples == []
+    assert len(samples) == 0
     assert report["all_pass"]
 
 
