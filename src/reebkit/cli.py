@@ -8,12 +8,13 @@ configuration (and, for ``verify``, seed).  Every option changes a result:
 runs are serial and every return takes its closed-form time, so there is
 no worker count and no tolerance to set, and only ``verify``, which draws
 its return samples at random, takes a seed.  The ``REEBKIT_LOG``
-environment variable sets the logging level.
+environment variable, read on every call, sets the logging level.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -287,7 +288,14 @@ def _cmd_return_map(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on the first call and shared by every later one.
+
+    No input changes it, and ``parse_args`` returns a fresh namespace on each
+    call, so no parse carries state into the next.  It is never built at
+    import time: ``import reebkit.cli`` leaves the cache empty.
+    """
     parser = _Parser(prog="reebkit", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
@@ -346,9 +354,20 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    ``REEBKIT_LOG`` is read on every call and sets the level of the
+    ``reebkit`` logger; the stderr handler and its format are set up once
+    per process.  The parser is built on the first call (``_build_parser``).
+    """
     # getLevelName maps a level name to its number and any other string to a string
     level = logging.getLevelName(os.environ.get("REEBKIT_LOG", "WARNING").upper())
-    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
+    if not isinstance(level, int):
+        level = logging.WARNING
+    logging.basicConfig()  # a no-op once the root logger has a handler
+    # NOTSET would defer to the root logger's WARNING; 1 lets every record
+    # through, as NOTSET set on the root did
+    logging.getLogger("reebkit").setLevel(max(level, 1))
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -15,6 +15,7 @@ form and the global section W it is measured against live in ``geometry``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -197,12 +198,12 @@ def pdisk_arrays(r, theta, phase: float = 0.0):
 _SL_SAMPLES, _SL_COLLAR = 4096, 1e-3  # binding_sl_numeric's collar circle r = 1 - _SL_COLLAR
 
 
-def binding_sl_numeric(p: int) -> int:
-    """Self-linking of the binding of L(p, q) from phase tracking along a boundary collar.
+@functools.cache
+def _collar_winding() -> int:
+    """Relative winding of the disk's radial vector against W on the collar circle.
 
-    The pushed-forward global section is compared against the radial
-    derivative of the disk on the collar circle r = 1 - ``_SL_COLLAR``; the
-    self-linking number is p times their relative winding.
+    The disk, its collar circle and W are the same for every lens, so the
+    winding is computed on the first call and shared by every later one.
     """
     thetas = 2.0 * math.pi * np.arange(_SL_SAMPLES) / _SL_SAMPLES
     pts, rad, _ = pdisk_arrays(1.0 - _SL_COLLAR, thetas)
@@ -213,5 +214,16 @@ def binding_sl_numeric(p: int) -> int:
     e2 = ambient_rotation(e1)
     x_coords = np.tile([1.0, 0.0], (_SL_SAMPLES, 1))
     n_coords = np.stack([np.sum(rad * e1, axis=1), np.sum(rad * e2, axis=1)], axis=1)
-    wind = wind_relative(n_coords, x_coords)
-    return self_linking_from_winding(p, wind)
+    return wind_relative(n_coords, x_coords)
+
+
+def binding_sl_numeric(p: int) -> int:
+    """Self-linking of the binding of L(p, q) from phase tracking along a boundary collar.
+
+    The pushed-forward global section is compared against the radial
+    derivative of the disk on the collar circle r = 1 - ``_SL_COLLAR``; the
+    self-linking number is p times their relative winding.  That winding
+    reads neither p nor the system, so ``_collar_winding`` computes it
+    numerically once per process, on the first call.
+    """
+    return self_linking_from_winding(p, _collar_winding())

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import json
+import logging
 import math
 import os
 import subprocess
@@ -432,6 +433,102 @@ def test_log_variable_naming_no_level_falls_back_to_warning(level, tmp_path):
                           capture_output=True, text=True, timeout=120, cwd=tmp_path)
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["p"] == 7
+
+
+_STAGE_NOTES = ("binding invariants", "page construction", "fixed point",
+                "catalogued orbits and linking", "return sampling", "area preservation")
+
+
+def test_log_variable_is_read_on_every_call(tmp_path, caplog, monkeypatch):
+    # set_level restores the reebkit logger's level after the test; main sets it on each call
+    caplog.set_level(logging.INFO, logger="reebkit")
+    argv = ["verify", "--config", json.dumps(ELL_L21), "--samples", "4",
+            "--out", str(tmp_path / "report.json")]
+    notes = []
+    for level in ("INFO", "WARNING", "INFO"):
+        monkeypatch.setenv("REEBKIT_LOG", level)
+        caplog.clear()
+        assert main(argv) == 0
+        notes.append([r.getMessage() for r in caplog.records if r.name == "reebkit"])
+    assert notes == [list(_STAGE_NOTES), [], list(_STAGE_NOTES)]
+
+
+@pytest.mark.parametrize("level", ["info", "NOTSET"])
+def test_log_variable_prints_stage_notes_in_a_fresh_process(level, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(reebkit.__file__).resolve().parents[1]),
+               REEBKIT_LOG=level)
+    proc = subprocess.run([sys.executable, "-m", "reebkit.cli", "verify", "--config",
+                           json.dumps(ELL_L21), "--samples", "4", "--out", "report.json"],
+                          env=env, capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stdout == ""
+    assert proc.stderr == "".join(f"INFO:reebkit:{note}\n" for note in _STAGE_NOTES)
+
+
+def _per_process_runs(inputs: Path) -> list:
+    """Command lines of every subcommand, usage errors and --help; {out}, {csv}, {svg} are outputs."""
+    (inputs / "tree.json").write_text(
+        '{"bound": 5, "root": {"period": 3.0, "mu": 2, "children": [{"period": 1.0, "mu": 2}]}}')
+    (inputs / "cat.json").write_text('{"entries": [["a", 1.0], ["b", 3.0]], "bound": 10.0}')
+    l21 = json.dumps(ELL_L21)
+    return [
+        ["index", "--config", l21, "--orbit", "Kprime", "--k", "3", "--format", "csv",
+         "--out", "{out}"],
+        ["verify", "--config", l21, "--samples", "30", "--seed", "2", "--out", "{out}",
+         "--csv", "{csv}", "--svg", "{svg}"],
+        ["lens", "--p", "5"],
+        ["tree-validate", "--tree", str(inputs / "tree.json"), "--sigma", "0.4", "--out", "{out}"],
+        # the mutually exclusive group: a cached parser must accept either member next
+        ["sigma", "--config", l21, "--action-bound", "2"],
+        ["sigma", "--catalog", str(inputs / "cat.json")],
+        ["return-map", "--config", l21, "--start", "0.5,0.3", "--direction", "backward"],
+        ["index", "--config", l21, "--bogus"],
+        ["--help"],
+        ["sigma", "--catalog", str(inputs / "cat.json"), "--config", l21],
+        [],
+    ]
+
+
+def _outputs(argv: list, rundir: Path) -> tuple[list, list]:
+    """argv with its output placeholders pointed into ``rundir``, and those placeholders."""
+    names = [a for a in argv if a in ("{out}", "{csv}", "{svg}")]
+    return [str(rundir / a.strip("{}")) if a in names else a for a in argv], names
+
+
+def test_parser_is_built_once_and_runs_as_in_a_fresh_interpreter(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    monkeypatch.delenv("REEBKIT_LOG", raising=False)
+    runs = _per_process_runs(tmp_path)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    reebkit.cli._build_parser.cache_clear()
+    monkeypatch.setattr(reebkit.cli._Parser, "__init__", counted)
+    in_process = []
+    for i, argv in enumerate(runs):
+        rundir = tmp_path / f"in-{i}"
+        rundir.mkdir()
+        argv, names = _outputs(argv, rundir)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        files = {n: (rundir / n.strip("{}")).read_bytes() for n in names}
+        in_process.append((code, out, err, files))
+    # one parser with one subparser per subcommand, all from the first call
+    assert built.count("reebkit") == 1 and len(built) == 1 + len(_SUBCOMMAND_ARGV)
+    assert [r[0] for r in in_process] == [0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1]
+
+    env = dict(os.environ, PYTHONPATH=str(Path(reebkit.__file__).resolve().parents[1]))
+    for i, (argv, want) in enumerate(zip(runs, in_process)):
+        rundir = tmp_path / f"fresh-{i}"
+        rundir.mkdir()
+        argv, names = _outputs(argv, rundir)
+        proc = subprocess.run([sys.executable, "-m", "reebkit.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        files = {n: (rundir / n.strip("{}")).read_bytes() for n in names}
+        assert (proc.returncode, proc.stdout, proc.stderr, files) == want, runs[i]
 
 
 _SUBCOMMAND_ARGV = {

@@ -6,7 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reebkit as rk
+import reebkit.knots as knots
 from reebkit.errors import PreconditionViolation
+from reebkit.geometry import ambient_rotation, section_W
+from reebkit.index import wind_relative
 from reebkit.knots import coprime_residues, disk_profile, disk_profile_deriv, pdisk_arrays
 
 
@@ -246,6 +249,27 @@ def test_binding_sl_matches_formula_small_p():
     # the disk is the same for every L(p, q): the numeric value reads p alone
     for p in range(1, 41):
         assert rk.binding_sl_numeric(p) == rk.self_linking_from_winding(p, -1)
+
+
+def _uncached_collar_winding() -> int:
+    """The collar winding as ``binding_sl_numeric`` computed it on every call before the cache."""
+    thetas = 2.0 * math.pi * np.arange(knots._SL_SAMPLES) / knots._SL_SAMPLES
+    pts, rad, _ = pdisk_arrays(1.0 - knots._SL_COLLAR, thetas)
+    e1 = section_W(pts)
+    e2 = ambient_rotation(e1)
+    x_coords = np.tile([1.0, 0.0], (knots._SL_SAMPLES, 1))
+    n_coords = np.stack([np.sum(rad * e1, axis=1), np.sum(rad * e2, axis=1)], axis=1)
+    return wind_relative(n_coords, x_coords)
+
+
+def test_cached_collar_winding_equals_uncached():
+    knots._collar_winding.cache_clear()
+    wind = _uncached_collar_winding()
+    assert knots._collar_winding() == wind == -1
+    assert knots._collar_winding.cache_info().currsize == 1
+    for p in (1, 2, 7, 2**53):
+        assert rk.binding_sl_numeric(p) == p * wind
+    assert knots._collar_winding.cache_info().misses == 1
 
 
 def test_binding_knot_data():

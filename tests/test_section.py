@@ -10,9 +10,11 @@ import reebkit as rk
 import reebkit.section as section
 from reebkit.cli import main
 from reebkit.errors import IllConditioned, IntegrationFailure, PreconditionViolation
+from reebkit.geometry import _reeb_rows
 from reebkit.integrate import _MAX_STEPS
 from reebkit.knots import disk_profile, pdisk_arrays
 from reebkit.section import _edge_action, page_form_samples, sample_starts
+from test_golden import grid_systems
 
 SQRT2 = math.sqrt(2.0)
 
@@ -33,6 +35,29 @@ def test_build_page_sphere_case(ell_s3):
     page = rk.build_page(ell_s3, 0.0)
     assert page.p == 1
     assert page.min_transverse > 0
+
+
+def _grid_w_phase_rates(sys_, phase):
+    """Rate of the w-phase along the Reeb field on a 100 x 100 grid of the page interior."""
+    rs = np.linspace(1e-3, 1.0 - 1e-3, 100)
+    ths = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
+    pts = pdisk_arrays(rs[:, None], ths[None, :], phase)[0].reshape(-1, 4)
+    reeb = _reeb_rows(sys_, pts)
+    wz = pts[:, 2] + 1j * pts[:, 3]
+    rw = reeb[:, 2] + 1j * reeb[:, 3]
+    return np.imag(np.conj(wz) * rw) / np.abs(wz) ** 2
+
+
+@pytest.mark.parametrize("name", sorted(grid_systems()))
+def test_page_rate_is_w2_on_a_grid(name):
+    # build_page reads min_transverse in closed form; the grid is the reference
+    sys_ = rk.system_from_json(json.loads(grid_systems()[name]))
+    w2 = sys_.plane_rates()[1]
+    for phase in (0.0, 2.0 * math.pi / sys_.p, 1.3):
+        rates = _grid_w_phase_rates(sys_, phase)
+        assert np.all(rates > 0)
+        assert abs(rates.min() - w2) <= 1e-12 * w2
+        assert rk.build_page(sys_, phase).min_transverse == w2
 
 
 def test_round_sphere_classical_section():
