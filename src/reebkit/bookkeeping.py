@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import PreconditionViolation, ResolutionFailure, StructuralError
 
-PERIOD_RESOLUTION = 1e-9  # closest two catalog periods ``sigma_gap`` tells apart
+PERIOD_RESOLUTION = 1e-9  # closest two periods ``sigma_gap`` and ``orbits.catalog`` tell apart
 
 
 def _finite(value, what: str) -> float:

@@ -5,9 +5,10 @@ Subcommands: ``index``, ``verify``, ``lens``, ``tree-validate``, ``sigma``,
 2 degenerate input, 3 verification failure.  All floating point output is
 rounded to 12 significant digits and reports are byte-stable for a fixed
 configuration (and, for ``verify``, seed).  Every option changes a result:
-runs are serial and every return takes its closed-form time, so there is
-no worker count and no tolerance to set, and only ``verify``, which draws
-its return samples at random, takes a seed.  The ``REEBKIT_LOG``
+runs are serial and every return takes its closed-form time and turns
+every page alike, so there is no worker count, no tolerance and no page
+phase to set, and only ``verify``, which draws its return samples at
+random, takes a seed.  The ``REEBKIT_LOG``
 environment variable, read on every call, sets the logging level.
 """
 
@@ -140,7 +141,8 @@ def _write_rows(fh, rows) -> None:
 def write_svg_scatter(path: str, samples: ReturnSamples) -> None:
     """Hand-rolled scatter plot of (start, forward image) pairs in page coordinates.
 
-    The circles are written ``_CHUNK_ROWS`` samples at a time.
+    An image lies at its start's radius.  The circles are written
+    ``_CHUNK_ROWS`` samples at a time.
     """
     size = 500
     c = size / 2
@@ -150,9 +152,9 @@ def write_svg_scatter(path: str, samples: ReturnSamples) -> None:
         return c + scale * r * math.cos(th), c - scale * r * math.sin(th)
 
     def circles():
-        for start, image in zip(samples.starts, samples.forward_images):
-            x0, y0 = xy(*start)
-            x1, y1 = xy(*image)
+        for r, th, fth in zip(samples.radii, samples.thetas, samples.forward_angles):
+            x0, y0 = xy(r, th)
+            x1, y1 = xy(r, fth)
             yield (
                 f'<circle cx="{x0:.2f}" cy="{y0:.2f}" r="2.4" fill="#1f77b4" fill-opacity="0.8"/>\n'
                 f'<circle cx="{x1:.2f}" cy="{y1:.2f}" r="2.4" fill="#d62728" fill-opacity="0.8"/>\n'
@@ -173,21 +175,18 @@ def write_samples_csv(path: str, samples: ReturnSamples) -> None:
     """The return samples as CSV, one row per start, each float with 12 significant digits.
 
     Each direction's return time is formatted once per file, and each row
-    formats its start radius once; an image radius equal to it (returns
-    keep the radius) reuses that string, and any other is formatted itself.
-    The rows are written ``_CHUNK_ROWS`` at a time.
+    formats its start radius once and writes it for both images too, since
+    every return keeps the radius.  The rows are written ``_CHUNK_ROWS`` at
+    a time.
     """
     tf, tb = f"{samples.forward_time:.12g}", f"{samples.backward_time:.12g}"
 
     def rows():
-        for (r, th), (fr, fth), (br, bth) in zip(
-            samples.starts, samples.forward_images, samples.backward_images
+        for r, th, fth, bth in zip(
+            samples.radii, samples.thetas, samples.forward_angles, samples.backward_angles
         ):
             rs = f"{r:.12g}"
-            # equal floats print alike, except 0.0 and -0.0
-            frs = rs if fr == r != 0.0 else f"{fr:.12g}"
-            brs = rs if br == r != 0.0 else f"{br:.12g}"
-            yield f"{rs},{th:.12g},{tf},{frs},{fth:.12g},{tb},{brs},{bth:.12g}\n"
+            yield f"{rs},{th:.12g},{tf},{rs},{fth:.12g},{tb},{rs},{bth:.12g}\n"
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
@@ -263,7 +262,7 @@ def _cmd_sigma(args) -> int:
 
 def _cmd_return_map(args) -> int:
     sys_ = _load_system(args.config)
-    page = build_page(sys_, args.phase)
+    page = build_page(sys_)
     try:
         r_str, th_str = args.start.split(",")
         start = (float(r_str), float(th_str))
@@ -273,9 +272,9 @@ def _cmd_return_map(args) -> int:
     _emit(
         {
             "system": system_to_json(sys_),
-            "phase": args.phase,
-            "start": list(rec.start),
-            "direction": rec.direction,
+            "phase": page.phase,
+            "start": list(start),
+            "direction": args.direction,
             "return_time": rec.return_time,
             "image": list(rec.image),
         },
@@ -296,7 +295,7 @@ def _build_parser() -> _Parser:
     call, so no parse carries state into the next.  It is never built at
     import time: ``import reebkit.cli`` leaves the cache empty.
     """
-    parser = _Parser(prog="reebkit", description=__doc__)
+    parser = _Parser(prog="reebkit", description=__doc__.replace("``", ""))
     sub = parser.add_subparsers(dest="command")
 
     config_help = "system JSON path or inline JSON"
@@ -345,7 +344,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("return-map", help="one application of the page return map")
     common(p)
-    p.add_argument("--phase", type=float, default=0.0)
     p.add_argument("--start", required=True, help="page coordinates 'r,theta'")
     p.add_argument("--direction", choices=("forward", "backward"), default="forward")
     p.set_defaults(fn=_cmd_return_map)

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bookkeeping import PERIOD_RESOLUTION
 from .errors import DegenerateInput, GridTooCoarse, IllConditioned, PreconditionViolation
 from .geometry import (
     ContactSystem,
@@ -46,7 +47,6 @@ from .index import (
 )
 
 CLOSURE_TOL = 1e-8
-_PERIOD_RESOLUTION = 1e-9  # K and K' iterates with closer catalog periods are refused
 _DET_TOL = 1e-6  # largest |det - 1| of a linearized path's samples before normalizing
 # most iterates a catalog holds or an index is read for; C = 1e4 on L(2,1) would build 34 142
 _MAX_CATALOG = 10_000
@@ -124,7 +124,8 @@ def catalog(sys: ContactSystem, C: float) -> list[ClosedOrbit]:
     """All iterates of the principal orbits with total period <= C.
 
     A bound that is not finite, or that admits more than ``_MAX_CATALOG``
-    iterates, is refused before any orbit is built.
+    iterates, is refused before any orbit is built.  K and K' iterates closer
+    than ``PERIOD_RESOLUTION`` in period, as ``sigma_gap`` refuses, are degenerate.
     """
     if not (0 < C < math.inf):
         raise PreconditionViolation(f"the action bound must be positive and finite, got {C}")
@@ -142,7 +143,7 @@ def catalog(sys: ContactSystem, C: float) -> list[ClosedOrbit]:
             k += 1
     out.sort(key=lambda o: o.period)
     for o1, o2 in zip(out, out[1:]):
-        if o2.period - o1.period < _PERIOD_RESOLUTION and o1.label != o2.label:
+        if o2.period - o1.period < PERIOD_RESOLUTION and o1.label != o2.label:
             raise DegenerateInput(
                 f"periods {o1.period} and {o2.period} are numerically indistinguishable"
             )

@@ -72,7 +72,6 @@ class Page:
 
     system: ContactSystem
     phase: float
-    min_transverse: float  # rate of the w-phase on the interior, the same everywhere: w2
 
     @property
     def p(self) -> int:
@@ -204,12 +203,12 @@ def build_page(sys: ContactSystem, phase: float = 0.0) -> Page:
     """Construct the page at ``phase``.
 
     The Reeb flow turns the w-plane at the constant rate w2 off the binding,
-    so the page interior is transverse to it and ``min_transverse`` is w2;
-    the tests check this against the rate on a grid of page points.
+    so the page interior is transverse to it; the tests check this rate on a
+    grid of page points.
     """
     if not math.isfinite(phase):
         raise PreconditionViolation(f"page phase must be finite, got {phase}")
-    return Page(system=sys, phase=float(phase), min_transverse=sys.plane_rates()[1])
+    return Page(system=sys, phase=float(phase))
 
 
 # ---------------------------------------------------------------------------
@@ -287,27 +286,25 @@ def _first_crossing(
 class ReturnRecord:
     """One application of the page return map; the return time level / w2 is positive."""
 
-    start: tuple[float, float]
     return_time: float
     image: tuple[float, float]
-    direction: str
 
 
-def _returns(page: Page, starts, direction: str) -> tuple[float, list]:
-    """The return time level / w2 and the image (r, angle) of each start (r, theta).
+def _returns(page: Page, thetas: list[float], direction: str) -> tuple[float, list[float]]:
+    """The return time level / w2 and the image angle of each start angle theta.
 
-    The radius is kept.  The angle is atan2 of the unit vector (cos theta,
-    sin theta) turned at w1 for the return time and by the deck power
-    ``_deck_index`` of the slice it lands on, so a start angle of any size
-    is reduced exactly.  Both factors are formed once per call, and the
-    starts are turned by them elementwise: each complex product is formed
-    on numpy columns as CPython forms it, re = x c - y s and im = x s + y c,
-    so every image equals the scalar product's bit for bit.  cos, sin and
-    atan2 stay those of ``math`` (``np.arctan2`` differs in the last bit on
-    some inputs).  A system whose crossing scan (``_first_crossing``) over
-    twice the return time would need more than ``_MAX_STEPS`` steps is
-    refused up front: there one return turns the z-plane so far that the
-    image keeps no digits.
+    Every return keeps the radius, so only the angles are turned.  The image
+    angle is atan2 of the unit vector (cos theta, sin theta) turned at w1
+    for the return time and by the deck power ``_deck_index`` of the slice
+    it lands on, so a start angle of any size is reduced exactly.  Both
+    factors are formed once per call, and the angles are turned by them
+    elementwise: each complex product is formed on numpy columns as CPython
+    forms it, re = x c - y s and im = x s + y c, so every image equals the
+    scalar product's bit for bit.  cos, sin and atan2 stay those of ``math``
+    (``np.arctan2`` differs in the last bit on some inputs).  A system whose
+    crossing scan (``_first_crossing``) over twice the return time would
+    need more than ``_MAX_STEPS`` steps is refused up front: there one
+    return turns the z-plane so far that the image keeps no digits.
     """
     sys = page.system
     level = 2.0 * math.pi / page.p
@@ -316,7 +313,6 @@ def _returns(page: Page, starts, direction: str) -> tuple[float, list]:
     _scan_step(sys, level, 2.0 * t_star)
     sgn = 1 if direction == "forward" else -1
     turn = complex(math.cos(w1 * (sgn * t_star)), math.sin(w1 * (sgn * t_star)))
-    rs, thetas = zip(*starts) if starts else ((), ())
     x = np.fromiter(map(math.cos, thetas), float, len(thetas))
     y = np.fromiter(map(math.sin, thetas), float, len(thetas))
     x, y = x * turn.real - y * turn.imag, x * turn.imag + y * turn.real
@@ -324,7 +320,7 @@ def _returns(page: Page, starts, direction: str) -> tuple[float, list]:
     if page.p > 1:
         deck = _deck_turns(sys.lens, _deck_index(sys.lens, sgn))[0]
         x, y = x * deck.real - y * deck.imag, x * deck.imag + y * deck.real
-    return t_star, list(zip(rs, map(math.atan2, y.tolist(), x.tolist())))
+    return t_star, list(map(math.atan2, y.tolist(), x.tolist()))
 
 
 def return_map(
@@ -342,8 +338,8 @@ def return_map(
         raise PreconditionViolation(f"start angle must be finite, got {theta}")
     if direction not in ("forward", "backward"):
         raise PreconditionViolation("direction must be 'forward' or 'backward'")
-    t_star, (image,) = _returns(page, [(r, theta)], direction)
-    return ReturnRecord((r, theta), t_star, image, direction)
+    t_star, (angle,) = _returns(page, [theta], direction)
+    return ReturnRecord(t_star, (r, angle))
 
 
 def fixed_point(page: Page) -> tuple[float, float]:
@@ -356,7 +352,7 @@ def fixed_point(page: Page) -> tuple[float, float]:
     return 0.0, 0.0
 
 
-def linking_with_binding(sys: ContactSystem, orbit: ClosedOrbit, page: Page) -> int:
+def linking_with_binding(sys: ContactSystem, orbit: ClosedOrbit) -> int:
     """Linking number of the orbit with the binding, in closed form.
 
     Off the binding the Reeb flow turns the w-plane at the constant rate w2,
@@ -368,7 +364,7 @@ def linking_with_binding(sys: ContactSystem, orbit: ClosedOrbit, page: Page) -> 
     """
     if math.hypot(orbit.anchor[2], orbit.anchor[3]) < 1e-12:
         raise PreconditionViolation("orbit coincides with the binding")
-    level = 2.0 * math.pi / page.p
+    level = 2.0 * math.pi / sys.p
     turns = sys.plane_rates()[1] * orbit.period / level
     count = round(turns)
     if abs(turns - count) > 1e-9 * max(1.0, abs(turns)):
@@ -496,31 +492,32 @@ def disk_area_bound(page: Page) -> float:
 # the verifier
 
 
-def sample_starts(rng: np.random.Generator, n: int):
-    """Page starts approximately area-uniform: uniform in (r^2, theta)."""
+def sample_starts(rng: np.random.Generator, n: int) -> tuple[list[float], list[float]]:
+    """Radii and angles of page starts approximately area-uniform: uniform in (r^2, theta)."""
     r2 = rng.uniform(_R_LO**2, _R_HI**2, size=n)
     th = rng.uniform(0.0, 2.0 * math.pi, size=n)
     # np.sqrt is correctly rounded, as math.sqrt is
-    return list(zip(np.sqrt(r2).tolist(), th.tolist()))
+    return np.sqrt(r2).tolist(), th.tolist()
 
 
 @dataclass(frozen=True)
 class ReturnSamples:
     """The return samples of one verify, as columns, in the order of the starts.
 
-    ``starts`` holds the page starts (r, theta).  Every return of one
-    direction takes the same time, so each direction keeps its one return
-    time and the images (r, angle) of the starts.
+    ``radii`` and ``thetas`` hold the page starts.  Every return keeps the
+    radius and every return of one direction takes the same time, so each
+    direction keeps its one return time and the image angles of the starts.
     """
 
-    starts: list[tuple[float, float]]
+    radii: list[float]
+    thetas: list[float]
     forward_time: float
-    forward_images: list[tuple[float, float]]
+    forward_angles: list[float]
     backward_time: float
-    backward_images: list[tuple[float, float]]
+    backward_angles: list[float]
 
     def __len__(self) -> int:
-        return len(self.starts)
+        return len(self.radii)
 
 
 _MAX_SAMPLES = 100_000  # return samples of one verify; all are kept until the files are written
@@ -557,7 +554,7 @@ def verify_gss_conditions(
     ``gss_returns`` cannot fail; ``decided_by_symmetry`` names such checks.
 
     The samples come back as a ``ReturnSamples``: the starts, and per
-    direction the one return time and the images, with no record per
+    direction the one return time and the image angles, with no record per
     sample; with no samples drawn the columns are empty.  A sample count
     outside [0, ``_MAX_SAMPLES``], a negative seed and an action cutoff that
     is not finite or admits too many orbits are refused before any work.
@@ -616,7 +613,7 @@ def verify_gss_conditions(
     _rs, _ths, form = page_form_samples(page, 101, 100)
     report["page"] = {
         "phase": page.phase,
-        "min_transverse": page.min_transverse,
+        "min_transverse": sys.plane_rates()[1],
         "dlambda_min": float(form.min()),
         "dlambda_max": float(form.max()),
         "area_bound": 1.0 + _edge_action(page, (1.0, 0.0), (1.0, 2.0 * math.pi)),
@@ -625,7 +622,8 @@ def verify_gss_conditions(
 
     log.info("fixed point")
     fp = fixed_point(page)
-    fp_time, _ = _returns(page, [fp], "forward")
+    # refuses a system past the scan's step ceiling before any sample is drawn
+    fp_time, _ = _returns(page, [fp[1]], "forward")
     report["fixed_point"] = {
         "coords": [fp[0], fp[1]],
         "distance_to_center": fp[0],
@@ -637,7 +635,7 @@ def verify_gss_conditions(
     pstar_ok = True
     for entry in entries:
         res = lifted_index(entry, 1)
-        contractible = (entry.multiplicity * entry.deck_power) % p == 0
+        contractible = res.convention == "disk"
         row = {
             "label": entry.label,
             "multiplicity": entry.multiplicity,
@@ -652,7 +650,7 @@ def verify_gss_conditions(
         )
         row["rotation_one"] = member
         if member:
-            lk = linking_with_binding(sys, entry, page)
+            lk = linking_with_binding(sys, entry)
             row["linking_with_binding"] = lk
             if lk <= 0:
                 pstar_ok = False
@@ -667,13 +665,13 @@ def verify_gss_conditions(
     }
     checks["pstar_linking"] = pstar_ok
 
-    starts = []
+    radii, thetas = [], []
     if n_samples > 0:
         log.info("return sampling")
-        starts = sample_starts(rng, n_samples)
-    t_fwd, fwd = _returns(page, starts, "forward")
-    t_bwd, bwd = _returns(page, starts, "backward")
-    samples = ReturnSamples(starts, t_fwd, fwd, t_bwd, bwd)
+        radii, thetas = sample_starts(rng, n_samples)
+    t_fwd, fwd = _returns(page, thetas, "forward")
+    t_bwd, bwd = _returns(page, thetas, "backward")
+    samples = ReturnSamples(radii, thetas, t_fwd, fwd, t_bwd, bwd)
     if n_samples > 0:
         # one return time per direction decides every sample
         report["gss_sampling"] = {

@@ -30,6 +30,23 @@ def test_sigma_gap_resolution_failure():
         rk.sigma_gap(cat)
 
 
+@pytest.mark.parametrize("factor, refused", [(0.9, True), (1.1, False)])
+def test_catalog_and_sigma_gap_refuse_at_the_same_spacing(factor, refused):
+    # on S^3 with b = 2 + gap, K^2 and K' have the periods 2 and 2 + gap
+    gap = factor * rk.bookkeeping.PERIOD_RESOLUTION
+    sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=2.0 + gap)
+    cat = rk.PeriodCatalog([("K^2", 2.0), ("K'^1", 2.0 + gap)], 3.0)
+    if refused:
+        with pytest.raises(rk.DegenerateInput, match="numerically indistinguishable"):
+            rk.catalog(sys_, 3.0)
+        with pytest.raises(ResolutionFailure):
+            rk.sigma_gap(cat)
+    else:
+        periods = [orbit.period for orbit in rk.catalog(sys_, 3.0)]
+        assert periods == [1.0, 2.0, 2.0 + gap, 3.0]
+        assert rk.sigma_gap(cat) == pytest.approx(gap / 2)
+
+
 @given(
     st.lists(st.floats(0.05, 20.0), min_size=1, max_size=12),
     st.floats(5.0, 25.0),

@@ -91,6 +91,14 @@ def test_usage_error_on_unknown_flag(s3_file):
     assert main(["index", "--config", s3_file, "--bogus"]) == 1
 
 
+def test_help_is_plain_text(capsys):
+    # the description is the module docstring without its reST literals
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: reebkit") and "Subcommands: index, verify" in out
+    assert "``" not in out
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -117,35 +125,37 @@ def test_verify_writes_report_and_artifacts(sys_file, tmp_path):
 
 
 def _naive_samples_csv(samples) -> str:
-    """The samples CSV with all eight fields of every row formatted, as one string."""
+    """The samples CSV with all eight fields of every row formatted, as one string.
+
+    Every return keeps the radius, so both images are written at the start radius.
+    """
     lines = ["start_r,start_theta,forward_time,forward_r,forward_theta,"
              "backward_time,backward_r,backward_theta"]
-    for (r, th), (fr, fth), (br, bth) in zip(
-        samples.starts, samples.forward_images, samples.backward_images
+    for r, th, fth, bth in zip(
+        samples.radii, samples.thetas, samples.forward_angles, samples.backward_angles
     ):
-        lines.append(f"{r:.12g},{th:.12g},{samples.forward_time:.12g},{fr:.12g},{fth:.12g},"
-                     f"{samples.backward_time:.12g},{br:.12g},{bth:.12g}")
+        lines.append(f"{r:.12g},{th:.12g},{samples.forward_time:.12g},{r:.12g},{fth:.12g},"
+                     f"{samples.backward_time:.12g},{r:.12g},{bth:.12g}")
     return "\n".join(lines) + "\n"
 
 
 def _random_samples(n, seed):
-    """``ReturnSamples`` of ``n`` random starts whose images keep their radius."""
+    """``ReturnSamples`` of ``n`` random starts."""
     rng = np.random.default_rng(seed)
-    starts = list(zip(rng.uniform(0.05, 0.95, n).tolist(), rng.uniform(-7.0, 7.0, n).tolist()))
-    return reebkit.ReturnSamples(starts, 1.25, [(r, th + 1.0) for r, th in starts],
-                                 1.25, [(r, th - 1.0) for r, th in starts])
+    radii, thetas = rng.uniform(0.05, 0.95, n).tolist(), rng.uniform(-7.0, 7.0, n).tolist()
+    return reebkit.ReturnSamples(radii, thetas, 1.25, [th + 1.0 for th in thetas],
+                                 1.25, [th - 1.0 for th in thetas])
 
 
-def test_samples_csv_equals_naive_writer_on_other_image_radii(tmp_path):
+def test_samples_csv_equals_naive_writer(tmp_path):
+    # more than three chunks, with signed-zero radii, NaN angles and signed-zero times
     samples = _random_samples(3 * reebkit.cli._CHUNK_ROWS + 5, 4)
-    # image radii that differ from the start radius, equal to it, and signed zeros
-    starts = samples.starts[:-3] + [(-0.0, 1.0), (0.0, 2.0), (0.3, 3.0)]
-    fwd = [(r * 0.5, th) for r, th in samples.forward_images[:-3]]
-    fwd += [(0.0, 1.0), (-0.0, 2.0), (0.3, 3.0)]
-    bwd = [(math.nextafter(r, 1.0), th) for r, th in samples.backward_images[:-3]]
-    bwd += [(0.0, 1.0), (-0.0, 2.0), (math.nan, 3.0)]
-    mixed = reebkit.ReturnSamples(starts, math.pi, fwd, -0.0, bwd)
-    for case in (samples, mixed, reebkit.ReturnSamples([], 1.0, [], 2.0, [])):
+    radii = samples.radii[:-3] + [-0.0, 0.0, 0.3]
+    thetas = samples.thetas[:-3] + [1.0, math.nan, -0.0]
+    fwd = samples.forward_angles[:-3] + [math.nan, 2.0, 0.0]
+    bwd = samples.backward_angles[:-3] + [-0.0, math.nan, 3.0]
+    mixed = reebkit.ReturnSamples(radii, thetas, math.pi, fwd, -0.0, bwd)
+    for case in (samples, mixed, reebkit.ReturnSamples([], [], 1.0, [], 2.0, [])):
         path = tmp_path / "samples.csv"
         reebkit.cli.write_samples_csv(str(path), case)
         assert path.read_bytes() == _naive_samples_csv(case).encode()
@@ -547,7 +557,7 @@ _OPTIONS = {
     "lens": {"--out", "--p"},
     "tree-validate": {"--out", "--tree", "--sigma"},
     "sigma": {"--config", "--out", "--catalog", "--action-bound"},
-    "return-map": {"--config", "--out", "--phase", "--start", "--direction"},
+    "return-map": {"--config", "--out", "--start", "--direction"},
 }
 
 
@@ -559,7 +569,92 @@ def test_cli_options_are_pinned():
         for name, p in sub.choices.items()
     }
     assert found == _OPTIONS
-    assert sum(len(v) for v in found.values()) == 26
+    assert sum(len(v) for v in found.values()) == 25
+
+
+_OPTION_INPUTS = {
+    "tree.json":
+        '{"bound": 5, "root": {"period": 3.0, "mu": 2, "children": [{"period": 1.0, "mu": 2}]}}',
+    "bad-tree.json":
+        '{"bound": 5, "root": {"period": 3.0, "mu": 2, "children": [{"period": 2.8, "mu": 2}]}}',
+    "cat.json": '{"entries": [["a", 1.0], ["b", 3.0]], "bound": 10.0}',
+    "cat2.json": '{"entries": [["a", 1.0], ["b", 1.5]], "bound": 10.0}',
+}
+_L21, _S3 = json.dumps(ELL_L21), json.dumps(ELL_S3)
+# (subcommand, option) -> (the rest of the command line, two values of the
+# option); None leaves the option out, and relative paths name files in the run's directory
+_OPTION_RUNS = {
+    ("index", "--config"): (["index"], _L21, _S3),
+    ("index", "--out"): (["index", "--config", _L21], None, "out.json"),
+    ("index", "--orbit"): (["index", "--config", _L21], "K", "Kprime"),
+    ("index", "--k"): (["index", "--config", _L21], "2", "3"),
+    ("index", "--format"): (["index", "--config", _L21], "json", "csv"),
+    ("verify", "--config"): (["verify", "--samples", "3", "--csv", "s.csv"], _L21, _S3),
+    ("verify", "--out"): (["verify", "--config", _L21, "--samples", "0"], None, "out.json"),
+    ("verify", "--seed"): (["verify", "--config", _L21, "--samples", "3", "--csv", "s.csv"], "0", "1"),
+    ("verify", "--action-bound"): (["verify", "--config", _L21, "--samples", "0"], "2", "5"),
+    ("verify", "--samples"): (["verify", "--config", _L21, "--csv", "s.csv"], "2", "3"),
+    ("verify", "--svg"): (["verify", "--config", _L21, "--samples", "3"], None, "plot.svg"),
+    ("verify", "--csv"): (["verify", "--config", _L21, "--samples", "3"], None, "s.csv"),
+    ("lens", "--out"): (["lens", "--p", "5"], None, "out.json"),
+    ("lens", "--p"): (["lens"], "5", "7"),
+    ("tree-validate", "--out"): (["tree-validate", "--tree", "tree.json", "--sigma", "0.4"],
+                                 None, "out.json"),
+    ("tree-validate", "--tree"): (["tree-validate", "--sigma", "0.4"], "tree.json", "bad-tree.json"),
+    ("tree-validate", "--sigma"): (["tree-validate", "--tree", "tree.json"], "0.4", "3.0"),
+    ("sigma", "--config"): (["sigma"], _L21, _S3),
+    ("sigma", "--out"): (["sigma", "--config", _L21], None, "out.json"),
+    ("sigma", "--catalog"): (["sigma"], "cat.json", "cat2.json"),
+    ("sigma", "--action-bound"): (["sigma", "--config", _L21], "2", "3"),
+    ("return-map", "--config"): (["return-map", "--start", "0.5,0.3"], _L21, _S3),
+    ("return-map", "--out"): (["return-map", "--config", _L21, "--start", "0.5,0.3"],
+                              None, "out.json"),
+    ("return-map", "--start"): (["return-map", "--config", _L21], "0.5,0.3", "0.4,0.3"),
+    ("return-map", "--direction"): (["return-map", "--config", _L21, "--start", "0.5,0.3"],
+                                    "forward", "backward"),
+}
+
+
+def _without_echo(text: str, value):
+    """``text`` read as a JSON object without the top-level entries that repeat ``value``.
+
+    Text that is not a JSON object is kept as it is.
+    """
+    try:
+        data = json.loads(text)
+    except ValueError:
+        return text
+    if not isinstance(data, dict):
+        return data
+    try:
+        echo = float(value)
+    except (TypeError, ValueError):
+        echo = value
+    return {k: v for k, v in data.items() if isinstance(v, bool) or v != echo}
+
+
+def test_option_table_covers_every_pinned_option():
+    assert set(_OPTION_RUNS) == {(c, o) for c, options in _OPTIONS.items() for o in options}
+
+
+@pytest.mark.parametrize("command, option", sorted(_OPTION_RUNS), ids="{}".format)
+def test_every_option_changes_a_result(command, option, tmp_path, capsys, monkeypatch):
+    # an output that differs only where a report repeats the option's value does not count
+    base, *values = _OPTION_RUNS[command, option]
+    results = []
+    for i, value in enumerate(values):
+        rundir = tmp_path / str(i)
+        rundir.mkdir()
+        for name, text in _OPTION_INPUTS.items():
+            (rundir / name).write_text(text)
+        monkeypatch.chdir(rundir)
+        code = main(base + ([] if value is None else [option, value]))
+        out, err = capsys.readouterr()
+        files = {path.name: _without_echo(path.read_text(), value)
+                 for path in sorted(rundir.iterdir()) if path.name not in _OPTION_INPUTS}
+        assert code in (0, 3), (value, err)
+        results.append((code, _without_echo(out, value), files))
+    assert results[0] != results[1]
 
 
 # every library parameter with a default, as module.function.parameter; a new
@@ -632,6 +727,8 @@ def test_library_defaults_are_pinned():
     + [("lens", ["--config", json.dumps(ELL_L21)]),
        ("tree-validate", ["--config", json.dumps(ELL_L21)]),
        ("sigma", ["--catalog", "c.json"]),
+       # every page returns alike, so the return map reads its image on the page at phase 0
+       ("return-map", ["--phase", "0.3"]),
        # a catalog file carries its own bound; the file is not read
        (["sigma", "--catalog", "c.json"], ["--action-bound", "3"])],
     ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"),
@@ -679,7 +776,7 @@ _HUGE_ORDER = json.dumps({**ELL_L21, "lens": {"p": 10**400 + 1, "q": 1}})
          "--start", "0.5,0"],
         ["index", "--config", '{"family": "ellipsoid", "a": 1, "b": 1e6}',
          "--orbit", "Kprime", "--k", "1"],
-        # non-finite numbers on the return-map path; --tol is no option at all
+        # non-finite numbers on the return-map path; --tol and --phase are no options at all
         ["return-map", "--config", json.dumps(ELL_L21), "--start", "0.5,0.3", "--tol", "nan"],
         ["return-map", "--config", json.dumps(ELL_L21), "--start", "0.5,0.3", "--tol", "inf"],
         ["return-map", "--config", json.dumps(ELL_L21), "--start", "0.5,nan"],
@@ -927,8 +1024,7 @@ def _fuzzed_runs(draw):
     return [
         (["index", *cfg, "--orbit", draw(st.sampled_from(["K", "Kprime"])),
           f"--k={draw(_token(st.integers(1, 50).map(str)))}"], None),
-        (["return-map", *cfg, f"--start={start}", f"--phase={draw(_token(_floats(-10.0, 10.0)))}"],
-         None),
+        (["return-map", *cfg, f"--start={start}"], None),
         (["verify", *cfg, f"--samples={draw(_token(st.integers(0, 50).map(str)))}",
           f"--action-bound={draw(_token(_floats(0.1, 10.0)))}",
           f"--seed={draw(_token(st.integers(-5, 50).map(str)))}"], None),

@@ -25,7 +25,7 @@ SQRT2 = math.sqrt(2.0)
 
 def test_build_page_round_quotient(round_l21):
     page = rk.build_page(round_l21, 0.0)
-    assert page.min_transverse > 0
+    assert (page.system, page.phase, page.p) == (round_l21, 0.0, 2)
     # binding is the quotient Hopf circle: boundary points sit on the z-circle
     b = rk.page_point(page, 1.0, 0.4)
     assert abs(np.linalg.norm(b[:2]) - 1.0) < 1e-12 and np.allclose(b[2:], 0)
@@ -34,7 +34,6 @@ def test_build_page_round_quotient(round_l21):
 def test_build_page_sphere_case(ell_s3):
     page = rk.build_page(ell_s3, 0.0)
     assert page.p == 1
-    assert page.min_transverse > 0
 
 
 def _grid_w_phase_rates(sys_, phase):
@@ -50,14 +49,15 @@ def _grid_w_phase_rates(sys_, phase):
 
 @pytest.mark.parametrize("name", sorted(grid_systems()))
 def test_page_rate_is_w2_on_a_grid(name):
-    # build_page reads min_transverse in closed form; the grid is the reference
+    # the verify report reads the page rate as w2 in closed form; the grid is the reference
     sys_ = rk.system_from_json(json.loads(grid_systems()[name]))
     w2 = sys_.plane_rates()[1]
     for phase in (0.0, 2.0 * math.pi / sys_.p, 1.3):
         rates = _grid_w_phase_rates(sys_, phase)
         assert np.all(rates > 0)
         assert abs(rates.min() - w2) <= 1e-12 * w2
-        assert rk.build_page(sys_, phase).min_transverse == w2
+    report, _ = rk.verify_gss_conditions(sys_, C=0.05, n_samples=0)
+    assert report["page"]["min_transverse"] == w2
 
 
 def test_round_sphere_classical_section():
@@ -162,7 +162,7 @@ def test_closed_return_map_equals_numeric(lens):
     for b in DIFF_B:
         sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=b, lens=rk.LensParams(*lens) if lens else None)
         page = rk.build_page(sys_, 0.0)
-        start = sample_starts(rng, 1)[0]
+        (start,) = zip(*sample_starts(rng, 1))
         for direction in ("forward", "backward"):
             closed = rk.return_map(page, start, direction)
             numeric_time, numeric_image = _numeric_return(page, start, direction)
@@ -308,25 +308,22 @@ def test_fixed_point_at_the_centre_is_the_origin(b, lens):
 
 
 def test_linking_of_second_orbit(ell_l21):
-    page = rk.build_page(ell_l21, 0.0)
     _, Kp = rk.principal_orbits(ell_l21)
-    assert rk.linking_with_binding(ell_l21, Kp, page) == 1
-    assert rk.linking_with_binding(ell_l21, Kp.iterate(2), page) == 2
+    assert rk.linking_with_binding(ell_l21, Kp) == 1
+    assert rk.linking_with_binding(ell_l21, Kp.iterate(2)) == 2
 
 
 def test_linking_positive_for_catalogued_orbits(ell_l21):
-    page = rk.build_page(ell_l21, 0.0)
     for orbit in rk.catalog(ell_l21, 3.0):
         if orbit.label == "K":
             continue
-        assert rk.linking_with_binding(ell_l21, orbit, page) >= 1
+        assert rk.linking_with_binding(ell_l21, orbit) >= 1
 
 
 def test_linking_rejects_binding(ell_l21):
-    page = rk.build_page(ell_l21, 0.0)
     K, _ = rk.principal_orbits(ell_l21)
     with pytest.raises(PreconditionViolation):
-        rk.linking_with_binding(ell_l21, K, page)
+        rk.linking_with_binding(ell_l21, K)
 
 
 def _reference_linking(sys, orbit, page):
@@ -361,7 +358,7 @@ def test_closed_linking_equals_flow_stepping_scan(lens):
         _, Kp = rk.principal_orbits(sys_)
         for m in range(1, 6):
             orbit = Kp.iterate(m)
-            closed = rk.linking_with_binding(sys_, orbit, page)
+            closed = rk.linking_with_binding(sys_, orbit)
             assert closed == _reference_linking(sys_, orbit, page) == m, (b, m)
 
 
@@ -374,7 +371,7 @@ def test_linking_refuses_a_near_binding_orbit_off_a_whole_count():
     orbit = rk.ClosedOrbit(sys_, anchor, 1.0, label="near-K")
     assert _reference_linking(sys_, orbit, page) == 0
     with pytest.raises(IllConditioned, match="0.707106781187"):
-        rk.linking_with_binding(sys_, orbit, page)
+        rk.linking_with_binding(sys_, orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +543,9 @@ def test_verifier_logs_its_stages_at_info(ell_l21, caplog):
 def test_sample_starts_seeded_and_interior():
     rng = np.random.default_rng(42)
     starts = sample_starts(rng, 50)
-    assert all(0 < r < 1 for r, _ in starts)
+    radii, thetas = starts
+    assert len(radii) == len(thetas) == 50
+    assert all(0 < r < 1 for r in radii)
     rng2 = np.random.default_rng(42)
     assert starts == sample_starts(rng2, 50)
 
@@ -582,6 +581,26 @@ def test_verifier_linearizes_each_principal_orbit_once(ell_l21, linearize_calls)
         res = rk.orbit_index(entry)
         assert (row["label"], row["multiplicity"]) == (entry.label, entry.multiplicity)
         assert (row["mu_cz"], row["rho"]) == (res.mu, res.rho)
+
+
+@pytest.mark.parametrize("name", sorted(grid_systems()))
+def test_report_contractible_column_is_the_deck_formula(name):
+    # the lift reads an iterate on the sphere exactly when m d = 0 mod p, with
+    # d the deck power of its prime orbit; the largest bound below 5 whose
+    # catalog keeps K and K' periods apart
+    sys_ = rk.system_from_json(json.loads(grid_systems()[name]))
+    for bound in (5.0, 3.0, 1.5):
+        try:
+            report, _ = rk.verify_gss_conditions(sys_, C=bound, n_samples=0)
+            break
+        except rk.DegenerateInput:
+            continue
+    deck = {orbit.label: orbit.deck_power for orbit in rk.principal_orbits(sys_)}
+    rows = report["pstar"]["orbits"]
+    assert len(rows) >= 6
+    for row in rows:
+        assert row["contractible"] == ((row["multiplicity"] * deck[row["label"]]) % sys_.p == 0)
+    assert sum(row["contractible"] for row in rows) < len(rows) or sys_.p == 1
 
 
 def test_verifier_empty_catalog_linearizes_only_the_binding(ell_l21, linearize_calls):
@@ -620,7 +639,7 @@ def test_verifier_checks_the_linking_of_rotation_number_one_orbits(ell_l21, monk
     assert members[0]["linking_with_binding"] == round(w2 * T * 2 / (2.0 * math.pi)) == 2
     assert report["checks"]["pstar_linking"] and report["all_pass"]
     # an orbit that does not link the binding positively fails the check
-    monkeypatch.setattr(section, "linking_with_binding", lambda sys, orbit, page: 0)
+    monkeypatch.setattr(section, "linking_with_binding", lambda sys, orbit: 0)
     report, _ = rk.verify_gss_conditions(ell_l21, C=3.0, n_samples=0, seed=0)
     assert report["violated"] == ["pstar_linking"]
     cfg = '{"family": "ellipsoid", "a": 1.0, "b": 1.4142135623730951, "lens": {"p": 2, "q": 1}}'
@@ -681,22 +700,35 @@ def _reference_return_map(page, start, direction="forward", tol=1e-10):
     t_star, pt = _reference_first_crossing(
         page.system, rk.page_point(page, r, theta), sgn, level, budget, tol
     )
-    return section.ReturnRecord(
-        start=(r, theta), return_time=t_star, image=section.page_coords(page, pt),
-        direction=direction,
-    )
+    return section.ReturnRecord(return_time=t_star, image=section.page_coords(page, pt))
 
 
 def _use_reference(monkeypatch, turned: dict):
-    """Route ``section._returns`` through ``_reference_return_map``; count starts in ``turned``."""
+    """Route ``section._returns`` through ``_reference_return_map``; count starts in ``turned``.
 
-    def returns(page, starts, direction):
-        recs = [_reference_return_map(page, start, direction) for start in starts]
+    ``_returns`` turns angles only, so the reference takes each start's
+    radius from the drawn starts; the call before the draw is the centre's.
+    """
+    drawn = {}
+    real_starts = section.sample_starts
+
+    def starts(rng, n):
+        drawn["radii"], thetas = real_starts(rng, n)
+        return drawn["radii"], thetas
+
+    def returns(page, thetas, direction):
+        radii = drawn.get("radii", [0.0] * len(thetas))
+        recs = [_reference_return_map(page, (r, th), direction)
+                for r, th in zip(radii, thetas, strict=True)]
         turned[direction] += len(recs)
         # every start's scan returns in the same time, to the digits a report prints
         assert len({f"{rec.return_time:.12g}" for rec in recs}) == 1, direction
-        return recs[0].return_time, [rec.image for rec in recs]
+        # and at the start radius, which the CSV prints for the images
+        for r, rec in zip(radii, recs):
+            assert r == 0.0 or f"{rec.image[0]:.12g}" == f"{r:.12g}", (r, rec.image)
+        return recs[0].return_time, [rec.image[1] for rec in recs]
 
+    monkeypatch.setattr(section, "sample_starts", starts)
     monkeypatch.setattr(section, "_returns", returns)
     monkeypatch.setattr(section, "_profile_inverse", _reference_profile_inverse)
 
@@ -824,7 +856,7 @@ def test_brentq_port_equals_scipy_inside_return_maps(monkeypatch):
     for lens in (None, (2, 1), (3, 2)):
         page = rk.build_page(rk.ContactSystem(
             "ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(*lens) if lens else None))
-        for start in sample_starts(np.random.default_rng(3), 20):
+        for start in zip(*sample_starts(np.random.default_rng(3), 20)):
             for sgn, direction in ((1, "forward"), (-1, "backward")):
                 t_star = rk.return_map(page, start, direction).return_time
                 flowed.append((page, rk.flow(page.system, rk.page_point(page, *start), sgn * t_star)))
@@ -837,7 +869,7 @@ def test_brentq_port_equals_scipy_inside_return_maps(monkeypatch):
     # the numeric flow's crossing scan refines the crossing time as well
     calls.clear()
     page = rk.build_page(rk.ContactSystem("ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(12, 5)))
-    for start in sample_starts(np.random.default_rng(4), 2):
+    for start in zip(*sample_starts(np.random.default_rng(4), 2)):
         for direction in ("forward", "backward"):
             for tol in (1e-14, 2e-12, 1e-10):
                 _numeric_return(page, start, direction, tol)
