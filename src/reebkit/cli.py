@@ -174,26 +174,30 @@ def write_svg_scatter(path: str, samples: ReturnSamples) -> None:
 def write_samples_csv(path: str, samples: ReturnSamples) -> None:
     """The return samples as CSV, one row per start, each float with 12 significant digits.
 
-    Each direction's return time is formatted once per file, and each row
-    formats its start radius once and writes it for both images too, since
-    every return keeps the radius.  The rows are written ``_CHUNK_ROWS`` at
-    a time.
+    Each direction's return time is formatted once per file, into the row
+    template, and each start radius once, for the start and both images,
+    since every return keeps the radius.  A chunk of at most ``_CHUNK_ROWS``
+    rows is one ``%`` of the template repeated over the chunk, on the
+    chunk's values interleaved in row order; ``"%.12g" % x`` writes the
+    digits of ``f"{x:.12g}"``.
     """
-    tf, tb = f"{samples.forward_time:.12g}", f"{samples.backward_time:.12g}"
-
-    def rows():
-        for r, th, fth, bth in zip(
-            samples.radii, samples.thetas, samples.forward_angles, samples.backward_angles
-        ):
-            rs = f"{r:.12g}"
-            yield f"{rs},{th:.12g},{tf},{rs},{fth:.12g},{tb},{rs},{bth:.12g}\n"
-
+    row = (f"%s,%.12g,{samples.forward_time:.12g},%s,%.12g,"
+           f"{samples.backward_time:.12g},%s,%.12g\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             "start_r,start_theta,forward_time,forward_r,forward_theta,"
             "backward_time,backward_r,backward_theta\n"
         )
-        _write_rows(fh, rows())
+        for lo in range(0, len(samples), _CHUNK_ROWS):
+            chunk = slice(lo, lo + _CHUNK_ROWS)
+            radii = samples.radii[chunk]
+            values = [None] * (6 * len(radii))
+            values[0::6] = values[2::6] = values[4::6] = (
+                "%.12g\n" * len(radii) % tuple(radii)).splitlines()
+            values[1::6] = samples.thetas[chunk]
+            values[3::6] = samples.forward_angles[chunk]
+            values[5::6] = samples.backward_angles[chunk]
+            fh.write(row * len(radii) % tuple(values))
 
 
 def _cmd_verify(args) -> int:

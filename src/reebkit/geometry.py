@@ -206,17 +206,14 @@ def _lambda_rows(sys: ContactSystem, pts: np.ndarray, vs: np.ndarray) -> np.ndar
     return _lambda0_cols(pts.T, vs.T) / _H_cols(sys, pts.T)
 
 
-def _dlambda_rows(
-    sys: ContactSystem, pts: np.ndarray, us: np.ndarray, vs: np.ndarray
-) -> np.ndarray:
-    """(d(1/H) ^ lambda0 + omega0 / H)(u, v), which is dlambda(u, v), on each row, by columns.
+def _dlambda_cols(sys: ContactSystem, x, u, v):
+    """(d(1/H) ^ lambda0 + omega0 / H)(u, v), which is dlambda(u, v), on the four columns of each.
 
-    Each column of ``pts``, ``us`` and ``vs`` is read once, and the gradient
-    of H is paired with u and v column by column, left to right: the sums
-    of ``np.sum(grad * us, axis=1)`` over the four columns, bit for bit up
-    to the sign of an exact zero, without its (n, 4) temporaries.
+    The columns broadcast, so one constant along an axis may have length 1
+    there.  The gradient of H is paired with u and v column by column, left
+    to right: the sums of ``np.sum(grad * us, axis=1)`` over the four columns,
+    bit for bit up to the sign of an exact zero, without (n, 4) temporaries.
     """
-    x, u, v = tuple(pts.T), tuple(us.T), tuple(vs.T)
     H = _H_cols(sys, x)
     H2 = H**2
     ka, kb = 2 * math.pi / sys.a, 2 * math.pi / sys.b
@@ -226,6 +223,11 @@ def _dlambda_rows(
     # the standard symplectic form dx1^dy1 + dx2^dy2
     omega0 = u[0] * v[1] - u[1] * v[0] + u[2] * v[3] - u[3] * v[2]
     return dfu * _lambda0_cols(x, v) - dfv * _lambda0_cols(x, u) + omega0 / H
+
+
+def _dlambda_rows(sys: ContactSystem, pts, us, vs) -> np.ndarray:
+    """dlambda(u, v) on each row of ``pts``, ``us`` and ``vs``, by ``_dlambda_cols``."""
+    return _dlambda_cols(sys, tuple(pts.T), tuple(us.T), tuple(vs.T))
 
 
 def lambda0_eval(pt, v) -> float:
@@ -298,26 +300,37 @@ def _turn(u: complex, rate: float, t: float) -> complex:
     return u * complex(math.cos(rate * t), math.sin(rate * t))
 
 
-def _turn_grid(sys: ContactSystem, vs: np.ndarray, T: float, n: int) -> np.ndarray:
-    """Each row of ``vs`` turned at the plane rates for the grid times T j / n, j = 0..n.
-
-    Returns shape (len(vs), n + 1, 4), and all rows share one table of cos
-    and sin values.  The float operations are those of ``_turn`` at time
-    T * j / n on each plane coordinate, cos and sin included, so a turned
-    point equals the scalar ``flow`` bit for bit.  The flow is linear on
-    C^2, so the same kernel turns tangent vectors: it is its own
-    linearization.
-    """
+def _turn_table(sys: ContactSystem, T: float, n: int) -> list[list[np.ndarray]]:
+    """The columns [cos(rate t), sin(rate t)] of ``math``, t = T j / n, j = 0..n, per plane rate."""
     ts = T * np.arange(n + 1) / n
-    out = np.empty((len(vs), n + 1, 4))
-    for col, rate in zip((0, 2), sys.plane_rates()):
+    table = []
+    for rate in sys.plane_rates():
         angles = (rate * ts).tolist()
-        c = np.array([math.cos(t) for t in angles])
-        s = np.array([math.sin(t) for t in angles])
+        table.append([np.fromiter(map(fn, angles), float, n + 1) for fn in (math.cos, math.sin)])
+    return table
+
+
+def _turn_rows(table: list[list[np.ndarray]], vs: np.ndarray) -> np.ndarray:
+    """Each row of ``vs`` turned on the ``_turn_table`` ``table``, shape (len(vs), n + 1, 4)."""
+    out = np.empty((len(vs), len(table[0][0]), 4))
+    for col, (c, s) in zip((0, 2), table):
         x, y = vs[:, col, None], vs[:, col + 1, None]
         out[:, :, col] = x * c - y * s
         out[:, :, col + 1] = x * s + y * c
     return out
+
+
+def _turn_grid(sys: ContactSystem, vs: np.ndarray, T: float, n: int) -> np.ndarray:
+    """Each row of ``vs`` turned at the plane rates for the grid times T j / n, j = 0..n.
+
+    Returns shape (len(vs), n + 1, 4), and all rows share one table of cos
+    and sin values (``_turn_table``).  The float operations are those of
+    ``_turn`` at time T * j / n on each plane coordinate, cos and sin
+    included, so a turned point equals the scalar ``flow`` bit for bit.  The
+    flow is linear on C^2, so the same kernel turns tangent vectors: it is
+    its own linearization.
+    """
+    return _turn_rows(_turn_table(sys, T, n), vs)
 
 
 def _project_sphere(y: np.ndarray) -> np.ndarray:

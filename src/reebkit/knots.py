@@ -6,10 +6,10 @@ self-linking number of the binding is computed both from the closed formula
 sl = p * wind and by numerical phase tracking along a boundary collar of
 that disk.
 
-``pdisk_arrays`` is the one parametrization of that disk: it gives points,
-r- and theta-derivatives on arrays, and at any w-phase it parametrizes the
-page of ``section``.  Its radial profile ``disk_profile`` is the same for
-every lens, so only ``binding_sl_numeric`` reads the order p.  The contact
+``pdisk_columns`` is the one parametrization of that disk: points, r- and
+theta-derivatives as columns, which ``pdisk_arrays`` packs; at any w-phase it
+is the page of ``section``.  Its radial profile ``disk_profile`` is the same
+for every lens, so only ``binding_sl_numeric`` reads the order p.  The contact
 form and the global section W it is measured against live in ``geometry``.
 """
 
@@ -171,12 +171,11 @@ def disk_profile_deriv(r):
     return (1.0 - s) + s * dg2 + ds * (g2 - r)
 
 
-def pdisk_arrays(r, theta, phase: float = 0.0):
-    """Lifted disk points and their r- and theta-derivatives, broadcast over (r, theta).
+def pdisk_columns(r, theta, phase: float):
+    """The lifted disk's points, r- and theta-derivatives, as three 4-tuples of columns.
 
-    The lift puts the w-coordinate at phase ``phase``; the page at that
-    phase is the image of this parametrization.  Returns three arrays of
-    shape ``broadcast(r, theta).shape + (4,)``.
+    The columns broadcast over (r, theta), each with only the axes it varies on
+    (the w-columns depend on r alone; d_theta's are one zero), at w-phase ``phase``.
     """
     r = np.asarray(r, dtype=float)
     if not (0.0 <= r.min() and r.max() <= 1.0):
@@ -187,12 +186,18 @@ def pdisk_arrays(r, theta, phase: float = 0.0):
     dg = -f * df / np.maximum(g, 1e-15)
     cp, sp = math.cos(phase), math.sin(phase)
     c, s = np.cos(theta), np.sin(theta)
-    shape = np.broadcast_shapes(r.shape, c.shape) + (4,)
-    pts, d_r, d_th = np.empty(shape), np.empty(shape), np.zeros(shape)
-    pts[..., 0], pts[..., 1], pts[..., 2], pts[..., 3] = f * c, f * s, g * cp, g * sp
-    d_r[..., 0], d_r[..., 1], d_r[..., 2], d_r[..., 3] = df * c, df * s, dg * cp, dg * sp
-    d_th[..., 0], d_th[..., 1] = -pts[..., 1], pts[..., 0]
-    return pts, d_r, d_th
+    x, y = f * c, f * s
+    zero = np.zeros((1,) * x.ndim)
+    return (x, y, g * cp, g * sp), (df * c, df * s, dg * cp, dg * sp), (-y, x, zero, zero)
+
+
+def pdisk_arrays(r, theta, phase: float = 0.0):
+    """``pdisk_columns`` packed as three arrays of shape ``broadcast(r, theta).shape + (4,)``."""
+    cols = pdisk_columns(r, theta, phase)
+    arrays = tuple(np.empty(cols[0][0].shape + (4,)) for _ in cols)
+    for arr, group in zip(arrays, cols):
+        arr[..., 0], arr[..., 1], arr[..., 2], arr[..., 3] = group
+    return arrays
 
 
 _SL_SAMPLES, _SL_COLLAR = 4096, 1e-3  # binding_sl_numeric's collar circle r = 1 - _SL_COLLAR

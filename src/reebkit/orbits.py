@@ -18,8 +18,9 @@ direction, and every iterate's index is read off it.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +31,8 @@ from .geometry import (
     ContactSystem,
     _dlambda_rows,
     _turn_grid,
+    _turn_rows,
+    _turn_table,
     ambient_rotation,
     check_point,
     deck_action,
@@ -90,7 +93,15 @@ class ClosedOrbit:
     def iterate(self, k: int) -> "ClosedOrbit":
         if k < 1:
             raise PreconditionViolation("iterate exponent must be >= 1")
-        return replace(self, multiplicity=self.multiplicity * k)
+        return self._repeated(self.multiplicity * k)
+
+    def _repeated(self, multiplicity: int) -> "ClosedOrbit":
+        """This orbit run ``multiplicity`` times; an iterate closes where the orbit does."""
+        if multiplicity < 1:
+            raise PreconditionViolation("multiplicity must be >= 1")
+        out = copy.copy(self)
+        object.__setattr__(out, "multiplicity", multiplicity)
+        return out
 
 
 def orbit_to_json(orbit: ClosedOrbit) -> dict:
@@ -181,14 +192,15 @@ def linearized_path(orbit: ClosedOrbit) -> SymplecticPath:
     """The transverse linearized flow over one period, expressed in the disk frame.
 
     The flow is linear, so the anchor and the frame's vectors at the anchor
-    are turned together on one table of cos and sin values; the turned
-    anchor gives the points of ``disk_frame``, the frame is built on them,
-    and the turned vectors are read in it by pairing with dlambda.  dlambda
-    vanishes on the Reeb direction, so the images need no projection to the
-    contact plane first.  An orbit that turns more than pi/2 per interval of
-    the grid, (w1 + w2) T / n, is refused before the frame is built: there
-    the index layer's phase unwrapping refuses a rotation path, and past pi
-    the turns alias.
+    are turned on one table of cos and sin values (``_turn_table``); the
+    turned anchor gives the points of ``disk_frame``, one call builds the
+    frame at the anchor and along those points, and one call reads the
+    turned vectors in it by pairing with dlambda.  dlambda vanishes on the
+    Reeb direction, so the images need no projection to the contact plane
+    first.  An orbit that turns more than pi/2 per interval of the grid,
+    (w1 + w2) T / n, is refused before the frame is built: there the index
+    layer's phase unwrapping refuses a rotation path, and past pi the turns
+    alias.
     """
     sys = orbit.system
     n = _GRID_INTERVALS
@@ -198,14 +210,18 @@ def linearized_path(orbit: ClosedOrbit) -> SymplecticPath:
             f"the linearized flow of {orbit.label} turns {turn:.3g} rad per interval "
             f"of the {n}-interval grid, more than pi/2"
         )
+    table = _turn_table(sys, orbit.period, n)
     anchor = orbit.anchor[None]
-    vs = np.concatenate([anchor, *_frame_rows(sys, anchor)])
-    pts, *turned = _turn_grid(sys, vs, orbit.period, n)
-    e1, e2 = _frame_rows(sys, pts)
-    mats = np.empty((n + 1, 2, 2))
-    for col, u in enumerate(turned):
-        mats[:, 0, col] = _dlambda_rows(sys, pts, u, e2)
-        mats[:, 1, col] = _dlambda_rows(sys, pts, e1, u)
+    pts = _turn_rows(table, anchor)[0]
+    # row 0 is the frame at the anchor, the rows after it the frame along the grid
+    e1, e2 = _frame_rows(sys, np.concatenate([anchor, pts]))
+    u1, u2 = _turn_rows(table, np.stack([e1[0], e2[0]]))
+    e1, e2 = e1[1:], e2[1:]
+    # the entries (0, 0), (0, 1), (1, 0) and (1, 1) of each sample's matrix,
+    # dlambda(u1, e2), dlambda(u2, e2), dlambda(e1, u1) and dlambda(e1, u2)
+    us = np.stack([u1, u2, e1, e1], axis=1).reshape(-1, 4)
+    vs = np.stack([e2, e2, u1, u2], axis=1).reshape(-1, 4)
+    mats = _dlambda_rows(sys, np.repeat(pts, 4, axis=0), us, vs).reshape(n + 1, 2, 2)
     dets = np.linalg.det(mats)
     drift = np.max(np.abs(dets - 1.0))
     if drift > _DET_TOL:
@@ -282,7 +298,7 @@ def _orbit_lift(orbit: ClosedOrbit):
     det(A^j - I) vanishes.  Callers bound k with ``_check_iterate``.
     """
     m_close = _closure_order(orbit)
-    base = replace(orbit, multiplicity=m_close)
+    base = orbit._repeated(m_close)
     lift_path = linearized_path(base)
     mats = lift_path.mats
     if np.max(np.abs(np.transpose(mats, (0, 2, 1)) @ mats - np.eye(2))) > 1e-8:

@@ -19,9 +19,9 @@ page's area constant is 1 + the action of the page boundary.  The verifier
 reads all three so; ``disk_area_bound`` and ``quad_dlambda_area`` are the
 2d quadratures that the tests hold them against.
 
-A page is sampled through the disk parametrization ``knots.pdisk_arrays`` at
+A page is sampled through the disk parametrization ``knots.pdisk_columns`` at
 its w-phase, alike for every lens, and the contact form and dlambda on those
-samples are the row kernels of ``geometry``; this module defines neither.
+samples are the kernels of ``geometry``; this module defines neither.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .geometry import (
     ContactSystem,
     LensParams,
     _deck_turns,
-    _dlambda_rows,
+    _dlambda_cols,
     _lambda_rows,
     check_point,
     deck_action,
@@ -53,6 +53,7 @@ from .knots import (
     disk_profile,
     lens_binding_monodromy,
     pdisk_arrays,
+    pdisk_columns,
 )
 from .orbits import ClosedOrbit, _check_iterate, _orbit_lift, catalog, principal_orbits
 
@@ -290,21 +291,26 @@ class ReturnRecord:
     image: tuple[float, float]
 
 
-def _returns(page: Page, thetas: list[float], direction: str) -> tuple[float, list[float]]:
-    """The return time level / w2 and the image angle of each start angle theta.
+def _unit_columns(thetas: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The columns cos theta and sin theta of the angles ``thetas``, by ``math``."""
+    return tuple(np.fromiter(map(fn, thetas), float, len(thetas)) for fn in (math.cos, math.sin))
+
+
+def _returns(page: Page, xy, direction: str) -> tuple[float, list[float]]:
+    """The return time level / w2 and the image angle of each start, given as ``_unit_columns``.
 
     Every return keeps the radius, so only the angles are turned.  The image
-    angle is atan2 of the unit vector (cos theta, sin theta) turned at w1
-    for the return time and by the deck power ``_deck_index`` of the slice
-    it lands on, so a start angle of any size is reduced exactly.  Both
-    factors are formed once per call, and the angles are turned by them
-    elementwise: each complex product is formed on numpy columns as CPython
-    forms it, re = x c - y s and im = x s + y c, so every image equals the
-    scalar product's bit for bit.  cos, sin and atan2 stay those of ``math``
-    (``np.arctan2`` differs in the last bit on some inputs).  A system whose
-    crossing scan (``_first_crossing``) over twice the return time would
-    need more than ``_MAX_STEPS`` steps is refused up front: there one
-    return turns the z-plane so far that the image keeps no digits.
+    angle is atan2 of the unit vector (cos theta, sin theta) turned at w1 for
+    the return time and by the deck power ``_deck_index`` of the slice it
+    lands on, so a start angle of any size is reduced exactly.  Both factors
+    are formed once per call and turn the unit vectors elementwise, each
+    complex product formed on numpy columns as CPython forms it, re = x c - y s
+    and im = x s + y c, so every image equals the scalar product's bit for
+    bit.  cos, sin and atan2 stay those of ``math`` (``np.arctan2`` differs in
+    the last bit on some inputs).  A system whose crossing scan
+    (``_first_crossing``) over twice the return time would need more than
+    ``_MAX_STEPS`` steps is refused up front: there one return turns the
+    z-plane so far that the image keeps no digits.
     """
     sys = page.system
     level = 2.0 * math.pi / page.p
@@ -313,8 +319,7 @@ def _returns(page: Page, thetas: list[float], direction: str) -> tuple[float, li
     _scan_step(sys, level, 2.0 * t_star)
     sgn = 1 if direction == "forward" else -1
     turn = complex(math.cos(w1 * (sgn * t_star)), math.sin(w1 * (sgn * t_star)))
-    x = np.fromiter(map(math.cos, thetas), float, len(thetas))
-    y = np.fromiter(map(math.sin, thetas), float, len(thetas))
+    x, y = xy
     x, y = x * turn.real - y * turn.imag, x * turn.imag + y * turn.real
     # on S^3 the deck factor is 1 + 0j, and a product with it can flip a zero's sign
     if page.p > 1:
@@ -338,7 +343,7 @@ def return_map(
         raise PreconditionViolation(f"start angle must be finite, got {theta}")
     if direction not in ("forward", "backward"):
         raise PreconditionViolation("direction must be 'forward' or 'backward'")
-    t_star, (angle,) = _returns(page, [theta], direction)
+    t_star, (angle,) = _returns(page, _unit_columns([theta]), direction)
     return ReturnRecord(t_star, (r, angle))
 
 
@@ -427,14 +432,13 @@ _FORM_MARGIN = 1e-3  # the form grid's radii stay this far inside the page
 
 
 def page_form_samples(page: Page, n_r: int, n_th: int):
-    """The pulled-back area form dlambda(d_r u, d_th u) on a product grid of the interior."""
+    """The pulled-back area form dlambda(d_r u, d_th u) on a product grid of the interior.
+
+    It pairs the disk's columns, so what depends on r alone is formed once per radius.
+    """
     rs = np.linspace(_FORM_MARGIN, 1.0 - _FORM_MARGIN, n_r)
     ths = np.linspace(0.0, 2.0 * math.pi, n_th, endpoint=False)
-    pts, d_r, d_th = pdisk_arrays(rs[:, None], ths[None, :], page.phase)
-    shape = pts.shape[:2]
-    vals = _dlambda_rows(
-        page.system, pts.reshape(-1, 4), d_r.reshape(-1, 4), d_th.reshape(-1, 4)
-    ).reshape(shape)
+    vals = _dlambda_cols(page.system, *pdisk_columns(rs[:, None], ths[None, :], page.phase))
     return rs, ths, vals
 
 
@@ -450,13 +454,8 @@ def _page_form_integral(page: Page, n_r: int, n_th: int) -> float:
     total = 0.0
     for a, b in zip(knots, knots[1:]):
         rs = np.linspace(a, b, n_r + 1)
-        pts, d_r, d_th = pdisk_arrays(rs[:, None], ths[None, :], page.phase)
-        shape = pts.shape[:2]
-        vals = np.abs(
-            _dlambda_rows(
-                page.system, pts.reshape(-1, 4), d_r.reshape(-1, 4), d_th.reshape(-1, 4)
-            ).reshape(shape)
-        )
+        cols = pdisk_columns(rs[:, None], ths[None, :], page.phase)
+        vals = np.abs(_dlambda_cols(page.system, *cols))
         th_int = vals.mean(axis=1) * 2.0 * math.pi
         h = (b - a) / n_r
         weights = np.ones(n_r + 1)
@@ -623,7 +622,7 @@ def verify_gss_conditions(
     log.info("fixed point")
     fp = fixed_point(page)
     # refuses a system past the scan's step ceiling before any sample is drawn
-    fp_time, _ = _returns(page, [fp[1]], "forward")
+    fp_time, _ = _returns(page, _unit_columns([fp[1]]), "forward")
     report["fixed_point"] = {
         "coords": [fp[0], fp[1]],
         "distance_to_center": fp[0],
@@ -669,8 +668,9 @@ def verify_gss_conditions(
     if n_samples > 0:
         log.info("return sampling")
         radii, thetas = sample_starts(rng, n_samples)
-    t_fwd, fwd = _returns(page, thetas, "forward")
-    t_bwd, bwd = _returns(page, thetas, "backward")
+    xy = _unit_columns(thetas)
+    t_fwd, fwd = _returns(page, xy, "forward")
+    t_bwd, bwd = _returns(page, xy, "backward")
     samples = ReturnSamples(radii, thetas, t_fwd, fwd, t_bwd, bwd)
     if n_samples > 0:
         # one return time per direction decides every sample

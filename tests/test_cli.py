@@ -155,7 +155,18 @@ def test_samples_csv_equals_naive_writer(tmp_path):
     fwd = samples.forward_angles[:-3] + [math.nan, 2.0, 0.0]
     bwd = samples.backward_angles[:-3] + [-0.0, math.nan, 3.0]
     mixed = reebkit.ReturnSamples(radii, thetas, math.pi, fwd, -0.0, bwd)
-    for case in (samples, mixed, reebkit.ReturnSamples([], [], 1.0, [], 2.0, [])):
+    cases = [samples, mixed, reebkit.ReturnSamples([], [], 1.0, [], 2.0, [])]
+    # exactly one chunk and one row past it, with exponent-form and non-finite
+    # values in every float column, the last rows of the chunk and the next
+    odd = [1e-05, -3e-300, 1e+16, math.inf, -math.inf]
+    for n in (reebkit.cli._CHUNK_ROWS, reebkit.cli._CHUNK_ROWS + 1):
+        base = _random_samples(n, n)
+        columns = [base.radii, base.thetas, base.forward_angles, base.backward_angles]
+        columns = [col[:n - 5] + odd[k:] + odd[:k] for k, col in enumerate(columns)]
+        for tf, tb in zip(odd, odd[::-1]):
+            cases.append(reebkit.ReturnSamples(columns[0], columns[1], tf, columns[2],
+                                               tb, columns[3]))
+    for case in cases:
         path = tmp_path / "samples.csv"
         reebkit.cli.write_samples_csv(str(path), case)
         assert path.read_bytes() == _naive_samples_csv(case).encode()

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 import reebkit as rk
 from reebkit.errors import PreconditionViolation
-from reebkit.geometry import _dlambda_rows
+from reebkit.geometry import _dlambda_cols, _dlambda_rows
 from reebkit.integrate import dopri45
 from reebkit.knots import pdisk_arrays
 
@@ -116,6 +116,41 @@ def test_dlambda_rows_by_columns_equal_row_sums_bit_for_bit():
         for pts, us, vs in cases:
             got = _dlambda_rows(sys_, pts, us, vs)
             assert got.tobytes() == _dlambda_rows_by_row_sums(sys_, pts, us, vs).tobytes()
+
+
+def _reference_dlambda_rows(sys_, pts, us, vs):
+    """dlambda on rows as the kernel formed it before it took broadcast columns."""
+    x, u, v = tuple(pts.T), tuple(us.T), tuple(vs.T)
+    H = (math.pi / sys_.a) * (x[0] ** 2 + x[1] ** 2) + (math.pi / sys_.b) * (x[2] ** 2 + x[3] ** 2)
+    H2 = H**2
+    ka, kb = 2 * math.pi / sys_.a, 2 * math.pi / sys_.b
+    g0, g1, g2, g3 = ka * x[0], ka * x[1], kb * x[2], kb * x[3]
+    dfu = -(g0 * u[0] + g1 * u[1] + g2 * u[2] + g3 * u[3]) / H2
+    dfv = -(g0 * v[0] + g1 * v[1] + g2 * v[2] + g3 * v[3]) / H2
+    omega0 = u[0] * v[1] - u[1] * v[0] + u[2] * v[3] - u[3] * v[2]
+
+    def lam0(a):
+        return 0.5 * (x[0] * a[1] - x[1] * a[0] + x[2] * a[3] - x[3] * a[2])
+
+    return dfu * lam0(v) - dfv * lam0(u) + omega0 / H
+
+
+def test_dlambda_columns_broadcast_to_the_row_values():
+    # columns of length 1 along an axis give the values of the full rows, bit for bit
+    rng = np.random.default_rng(11)
+    sys_ = rk.ContactSystem("ellipsoid", a=0.7, b=17.3, lens=rk.LensParams(3, 2))
+    full = rng.normal(size=(3, 40, 30, 4))
+    full[..., 2:] = full[:, :, :1, 2:]  # the w-columns vary along the first axis only
+    full[2, ..., 2:] = 0.0
+    cols = [[full[k, ..., c] for c in range(4)] for k in range(3)]
+    for k in range(3):
+        cols[k][2:] = [a[:, :1] for a in cols[k][2:]]
+    cols[2][2:] = [np.zeros((1, 1))] * 2
+    got = _dlambda_cols(sys_, *cols)
+    assert got.shape == (40, 30)
+    rows = [a.reshape(-1, 4) for a in full]
+    assert got.tobytes() == _reference_dlambda_rows(sys_, *rows).tobytes()
+    assert _dlambda_rows(sys_, *rows).tobytes() == got.tobytes()
 
 
 def test_reeb_unit_ellipsoid_is_round_up_to_rate():

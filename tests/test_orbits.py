@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from dataclasses import replace
@@ -11,7 +12,9 @@ import reebkit as rk
 from reebkit.errors import DegenerateInput, GridTooCoarse, IllConditioned, PreconditionViolation
 from reebkit.geometry import _dlambda_rows, _lambda_rows, _turn, _turn_grid, from_complex, to_complex
 from reebkit.integrate import dopri45
-from reebkit.orbits import _GRID_INTERVALS, _MAX_CATALOG, _closure_order
+from reebkit.orbits import _GRID_INTERVALS, _MAX_CATALOG, _closure_order, _frame_rows
+from test_geometry import _reference_dlambda_rows
+from test_golden import grid_systems
 from test_index import _scanned_winding_interval
 
 SQRT2 = math.sqrt(2.0)
@@ -61,6 +64,29 @@ def test_catalog_closure_invariant(ell_l21):
 def test_orbit_validation_rejects_wrong_period(ell_s3):
     with pytest.raises(PreconditionViolation):
         rk.ClosedOrbit(ell_s3, np.array([1.0, 0, 0, 0]), 0.9)
+
+
+def test_iterates_do_not_rerun_the_closure_flow(monkeypatch):
+    sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(3, 2))
+    K, _ = rk.principal_orbits(sys_)
+    want = rk.index_table(K, 4)
+    flows = []
+    real_flow = rk.orbits.flow
+    monkeypatch.setattr(rk.orbits, "flow", lambda *a, **kw: flows.append(a) or real_flow(*a, **kw))
+    K5 = K.iterate(5)
+    assert (K5.multiplicity, K5.period, K5.label, K5.deck_power) == (5, 5 * K.period, "K", 1)
+    assert K5.anchor.tobytes() == K.anchor.tobytes() and K.multiplicity == 1
+    assert K5.iterate(2).multiplicity == 10
+    assert rk.index_table(K, 4) == want
+    assert flows == []
+    with pytest.raises(PreconditionViolation, match="iterate exponent must be >= 1"):
+        K.iterate(0)
+    with pytest.raises(PreconditionViolation, match="multiplicity must be >= 1"):
+        K._repeated(0)
+    # a constructed orbit is still checked, once
+    with pytest.raises(PreconditionViolation, match="orbit does not close"):
+        rk.ClosedOrbit(sys_, K.anchor, 1.1 * K.prime_period, deck_power=K.deck_power)
+    assert len(flows) == 1
 
 
 def test_orbit_json(ell_s3):
@@ -203,9 +229,48 @@ def test_turn_grid_rows_equal_scalar_turn(lens):
             assert np.array_equal(rows, np.array(turned))
 
 
+def _reference_lift_mats(orbit):
+    """The samples of ``linearized_path`` as it formed them before one table served two turns.
+
+    The frame at the anchor and along the grid in two calls, one list-built
+    cos/sin table turning the anchor and both frame vectors, and one dlambda
+    call per matrix entry.
+    """
+    sys_, n = orbit.system, _GRID_INTERVALS
+    anchor = orbit.anchor[None]
+    vs = np.concatenate([anchor, *_frame_rows(sys_, anchor)])
+    ts = orbit.period * np.arange(n + 1) / n
+    turned = np.empty((len(vs), n + 1, 4))
+    for col, rate in zip((0, 2), sys_.plane_rates()):
+        angles = (rate * ts).tolist()
+        c = np.array([math.cos(t) for t in angles])
+        s = np.array([math.sin(t) for t in angles])
+        x, y = vs[:, col, None], vs[:, col + 1, None]
+        turned[:, :, col] = x * c - y * s
+        turned[:, :, col + 1] = x * s + y * c
+    pts, *us = turned
+    e1, e2 = _frame_rows(sys_, pts)
+    mats = np.empty((n + 1, 2, 2))
+    for col, u in enumerate(us):
+        mats[:, 0, col] = _reference_dlambda_rows(sys_, pts, u, e2)
+        mats[:, 1, col] = _reference_dlambda_rows(sys_, pts, e1, u)
+    mats /= np.sqrt(np.linalg.det(mats))[:, None, None]
+    mats[0] = np.eye(2)
+    return mats
+
+
+@pytest.mark.parametrize("system", sorted(grid_systems()))
+def test_lift_equals_the_lift_before_one_table_bit_for_bit(system):
+    sys_ = rk.system_from_json(json.loads(grid_systems()[system]))
+    for orbit in rk.principal_orbits(sys_):
+        for m in sorted({_closure_order(orbit), 2}):
+            it = orbit.iterate(m)
+            assert rk.linearized_path(it).mats.tobytes() == _reference_lift_mats(it).tobytes(), m
+
+
 def test_linearized_path_refuses_coarse_grid_up_front(monkeypatch):
     # (w1 + w2) T / n above pi/2: refused before a frame is built or a vector turned
-    for name in ("disk_frame", "_frame_rows", "_turn_grid"):
+    for name in ("disk_frame", "_frame_rows", "_turn_grid", "_turn_table"):
         monkeypatch.setattr(rk.orbits, name, None)
     _, Kp = rk.principal_orbits(rk.ContactSystem("ellipsoid", a=1.0, b=128.0))
     with pytest.raises(GridTooCoarse):

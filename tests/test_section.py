@@ -14,7 +14,9 @@ from reebkit.geometry import _reeb_rows
 from reebkit.integrate import _MAX_STEPS
 from reebkit.knots import disk_profile, pdisk_arrays
 from reebkit.section import _edge_action, page_form_samples, sample_starts
+from test_geometry import _reference_dlambda_rows
 from test_golden import grid_systems
+from test_knots import _reference_pdisk_arrays
 
 SQRT2 = math.sqrt(2.0)
 
@@ -418,6 +420,20 @@ def test_gauss_nodes_equal_leggauss_bit_for_bit():
     assert section._GAUSS_W.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("system", sorted(grid_systems()))
+def test_page_form_equals_the_form_on_filled_arrays_bit_for_bit(system):
+    # the form as page_form_samples formed it on the (101, 100, 4) arrays of the grid
+    sys_ = rk.system_from_json(json.loads(grid_systems()[system]))
+    for phase in (0.0, 2.0 * math.pi / sys_.p, 1.3):
+        page = rk.build_page(sys_, phase)
+        rs, ths, vals = page_form_samples(page, 101, 100)
+        pts, d_r, d_th = _reference_pdisk_arrays(rs[:, None], ths[None, :], phase)
+        want = _reference_dlambda_rows(
+            sys_, pts.reshape(-1, 4), d_r.reshape(-1, 4), d_th.reshape(-1, 4)
+        ).reshape(101, 100)
+        assert vals.tobytes() == want.tobytes(), phase
+
+
 def test_quad_area_matches_form_integral(ell_l21):
     page = rk.build_page(ell_l21, 0.0)
     # small quadrilateral: boundary action vs integrand times coordinate area
@@ -706,18 +722,21 @@ def _reference_return_map(page, start, direction="forward", tol=1e-10):
 def _use_reference(monkeypatch, turned: dict):
     """Route ``section._returns`` through ``_reference_return_map``; count starts in ``turned``.
 
-    ``_returns`` turns angles only, so the reference takes each start's
-    radius from the drawn starts; the call before the draw is the centre's.
+    ``_returns`` turns the unit columns of the start angles only, so the
+    reference takes each start's radius and angle from the drawn starts and
+    checks the columns against those angles; the call before the draw is
+    the centre's.
     """
     drawn = {}
     real_starts = section.sample_starts
 
     def starts(rng, n):
-        drawn["radii"], thetas = real_starts(rng, n)
-        return drawn["radii"], thetas
+        drawn["radii"], drawn["thetas"] = real_starts(rng, n)
+        return drawn["radii"], drawn["thetas"]
 
-    def returns(page, thetas, direction):
-        radii = drawn.get("radii", [0.0] * len(thetas))
+    def returns(page, xy, direction):
+        radii, thetas = drawn.get("radii", [0.0]), drawn.get("thetas", [0.0])
+        assert all(map(np.array_equal, xy, section._unit_columns(thetas))), direction
         recs = [_reference_return_map(page, (r, th), direction)
                 for r, th in zip(radii, thetas, strict=True)]
         turned[direction] += len(recs)
