@@ -92,10 +92,8 @@ from .orbits import (
     principal_orbits,
 )
 from .section import (
-    Page,
     ReturnRecord,
     ReturnSamples,
-    build_page,
     disk_area_bound,
     fixed_point,
     linking_with_binding,

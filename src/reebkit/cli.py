@@ -28,7 +28,7 @@ from .errors import DegenerateInput, PreconditionViolation, ReebkitError, Struct
 from .geometry import ContactSystem, system_from_json, system_to_json
 from .knots import classification_tables
 from .orbits import catalog, index_table, principal_orbits
-from .section import ReturnSamples, build_page, return_map, verify_gss_conditions
+from .section import ReturnSamples, return_map, verify_gss_conditions
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,44 +122,24 @@ def _cmd_index(args) -> int:
     return EXIT_OK
 
 
-# rows that the sample writers join before each write, so that a file at the
-# sample cap is never built whole in memory
+# rows that the sample writers format and write at once, so that a file at
+# the sample cap is never built whole in memory
 _CHUNK_ROWS = 4096
-
-
-def _write_rows(fh, rows) -> None:
-    """Write the strings of ``rows`` to ``fh``, ``_CHUNK_ROWS`` at a time."""
-    chunk = []
-    for row in rows:
-        chunk.append(row)
-        if len(chunk) == _CHUNK_ROWS:
-            fh.write("".join(chunk))
-            chunk.clear()
-    fh.write("".join(chunk))
 
 
 def write_svg_scatter(path: str, samples: ReturnSamples) -> None:
     """Hand-rolled scatter plot of (start, forward image) pairs in page coordinates.
 
-    An image lies at its start's radius.  The circles are written
-    ``_CHUNK_ROWS`` samples at a time.
+    An image lies at its start's radius.  As in ``write_samples_csv``, a
+    chunk of at most ``_CHUNK_ROWS`` samples is one ``%`` of the two-circle
+    template repeated over the chunk; ``"%.2f" % x`` writes the digits of
+    ``f"{x:.2f}"``.
     """
     size = 500
     c = size / 2
     scale = 0.46 * size
-
-    def xy(r, th):
-        return c + scale * r * math.cos(th), c - scale * r * math.sin(th)
-
-    def circles():
-        for r, th, fth in zip(samples.radii, samples.thetas, samples.forward_angles):
-            x0, y0 = xy(r, th)
-            x1, y1 = xy(r, fth)
-            yield (
-                f'<circle cx="{x0:.2f}" cy="{y0:.2f}" r="2.4" fill="#1f77b4" fill-opacity="0.8"/>\n'
-                f'<circle cx="{x1:.2f}" cy="{y1:.2f}" r="2.4" fill="#d62728" fill-opacity="0.8"/>\n'
-            )
-
+    pair = ('<circle cx="%.2f" cy="%.2f" r="2.4" fill="#1f77b4" fill-opacity="0.8"/>\n'
+            '<circle cx="%.2f" cy="%.2f" r="2.4" fill="#d62728" fill-opacity="0.8"/>\n')
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -167,7 +147,14 @@ def write_svg_scatter(path: str, samples: ReturnSamples) -> None:
             f'<rect width="{size}" height="{size}" fill="white"/>\n'
             f'<circle cx="{c}" cy="{c}" r="{scale}" fill="none" stroke="#444" stroke-width="1"/>\n'
         )
-        _write_rows(fh, circles())
+        for lo in range(0, len(samples), _CHUNK_ROWS):
+            chunk = slice(lo, lo + _CHUNK_ROWS)
+            values = []
+            for r, th, fth in zip(samples.radii[chunk], samples.thetas[chunk],
+                                  samples.forward_angles[chunk]):
+                values += (c + scale * r * math.cos(th), c - scale * r * math.sin(th),
+                           c + scale * r * math.cos(fth), c - scale * r * math.sin(fth))
+            fh.write(pair * (len(values) // 4) % tuple(values))
         fh.write("</svg>\n")
 
 
@@ -266,17 +253,16 @@ def _cmd_sigma(args) -> int:
 
 def _cmd_return_map(args) -> int:
     sys_ = _load_system(args.config)
-    page = build_page(sys_)
     try:
         r_str, th_str = args.start.split(",")
         start = (float(r_str), float(th_str))
     except ValueError as exc:
         raise PreconditionViolation("--start must be 'r,theta'") from exc
-    rec = return_map(page, start, args.direction)
+    rec = return_map(sys_, start, args.direction)
     _emit(
         {
             "system": system_to_json(sys_),
-            "phase": page.phase,
+            "phase": 0.0,  # the page is the slice arg w = 0
             "start": list(start),
             "direction": args.direction,
             "return_time": rec.return_time,

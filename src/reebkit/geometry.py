@@ -130,7 +130,8 @@ def check_point(pt) -> np.ndarray:
     pt = np.asarray(pt, dtype=float)
     if pt.shape != (4,):
         raise PreconditionViolation("points are length-4 arrays")
-    if abs(pt @ pt - 1.0) > SPHERE_TOL:
+    # written so that a NaN coordinate fails it
+    if not abs(pt @ pt - 1.0) <= SPHERE_TOL:
         raise PreconditionViolation(f"point is off the unit sphere by {abs(pt @ pt - 1.0):.3e}")
     return pt
 
@@ -140,7 +141,9 @@ def check_tangent(pt, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (4,):
         raise PreconditionViolation("tangent vectors are length-4 arrays")
-    if abs(pt @ v) > TANGENT_TOL * max(1.0, float(np.linalg.norm(v))):
+    norm = float(np.linalg.norm(v))
+    # written so that a NaN or an infinite entry fails it
+    if not (norm < math.inf and abs(pt @ v) <= TANGENT_TOL * max(1.0, norm)):
         raise PreconditionViolation(f"vector is not tangent to the sphere (<pt, v> = {pt @ v:.3e})")
     return v
 
@@ -311,26 +314,19 @@ def _turn_table(sys: ContactSystem, T: float, n: int) -> list[list[np.ndarray]]:
 
 
 def _turn_rows(table: list[list[np.ndarray]], vs: np.ndarray) -> np.ndarray:
-    """Each row of ``vs`` turned on the ``_turn_table`` ``table``, shape (len(vs), n + 1, 4)."""
+    """Each row of ``vs`` turned on the ``_turn_table`` ``table``, shape (len(vs), n + 1, 4).
+
+    The float operations are those of ``_turn`` at time T * j / n on each
+    plane coordinate, cos and sin included, so a turned point equals the
+    scalar ``flow`` bit for bit.  The flow is linear on C^2, so the same
+    kernel turns tangent vectors: it is its own linearization.
+    """
     out = np.empty((len(vs), len(table[0][0]), 4))
     for col, (c, s) in zip((0, 2), table):
         x, y = vs[:, col, None], vs[:, col + 1, None]
         out[:, :, col] = x * c - y * s
         out[:, :, col + 1] = x * s + y * c
     return out
-
-
-def _turn_grid(sys: ContactSystem, vs: np.ndarray, T: float, n: int) -> np.ndarray:
-    """Each row of ``vs`` turned at the plane rates for the grid times T j / n, j = 0..n.
-
-    Returns shape (len(vs), n + 1, 4), and all rows share one table of cos
-    and sin values (``_turn_table``).  The float operations are those of
-    ``_turn`` at time T * j / n on each plane coordinate, cos and sin
-    included, so a turned point equals the scalar ``flow`` bit for bit.  The
-    flow is linear on C^2, so the same kernel turns tangent vectors: it is
-    its own linearization.
-    """
-    return _turn_rows(_turn_table(sys, T, n), vs)
 
 
 def _project_sphere(y: np.ndarray) -> np.ndarray:
@@ -349,6 +345,8 @@ def flow(sys: ContactSystem, pt, t: float, tol: float = 1e-10, method: str = "cl
         raise ValueError(f"unknown method {method!r}")
     if tol <= 0:
         raise PreconditionViolation("tol must be positive")
+    if not math.isfinite(t):
+        raise PreconditionViolation(f"flow time must be finite, got {t}")
     pt = check_point(pt)
     if t == 0.0:
         return pt.copy()

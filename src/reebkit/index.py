@@ -373,6 +373,8 @@ def mu_tilde(interval) -> int:
         lo = hi = float(interval)
     else:
         lo, hi = float(interval[0]), float(interval[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise PreconditionViolation(f"interval endpoints must be finite, got [{lo}, {hi}]")
     if hi < lo:
         raise PreconditionViolation("interval endpoints out of order")
     if hi - lo >= 0.5:
@@ -400,8 +402,8 @@ def _mu_tilde(lo: float, hi: float) -> int:
 def delta_phi(path: SymplecticPath, zeta) -> float:
     """Total winding of t -> phi(t) zeta over one period of the path."""
     zeta = np.asarray(zeta, dtype=float)
-    if zeta.shape != (2,) or not np.any(zeta):
-        raise PreconditionViolation("direction must be a nonzero plane vector")
+    if zeta.shape != (2,) or not np.any(zeta) or not np.isfinite(zeta).all():
+        raise PreconditionViolation("direction must be a finite nonzero plane vector")
     return float(_delta_many(path.mats, zeta[None, :], _jump_threshold(path.mats))[0])
 
 

@@ -7,10 +7,11 @@ sl = p * wind and by numerical phase tracking along a boundary collar of
 that disk.
 
 ``pdisk_columns`` is the one parametrization of that disk: points, r- and
-theta-derivatives as columns, which ``pdisk_arrays`` packs; at any w-phase it
-is the page of ``section``.  Its radial profile ``disk_profile`` is the same
-for every lens, so only ``binding_sl_numeric`` reads the order p.  The contact
-form and the global section W it is measured against live in ``geometry``.
+theta-derivatives as columns, which ``pdisk_arrays`` packs; it is the page of
+``section``, the slice arg w = 0.  Its radial profile ``disk_profile`` is the
+same for every lens, so only ``binding_sl_numeric`` reads the order p.  The
+contact form and the global section W it is measured against live in
+``geometry``.
 """
 
 from __future__ import annotations
@@ -171,11 +172,11 @@ def disk_profile_deriv(r):
     return (1.0 - s) + s * dg2 + ds * (g2 - r)
 
 
-def pdisk_columns(r, theta, phase: float):
+def pdisk_columns(r, theta):
     """The lifted disk's points, r- and theta-derivatives, as three 4-tuples of columns.
 
     The columns broadcast over (r, theta), each with only the axes it varies on
-    (the w-columns depend on r alone; d_theta's are one zero), at w-phase ``phase``.
+    (the w-columns depend on r alone; Im w and d_theta's w-columns are one zero).
     """
     r = np.asarray(r, dtype=float)
     if not (0.0 <= r.min() and r.max() <= 1.0):
@@ -184,16 +185,15 @@ def pdisk_columns(r, theta, phase: float):
     df = disk_profile_deriv(r)
     g = np.sqrt(np.maximum(1.0 - f * f, 0.0))
     dg = -f * df / np.maximum(g, 1e-15)
-    cp, sp = math.cos(phase), math.sin(phase)
     c, s = np.cos(theta), np.sin(theta)
     x, y = f * c, f * s
     zero = np.zeros((1,) * x.ndim)
-    return (x, y, g * cp, g * sp), (df * c, df * s, dg * cp, dg * sp), (-y, x, zero, zero)
+    return (x, y, g, zero), (df * c, df * s, dg, zero), (-y, x, zero, zero)
 
 
-def pdisk_arrays(r, theta, phase: float = 0.0):
+def pdisk_arrays(r, theta):
     """``pdisk_columns`` packed as three arrays of shape ``broadcast(r, theta).shape + (4,)``."""
-    cols = pdisk_columns(r, theta, phase)
+    cols = pdisk_columns(r, theta)
     arrays = tuple(np.empty(cols[0][0].shape + (4,)) for _ in cols)
     for arr, group in zip(arrays, cols):
         arr[..., 0], arr[..., 1], arr[..., 2], arr[..., 3] = group

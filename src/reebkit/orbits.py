@@ -30,7 +30,6 @@ from .errors import DegenerateInput, GridTooCoarse, IllConditioned, Precondition
 from .geometry import (
     ContactSystem,
     _dlambda_rows,
-    _turn_grid,
     _turn_rows,
     _turn_table,
     ambient_rotation,
@@ -184,7 +183,8 @@ def disk_frame(orbit: ClosedOrbit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dlambda(e1, e2) = 1, and e2 = i e1.  W extends over the spanning disk of
     each principal circle, so the induced class is the disk class.
     """
-    pts = _turn_grid(orbit.system, orbit.anchor[None], orbit.period, _GRID_INTERVALS)[0]
+    table = _turn_table(orbit.system, orbit.period, _GRID_INTERVALS)
+    pts = _turn_rows(table, orbit.anchor[None])[0]
     return (pts, *_frame_rows(orbit.system, pts))
 
 

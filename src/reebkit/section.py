@@ -1,17 +1,18 @@
 """Disk-like global surfaces of section, return maps, and the GSS verifier.
 
-Pages live over the w-phase: on the sphere the page at phase c is the slice
-{arg(w) = c} closed up with the binding circle {w = 0}; on a quotient by
-Z_p the p slices {c + 2 pi j / p} project to a single page, an immersed
-disk whose boundary covers the binding p:1.  The Reeb flow turns the z- and
-w-planes at the constant rates w1 and w2, so every first return to the page
-takes level / w2 with level = 2 pi / p and is one rigid rotation of the disk,
-the same for every start: ``_returns``, the only code that turns a page
-point, forms it once per call.  An orbit of period T crosses the page
-w2 T / level times, its linking number with the binding.  The numeric
-reference ``_first_crossing`` scans the numeric flow for its crossings and
-refines each in time with ``brentq``, this module's port of scipy's Brent
-solver, and ``page_coords`` reads the flowed point back with the same solver.
+The page is the slice {arg(w) = 0} closed up with the binding circle
+{w = 0}; on a quotient by Z_p the p slices {2 pi j / p} project to a single
+page, an immersed disk whose boundary covers the binding p:1.  The Reeb flow
+turns the z- and w-planes at the constant rates w1 and w2, so it turns each
+page rigidly onto the next and one page serves for all: every page function
+takes the system alone.  Every first return to the page takes level / w2
+with level = 2 pi / p and is one rigid rotation of the disk, the same for
+every start: ``_returns``, the only code that turns a page point, forms it
+once per call.  An orbit of period T crosses the page w2 T / level times,
+its linking number with the binding.  The numeric reference
+``_first_crossing`` scans the numeric flow for its crossings and refines
+each in time with ``brentq``, this module's port of scipy's Brent solver,
+and ``page_coords`` reads the flowed point back with the same solver.
 
 The form is toric, so the pulled-back dlambda depends on r alone: a rigid
 rotation preserves it, the centre is the fixed point, and by Stokes the
@@ -19,9 +20,9 @@ page's area constant is 1 + the action of the page boundary.  The verifier
 reads all three so; ``disk_area_bound`` and ``quad_dlambda_area`` are the
 2d quadratures that the tests hold them against.
 
-A page is sampled through the disk parametrization ``knots.pdisk_columns`` at
-its w-phase, alike for every lens, and the contact form and dlambda on those
-samples are the kernels of ``geometry``; this module defines neither.
+The page is sampled through the disk parametrization ``knots.pdisk_columns``,
+alike for every lens, and the contact form and dlambda on those samples are
+the kernels of ``geometry``; this module defines neither.
 """
 
 from __future__ import annotations
@@ -64,24 +65,12 @@ log = logging.getLogger("reebkit")
 
 
 # ---------------------------------------------------------------------------
-# pages
+# the page
 
 
-@dataclass
-class Page:
-    """One page of the open book: the w-phase slice at ``phase`` (on lifts), by ``pdisk_arrays``."""
-
-    system: ContactSystem
-    phase: float
-
-    @property
-    def p(self) -> int:
-        return self.system.p
-
-
-def page_point(page: Page, r: float, theta: float) -> np.ndarray:
+def page_point(r: float, theta: float) -> np.ndarray:
     """Lift of the page point with polar coordinates (r, theta), by ``pdisk_arrays``."""
-    return pdisk_arrays(r, theta, page.phase)[0]
+    return pdisk_arrays(r, theta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +168,7 @@ def _deck_index(lens: LensParams, j: int) -> int:
     return (-(j % lens.p) * pow(lens.q, -1, lens.p)) % lens.p
 
 
-def page_coords(page: Page, pt) -> tuple[float, float]:
+def page_coords(sys: ContactSystem, pt) -> tuple[float, float]:
     """Polar page coordinates of a lifted point lying on the page's deck orbit.
 
     A point on another slice of the deck orbit is moved to the page's slice
@@ -187,29 +176,17 @@ def page_coords(page: Page, pt) -> tuple[float, float]:
     refused.  The radius inverts ``disk_profile`` with ``brentq``.
     """
     pt = check_point(pt)
-    p = page.p
+    p = sys.p
     z, w = to_complex(pt)
     level = 2.0 * math.pi / p
-    off = (math.atan2(w.imag, w.real) - page.phase) / level
+    off = math.atan2(w.imag, w.real) / level
     j = round(off)
     if abs(off - j) * level > PAGE_TOL and abs(w) > PAGE_TOL:
         raise PreconditionViolation("point does not lie on the page")
     if j % p != 0:
-        z, w = to_complex(deck_action(page.system.lens, _deck_index(page.system.lens, j), pt))
+        z, w = to_complex(deck_action(sys.lens, _deck_index(sys.lens, j), pt))
     r = _profile_inverse(abs(z))
     return r, math.atan2(z.imag, z.real)
-
-
-def build_page(sys: ContactSystem, phase: float = 0.0) -> Page:
-    """Construct the page at ``phase``.
-
-    The Reeb flow turns the w-plane at the constant rate w2 off the binding,
-    so the page interior is transverse to it; the tests check this rate on a
-    grid of page points.
-    """
-    if not math.isfinite(phase):
-        raise PreconditionViolation(f"page phase must be finite, got {phase}")
-    return Page(system=sys, phase=float(phase))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +273,7 @@ def _unit_columns(thetas: list[float]) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.fromiter(map(fn, thetas), float, len(thetas)) for fn in (math.cos, math.sin))
 
 
-def _returns(page: Page, xy, direction: str) -> tuple[float, list[float]]:
+def _returns(sys: ContactSystem, xy, direction: str) -> tuple[float, list[float]]:
     """The return time level / w2 and the image angle of each start, given as ``_unit_columns``.
 
     Every return keeps the radius, so only the angles are turned.  The image
@@ -312,8 +289,7 @@ def _returns(page: Page, xy, direction: str) -> tuple[float, list[float]]:
     ``_MAX_STEPS`` steps is refused up front: there one return turns the
     z-plane so far that the image keeps no digits.
     """
-    sys = page.system
-    level = 2.0 * math.pi / page.p
+    level = 2.0 * math.pi / sys.p
     w1, w2 = sys.plane_rates()
     t_star = level / w2
     _scan_step(sys, level, 2.0 * t_star)
@@ -322,14 +298,14 @@ def _returns(page: Page, xy, direction: str) -> tuple[float, list[float]]:
     x, y = xy
     x, y = x * turn.real - y * turn.imag, x * turn.imag + y * turn.real
     # on S^3 the deck factor is 1 + 0j, and a product with it can flip a zero's sign
-    if page.p > 1:
+    if sys.p > 1:
         deck = _deck_turns(sys.lens, _deck_index(sys.lens, sgn))[0]
         x, y = x * deck.real - y * deck.imag, x * deck.imag + y * deck.real
     return t_star, list(map(math.atan2, y.tolist(), x.tolist()))
 
 
 def return_map(
-    page: Page, start: tuple[float, float], direction: str = "forward"
+    sys: ContactSystem, start: tuple[float, float], direction: str = "forward"
 ) -> ReturnRecord:
     """The next crossing of the page from an interior page point, in closed form.
 
@@ -343,11 +319,11 @@ def return_map(
         raise PreconditionViolation(f"start angle must be finite, got {theta}")
     if direction not in ("forward", "backward"):
         raise PreconditionViolation("direction must be 'forward' or 'backward'")
-    t_star, (angle,) = _returns(page, _unit_columns([theta]), direction)
+    t_star, (angle,) = _returns(sys, _unit_columns([theta]), direction)
     return ReturnRecord(t_star, (r, angle))
 
 
-def fixed_point(page: Page) -> tuple[float, float]:
+def fixed_point(sys: ContactSystem) -> tuple[float, float]:
     """The page centre (0, 0), a fixed point of the forward return map.
 
     Every return turns the page disk rigidly about its centre
@@ -400,18 +376,18 @@ _GAUSS_X = np.array([-x for x in reversed(_GAUSS_X_POS)] + _GAUSS_X_POS)
 _GAUSS_W = np.array(_GAUSS_W_POS[::-1] + _GAUSS_W_POS)
 
 
-def _edge_action(page: Page, a: tuple[float, float], b: tuple[float, float]) -> float:
+def _edge_action(sys: ContactSystem, a: tuple[float, float], b: tuple[float, float]) -> float:
     """Integral of the contact form along a straight page-coordinate segment."""
     ra, ta = a
     rb, tb = b
     s = 0.5 * (_GAUSS_X + 1.0)
-    pts, d_r, d_th = pdisk_arrays(ra + (rb - ra) * s, ta + (tb - ta) * s, page.phase)
+    pts, d_r, d_th = pdisk_arrays(ra + (rb - ra) * s, ta + (tb - ta) * s)
     vel = d_r * (rb - ra) + d_th * (tb - ta)
-    vals = _lambda_rows(page.system, pts, vel)
+    vals = _lambda_rows(sys, pts, vel)
     return float(np.sum(_GAUSS_W * vals) * 0.5)
 
 
-def quad_dlambda_area(page: Page, corners: list[tuple[float, float]]) -> float:
+def quad_dlambda_area(sys: ContactSystem, corners: list[tuple[float, float]]) -> float:
     """dlambda-area of a small page quadrilateral via the boundary action.
 
     Corner angles are unwrapped relative to the first corner so a quad
@@ -424,25 +400,25 @@ def quad_dlambda_area(page: Page, corners: list[tuple[float, float]]) -> float:
         unwrapped.append((r, prev_th + math.remainder(th - prev_th, 2.0 * math.pi)))
     total = 0.0
     for a, b in zip(unwrapped, unwrapped[1:] + unwrapped[:1]):
-        total += _edge_action(page, a, b)
+        total += _edge_action(sys, a, b)
     return total
 
 
 _FORM_MARGIN = 1e-3  # the form grid's radii stay this far inside the page
 
 
-def page_form_samples(page: Page, n_r: int, n_th: int):
+def page_form_samples(sys: ContactSystem, n_r: int, n_th: int):
     """The pulled-back area form dlambda(d_r u, d_th u) on a product grid of the interior.
 
     It pairs the disk's columns, so what depends on r alone is formed once per radius.
     """
     rs = np.linspace(_FORM_MARGIN, 1.0 - _FORM_MARGIN, n_r)
     ths = np.linspace(0.0, 2.0 * math.pi, n_th, endpoint=False)
-    vals = _dlambda_cols(page.system, *pdisk_columns(rs[:, None], ths[None, :], page.phase))
+    vals = _dlambda_cols(sys, *pdisk_columns(rs[:, None], ths[None, :]))
     return rs, ths, vals
 
 
-def _page_form_integral(page: Page, n_r: int, n_th: int) -> float:
+def _page_form_integral(sys: ContactSystem, n_r: int, n_th: int) -> float:
     """Quadrature of |pullback of dlambda| with panels aligned to profile knots.
 
     The radial profile is piecewise analytic with breaks at the blend window
@@ -454,8 +430,8 @@ def _page_form_integral(page: Page, n_r: int, n_th: int) -> float:
     total = 0.0
     for a, b in zip(knots, knots[1:]):
         rs = np.linspace(a, b, n_r + 1)
-        cols = pdisk_columns(rs[:, None], ths[None, :], page.phase)
-        vals = np.abs(_dlambda_cols(page.system, *cols))
+        cols = pdisk_columns(rs[:, None], ths[None, :])
+        vals = np.abs(_dlambda_cols(sys, *cols))
         th_int = vals.mean(axis=1) * 2.0 * math.pi
         h = (b - a) / n_r
         weights = np.ones(n_r + 1)
@@ -468,7 +444,7 @@ def _page_form_integral(page: Page, n_r: int, n_th: int) -> float:
 _AREA_REL_TOL, _AREA_MAX_LEVEL = 1e-6, 5  # disk_area_bound's refinement
 
 
-def disk_area_bound(page: Page) -> float:
+def disk_area_bound(sys: ContactSystem) -> float:
     """The constant 1 + integral of |pullback of dlambda| over the page.
 
     The 2d quadrature is refined by grid doubling until two successive
@@ -478,7 +454,7 @@ def disk_area_bound(page: Page) -> float:
     prev = None
     n_r, n_th = 32, 64
     for _ in range(_AREA_MAX_LEVEL):
-        cur = _page_form_integral(page, n_r, n_th)
+        cur = _page_form_integral(sys, n_r, n_th)
         if prev is not None and abs(cur - prev) <= _AREA_REL_TOL * max(abs(cur), 1e-300):
             return 1.0 + cur
         prev = cur
@@ -608,21 +584,20 @@ def verify_gss_conditions(
     checks["index"] = idx.mu >= 3 and not idx.degenerate
 
     log.info("page construction")
-    page = build_page(sys, 0.0)
-    _rs, _ths, form = page_form_samples(page, 101, 100)
+    _rs, _ths, form = page_form_samples(sys, 101, 100)
     report["page"] = {
-        "phase": page.phase,
+        "phase": 0.0,  # the page is the slice arg w = 0
         "min_transverse": sys.plane_rates()[1],
         "dlambda_min": float(form.min()),
         "dlambda_max": float(form.max()),
-        "area_bound": 1.0 + _edge_action(page, (1.0, 0.0), (1.0, 2.0 * math.pi)),
+        "area_bound": 1.0 + _edge_action(sys, (1.0, 0.0), (1.0, 2.0 * math.pi)),
     }
     checks["dlambda_positive"] = bool(form.min() > 0.0)
 
     log.info("fixed point")
-    fp = fixed_point(page)
+    fp = fixed_point(sys)
     # refuses a system past the scan's step ceiling before any sample is drawn
-    fp_time, _ = _returns(page, _unit_columns([fp[1]]), "forward")
+    fp_time, _ = _returns(sys, _unit_columns([fp[1]]), "forward")
     report["fixed_point"] = {
         "coords": [fp[0], fp[1]],
         "distance_to_center": fp[0],
@@ -669,8 +644,8 @@ def verify_gss_conditions(
         log.info("return sampling")
         radii, thetas = sample_starts(rng, n_samples)
     xy = _unit_columns(thetas)
-    t_fwd, fwd = _returns(page, xy, "forward")
-    t_bwd, bwd = _returns(page, xy, "backward")
+    t_fwd, fwd = _returns(sys, xy, "forward")
+    t_bwd, bwd = _returns(sys, xy, "backward")
     samples = ReturnSamples(radii, thetas, t_fwd, fwd, t_bwd, bwd)
     if n_samples > 0:
         # one return time per direction decides every sample

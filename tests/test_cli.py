@@ -172,6 +172,34 @@ def test_samples_csv_equals_naive_writer(tmp_path):
         assert path.read_bytes() == _naive_samples_csv(case).encode()
 
 
+def _naive_svg_scatter(samples) -> str:
+    """The scatter plot with each sample's two circles formatted on their own, as one string."""
+    size = 500
+    c = size / 2
+    scale = 0.46 * size
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">\n'
+        f'<rect width="{size}" height="{size}" fill="white"/>\n'
+        f'<circle cx="{c}" cy="{c}" r="{scale}" fill="none" stroke="#444" stroke-width="1"/>\n'
+    ]
+    for r, th, fth in zip(samples.radii, samples.thetas, samples.forward_angles):
+        for angle, color in ((th, "#1f77b4"), (fth, "#d62728")):
+            x, y = c + scale * r * math.cos(angle), c - scale * r * math.sin(angle)
+            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.4" fill="{color}" '
+                         f'fill-opacity="0.8"/>\n')
+    return "".join(parts) + "</svg>\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, 4096, 4097, 3 * 4096 + 5])
+def test_svg_scatter_equals_naive_writer(n, tmp_path):
+    assert reebkit.cli._CHUNK_ROWS == 4096
+    samples = _random_samples(n, n)
+    path = tmp_path / "plot.svg"
+    reebkit.cli.write_svg_scatter(str(path), samples)
+    assert path.read_bytes() == _naive_svg_scatter(samples).encode()
+
+
 def test_samples_csv_at_the_cap_is_written_in_chunks(tmp_path):
     samples = _random_samples(100_000, 5)
     tracemalloc.start()
@@ -357,15 +385,14 @@ def test_return_map_hostile_tolerances(tol, code, capsys, monkeypatch):
     # 1e-9; one above the page tolerance refines a crossing that misses the
     # page (code 1)
     sys_ = reebkit.ContactSystem("ellipsoid", a=1.0, b=1.4, lens=reebkit.LensParams(2, 1))
-    page = reebkit.build_page(sys_, 0.0)
     level = math.pi
     budget = 2.0 * level / sys_.plane_rates()[1]
-    pt0 = reebkit.page_point(page, 0.5, 0.3)
+    pt0 = reebkit.page_point(0.5, 0.3)
 
     def numeric_return():
         t_star, pt = reebkit.section._first_crossing(sys_, pt0, 1, level, budget, float(tol))
         try:
-            return 0, t_star, reebkit.page_coords(page, pt)
+            return 0, t_star, reebkit.page_coords(sys_, pt)
         except reebkit.PreconditionViolation as exc:
             assert str(exc) == "point does not lie on the page"
             return 1, t_star, None
@@ -693,9 +720,7 @@ _LIBRARY_DEFAULTS = {
     "integrate.dopri45.atol",
     "integrate.dopri45.project",
     "integrate.dopri45.max_step",
-    "knots.pdisk_arrays.phase",
     "orbits.orbit_index.k",
-    "section.build_page.phase",
     "section.return_map.direction",
     "section.verify_gss_conditions.n_samples",
     "section.verify_gss_conditions.seed",
@@ -726,7 +751,7 @@ def _library_defaults() -> list:
 
 def test_library_defaults_are_pinned():
     found = _library_defaults()
-    assert len(found) == len(set(found)) == 28
+    assert len(found) == len(set(found)) == 26
     assert set(found) == _LIBRARY_DEFAULTS
 
 

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 import reebkit as rk
 from reebkit.errors import PreconditionViolation
-from reebkit.geometry import _dlambda_cols, _dlambda_rows
+from reebkit.geometry import _dlambda_cols, _dlambda_rows, check_point, check_tangent
 from reebkit.integrate import dopri45
 from reebkit.knots import pdisk_arrays
 
@@ -41,6 +41,24 @@ def test_lambda0_rejects_non_tangent():
         rk.lambda0_eval(E1, [1.0, 0.0, 0.0, 0.0])
     with pytest.raises(PreconditionViolation):
         rk.lambda0_eval([2.0, 0, 0, 0], [0, 1, 0, 0])
+
+
+_NON_FINITE_CALLS = {
+    "check_point": lambda sys_, x: check_point([x, 0.0, 0.0, 0.0]),
+    "check_tangent": lambda sys_, x: check_tangent(E1, [0.0, x, 0.0, 0.0]),
+    "closed_orbit": lambda sys_, x: rk.ClosedOrbit(sys_, [x, 0.0, 0.0, 0.0], 1.0),
+    "flow_time": lambda sys_, x: rk.flow(sys_, E1, x),
+    "lambda_eval": lambda sys_, x: rk.lambda_eval(sys_, [x, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]),
+    "page_coords": lambda sys_, x: rk.page_coords(sys_, [0.0, 0.0, x, 0.0]),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", sorted(_NON_FINITE_CALLS))
+def test_non_finite_geometry_input_is_refused(call, value, ell_l21):
+    # a NaN fails every comparison, so each check must be written to fail on it
+    with np.errstate(invalid="ignore"), pytest.raises(PreconditionViolation):
+        _NON_FINITE_CALLS[call](ell_l21, value)
 
 
 def test_lens_params_validation():
@@ -110,7 +128,7 @@ def test_dlambda_rows_by_columns_equal_row_sums_bit_for_bit():
     # the page grid of verify, and random rows of the sizes the kernel serves
     rs = np.linspace(1e-3, 1.0 - 1e-3, 101)
     ths = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
-    grid = tuple(a.reshape(-1, 4) for a in pdisk_arrays(rs[:, None], ths[None, :], 0.3))
+    grid = tuple(a.reshape(-1, 4) for a in pdisk_arrays(rs[:, None], ths[None, :]))
     cases = [grid] + [tuple(rng.normal(size=(3, n, 4))) for n in (1, 513, 4096, 10100)]
     for sys_ in systems:
         for pts, us, vs in cases:

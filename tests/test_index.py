@@ -154,6 +154,17 @@ def test_mu_tilde_rejects_long_intervals():
         rk.mu_tilde((0.4, 0.2))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_index_input_is_refused(value):
+    for interval in (value, (0.1, value), (value, 0.1)):
+        with pytest.raises(PreconditionViolation):
+            rk.mu_tilde(interval)
+    path = rk.make_rotation_path(math.pi)
+    for zeta in ([value, 1.0], [0.0, value]):
+        with pytest.raises(PreconditionViolation):
+            rk.delta_phi(path, zeta)
+
+
 @given(
     lo_m=st.integers(-40_000, 40_000),
     width_m=st.integers(0, 490),

@@ -262,18 +262,17 @@ def _uncached_collar_winding() -> int:
     return wind_relative(n_coords, x_coords)
 
 
-def _reference_pdisk_arrays(r, theta, phase):
+def _reference_pdisk_arrays(r, theta):
     """The disk's arrays as ``pdisk_arrays`` filled them before it packed ``pdisk_columns``."""
     r = np.asarray(r, dtype=float)
     f, df = disk_profile(r), disk_profile_deriv(r)
     g = np.sqrt(np.maximum(1.0 - f * f, 0.0))
     dg = -f * df / np.maximum(g, 1e-15)
-    cp, sp = math.cos(phase), math.sin(phase)
     c, s = np.cos(theta), np.sin(theta)
     shape = np.broadcast_shapes(r.shape, c.shape) + (4,)
-    pts, d_r, d_th = np.empty(shape), np.empty(shape), np.zeros(shape)
-    pts[..., 0], pts[..., 1], pts[..., 2], pts[..., 3] = f * c, f * s, g * cp, g * sp
-    d_r[..., 0], d_r[..., 1], d_r[..., 2], d_r[..., 3] = df * c, df * s, dg * cp, dg * sp
+    pts, d_r, d_th = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    pts[..., 0], pts[..., 1], pts[..., 2] = f * c, f * s, g
+    d_r[..., 0], d_r[..., 1], d_r[..., 2] = df * c, df * s, dg
     d_th[..., 0], d_th[..., 1] = -pts[..., 1], pts[..., 0]
     return pts, d_r, d_th
 
@@ -283,14 +282,13 @@ def test_packed_disk_columns_equal_filled_arrays():
     ths = np.linspace(-7.0, 7.0, 13)
     shapes = [(0.3, 1.2), (0.999, ths), (rs, ths[:11]), (rs[:, None], ths[None, :]), (1.0, -0.0)]
     for r, theta in shapes:
-        for phase in (0.0, 1.3, -2.0 * math.pi / 3):
-            got = pdisk_arrays(r, theta, phase)
-            want = _reference_pdisk_arrays(r, theta, phase)
-            for a, b in zip(got, want):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            # the columns keep only the axes they vary on
-            pts, d_r, d_th = knots.pdisk_columns(r, theta, phase)
-            assert pts[2].shape == np.shape(r) and d_th[3].shape == (1,) * pts[0].ndim
+        got = pdisk_arrays(r, theta)
+        want = _reference_pdisk_arrays(r, theta)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        # the columns keep only the axes they vary on
+        pts, d_r, d_th = knots.pdisk_columns(r, theta)
+        assert pts[2].shape == np.shape(r) and d_th[3].shape == (1,) * pts[0].ndim
 
 
 def test_cached_collar_winding_equals_uncached():

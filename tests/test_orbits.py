@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import reebkit as rk
 from reebkit.errors import DegenerateInput, GridTooCoarse, IllConditioned, PreconditionViolation
-from reebkit.geometry import _dlambda_rows, _lambda_rows, _turn, _turn_grid, from_complex, to_complex
+from reebkit.geometry import (
+    _dlambda_rows, _lambda_rows, _turn, _turn_rows, _turn_table, from_complex, to_complex,
+)
 from reebkit.integrate import dopri45
 from reebkit.orbits import _GRID_INTERVALS, _MAX_CATALOG, _closure_order, _frame_rows
 from test_geometry import _reference_dlambda_rows
@@ -218,7 +220,7 @@ def test_turn_grid_rows_equal_scalar_turn(lens):
     for orbit in rk.principal_orbits(sys_):
         pts, e1, e2 = rk.disk_frame(orbit)
         vs = np.stack([orbit.anchor, e1[0], e2[0]])
-        grid = _turn_grid(sys_, vs, orbit.period, n)
+        grid = _turn_rows(_turn_table(sys_, orbit.period, n), vs)
         assert grid.shape == (3, n + 1, 4)
         for v, rows in zip(vs, grid):
             z, w = to_complex(v)
@@ -270,7 +272,7 @@ def test_lift_equals_the_lift_before_one_table_bit_for_bit(system):
 
 def test_linearized_path_refuses_coarse_grid_up_front(monkeypatch):
     # (w1 + w2) T / n above pi/2: refused before a frame is built or a vector turned
-    for name in ("disk_frame", "_frame_rows", "_turn_grid", "_turn_table"):
+    for name in ("disk_frame", "_frame_rows", "_turn_table"):
         monkeypatch.setattr(rk.orbits, name, None)
     _, Kp = rk.principal_orbits(rk.ContactSystem("ellipsoid", a=1.0, b=128.0))
     with pytest.raises(GridTooCoarse):

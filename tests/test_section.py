@@ -10,7 +10,7 @@ import reebkit as rk
 import reebkit.section as section
 from reebkit.cli import main
 from reebkit.errors import IllConditioned, IntegrationFailure, PreconditionViolation
-from reebkit.geometry import _reeb_rows
+from reebkit.geometry import _reeb_rows, from_complex, to_complex
 from reebkit.integrate import _MAX_STEPS
 from reebkit.knots import disk_profile, pdisk_arrays
 from reebkit.section import _edge_action, page_form_samples, sample_starts
@@ -25,24 +25,11 @@ SQRT2 = math.sqrt(2.0)
 # pages
 
 
-def test_build_page_round_quotient(round_l21):
-    page = rk.build_page(round_l21, 0.0)
-    assert (page.system, page.phase, page.p) == (round_l21, 0.0, 2)
-    # binding is the quotient Hopf circle: boundary points sit on the z-circle
-    b = rk.page_point(page, 1.0, 0.4)
-    assert abs(np.linalg.norm(b[:2]) - 1.0) < 1e-12 and np.allclose(b[2:], 0)
-
-
-def test_build_page_sphere_case(ell_s3):
-    page = rk.build_page(ell_s3, 0.0)
-    assert page.p == 1
-
-
-def _grid_w_phase_rates(sys_, phase):
+def _grid_w_phase_rates(sys_):
     """Rate of the w-phase along the Reeb field on a 100 x 100 grid of the page interior."""
     rs = np.linspace(1e-3, 1.0 - 1e-3, 100)
     ths = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
-    pts = pdisk_arrays(rs[:, None], ths[None, :], phase)[0].reshape(-1, 4)
+    pts = pdisk_arrays(rs[:, None], ths[None, :])[0].reshape(-1, 4)
     reeb = _reeb_rows(sys_, pts)
     wz = pts[:, 2] + 1j * pts[:, 3]
     rw = reeb[:, 2] + 1j * reeb[:, 3]
@@ -54,46 +41,42 @@ def test_page_rate_is_w2_on_a_grid(name):
     # the verify report reads the page rate as w2 in closed form; the grid is the reference
     sys_ = rk.system_from_json(json.loads(grid_systems()[name]))
     w2 = sys_.plane_rates()[1]
-    for phase in (0.0, 2.0 * math.pi / sys_.p, 1.3):
-        rates = _grid_w_phase_rates(sys_, phase)
-        assert np.all(rates > 0)
-        assert abs(rates.min() - w2) <= 1e-12 * w2
+    rates = _grid_w_phase_rates(sys_)
+    assert np.all(rates > 0)
+    assert abs(rates.min() - w2) <= 1e-12 * w2
     report, _ = rk.verify_gss_conditions(sys_, C=0.05, n_samples=0)
     assert report["page"]["min_transverse"] == w2
 
 
 def test_round_sphere_classical_section():
     # the classical disk-like section: every return takes one Hopf period
-    page = rk.build_page(rk.ContactSystem("round"), 0.0)
-    rec = rk.return_map(page, (0.5, 1.0))
+    rec = rk.return_map(rk.ContactSystem("round"), (0.5, 1.0))
     assert rec.return_time == pytest.approx(math.pi, abs=1e-9)
 
 
 def test_page_phase_shift_gives_same_page_under_deck(ell_l21):
     L = ell_l21.lens
-    pageA = rk.build_page(ell_l21, 0.0)
-    pageB = rk.build_page(ell_l21, 2 * math.pi / L.p)
-    for (r, th) in [(0.3, 0.1), (0.7, 2.2), (0.5, 4.0)]:
-        ptB = rk.page_point(pageB, r, th)
-        # the other page's points lie on pageA's deck orbit of slices
-        rA, _thA = rk.page_coords(pageA, ptB)
-        assert rA == pytest.approx(r, abs=1e-10)
+    for j in range(1, L.p):
+        turn = complex(math.cos(2 * math.pi * j / L.p), math.sin(2 * math.pi * j / L.p))
+        for (r, th) in [(0.3, 0.1), (0.7, 2.2), (0.5, 4.0)]:
+            z, w = to_complex(rk.page_point(r, th))
+            # the point of slice j, w turned by 2 pi j / p, lies on the page's deck orbit
+            rA, _thA = rk.page_coords(ell_l21, from_complex(z, w * turn))
+            assert rA == pytest.approx(r, abs=1e-10)
 
 
 def test_page_coords_round_trip(ell_l21):
-    page = rk.build_page(ell_l21, 0.0)
     for (r, th) in [(0.2, 0.0), (0.55, 1.0), (0.9, -2.0)]:
-        pt = rk.page_point(page, r, th)
-        r2, th2 = rk.page_coords(page, pt)
+        pt = rk.page_point(r, th)
+        r2, th2 = rk.page_coords(ell_l21, pt)
         assert r2 == pytest.approx(r, abs=1e-10)
         assert math.remainder(th2 - th, 2 * math.pi) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_page_coords_rejects_off_page_points(ell_l21):
-    page = rk.build_page(ell_l21, 0.0)
-    off = rk.flow(ell_l21, rk.page_point(page, 0.5, 0.5), 0.1)
+    off = rk.flow(ell_l21, rk.page_point(0.5, 0.5), 0.1)
     with pytest.raises(PreconditionViolation):
-        rk.page_coords(page, off)
+        rk.page_coords(ell_l21, off)
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +84,14 @@ def test_page_coords_rejects_off_page_points(ell_l21):
 
 
 def test_return_time_near_center(ell_l21):
-    page = rk.build_page(ell_l21, 0.0)
-    rec = rk.return_map(page, (1e-3, 0.7))
+    rec = rk.return_map(ell_l21, (1e-3, 0.7))
     assert rec.return_time == pytest.approx(SQRT2 / 2, abs=1e-9)
 
 
 def test_return_forward_backward_inverse(ell_l21):
-    page = rk.build_page(ell_l21, 0.0)
     start = (0.62, 1.9)
-    fwd = rk.return_map(page, start)
-    back = rk.return_map(page, fwd.image, "backward")
+    fwd = rk.return_map(ell_l21, start)
+    back = rk.return_map(ell_l21, fwd.image, "backward")
     assert back.image[0] == pytest.approx(start[0], abs=1e-6)
     assert math.remainder(back.image[1] - start[1], 2 * math.pi) == pytest.approx(
         0.0, abs=1e-6
@@ -118,37 +99,34 @@ def test_return_forward_backward_inverse(ell_l21):
 
 
 def test_round_quotient_return_time_independent_of_start(round_l21):
-    page = rk.build_page(round_l21, 0.0)
     expected = (2 * math.pi / 2) / 2.0  # one slice gap at w-phase rate 2
     for start in [(0.2, 0.0), (0.5, 2.0), (0.8, 4.5)]:
-        rec = rk.return_map(page, start)
+        rec = rk.return_map(round_l21, start)
         assert rec.return_time == pytest.approx(expected, abs=1e-9)
 
 
 def test_return_map_rejects_boundary_start(ell_l21):
-    page = rk.build_page(ell_l21, 0.0)
     with pytest.raises(PreconditionViolation):
-        rk.return_map(page, (1.0, 0.0))
+        rk.return_map(ell_l21, (1.0, 0.0))
 
 
-def _numeric_return(page, start, direction="forward", tol=1e-10):
+def _numeric_return(sys_, start, direction="forward", tol=1e-10):
     """Return time and image of the numeric flow: ``_first_crossing``, then ``page_coords``.
 
     The scan runs over twice the closed-form return time, with its bracket
     refined by ``brentq`` to ``tol`` in time.
     """
-    level = 2.0 * math.pi / page.p
-    budget = 2.0 * level / page.system.plane_rates()[1]
+    level = 2.0 * math.pi / sys_.p
+    budget = 2.0 * level / sys_.plane_rates()[1]
     sgn = 1 if direction == "forward" else -1
-    pt0 = rk.page_point(page, *start)
-    t_star, pt = section._first_crossing(page.system, pt0, sgn, level, budget, tol)
-    return t_star, rk.page_coords(page, pt)
+    pt0 = rk.page_point(*start)
+    t_star, pt = section._first_crossing(sys_, pt0, sgn, level, budget, tol)
+    return t_star, rk.page_coords(sys_, pt)
 
 
 def test_return_map_numeric_flow_agrees(ell_l21):
-    page = rk.build_page(ell_l21, 0.0)
-    a = rk.return_map(page, (0.4, 0.8))
-    b_time, b_image = _numeric_return(page, (0.4, 0.8), tol=1e-9)
+    a = rk.return_map(ell_l21, (0.4, 0.8))
+    b_time, b_image = _numeric_return(ell_l21, (0.4, 0.8), tol=1e-9)
     assert a.return_time == pytest.approx(b_time, abs=1e-6)
     assert a.image[0] == pytest.approx(b_image[0], abs=1e-6)
 
@@ -163,12 +141,11 @@ def test_closed_return_map_equals_numeric(lens):
     rng = np.random.default_rng(7)
     for b in DIFF_B:
         sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=b, lens=rk.LensParams(*lens) if lens else None)
-        page = rk.build_page(sys_, 0.0)
         (start,) = zip(*sample_starts(rng, 1))
         for direction in ("forward", "backward"):
-            closed = rk.return_map(page, start, direction)
-            numeric_time, numeric_image = _numeric_return(page, start, direction)
-            assert closed.return_time == 2.0 * math.pi / page.p / sys_.plane_rates()[1]
+            closed = rk.return_map(sys_, start, direction)
+            numeric_time, numeric_image = _numeric_return(sys_, start, direction)
+            assert closed.return_time == 2.0 * math.pi / sys_.p / sys_.plane_rates()[1]
             assert abs(closed.return_time - numeric_time) < 1e-6, (b, direction)
             assert abs(closed.image[0] - numeric_image[0]) < 1e-6, (b, direction)
             assert abs(math.remainder(closed.image[1] - numeric_image[1], 2.0 * math.pi)) < 1e-6
@@ -187,9 +164,8 @@ def test_return_map_reaches_no_flow_or_profile_inverse(monkeypatch, tmp_path):
     for lens in DIFF_LENSES:
         for b in DIFF_B:
             sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=b, lens=rk.LensParams(*lens) if lens else None)
-            page = rk.build_page(sys_, 0.0)
             for direction in ("forward", "backward"):
-                rk.return_map(page, (0.5, 0.3), direction)
+                rk.return_map(sys_, (0.5, 0.3), direction)
     cfg = '{"family": "ellipsoid", "a": 1.0, "b": 1.4142135623730951, "lens": {"p": 3, "q": 2}}'
     assert main(["verify", "--config", cfg, "--action-bound", "3", "--samples", "20",
                  "--out", str(tmp_path / "v.json"), "--csv", str(tmp_path / "v.csv")]) == 0
@@ -204,10 +180,9 @@ def test_return_map_keeps_the_start_radius_bit_for_bit(lens):
     radii = (1e-300, 1e-20, 0.37, 1.0 - 1e-6, math.nextafter(1.0, 0.0))
     for b in DIFF_B:
         sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=b, lens=rk.LensParams(*lens) if lens else None)
-        page = rk.build_page(sys_, 0.0)
         for r in radii:
             for direction in ("forward", "backward"):
-                assert rk.return_map(page, (r, 0.3), direction).image[0] == r, (b, r, direction)
+                assert rk.return_map(sys_, (r, 0.3), direction).image[0] == r, (b, r, direction)
 
 
 HUGE_ANGLES = (-math.pi, math.pi, 123456.789, 1e17, 1e300)
@@ -225,23 +200,21 @@ def test_return_map_angles_match_the_flowed_point(lens):
     """
     for b in DIFF_B:
         sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=b, lens=rk.LensParams(*lens) if lens else None)
-        page = rk.build_page(sys_, 0.0)
         for theta in HUGE_ANGLES:
-            pt0 = rk.page_point(page, 0.5, theta)
+            pt0 = rk.page_point(0.5, theta)
             for sgn, direction in ((1, "forward"), (-1, "backward")):
-                rec = rk.return_map(page, (0.5, theta), direction)
-                flowed = rk.page_coords(page, rk.flow(sys_, pt0, sgn * rec.return_time))
+                rec = rk.return_map(sys_, (0.5, theta), direction)
+                flowed = rk.page_coords(sys_, rk.flow(sys_, pt0, sgn * rec.return_time))
                 assert abs(math.remainder(rec.image[1] - flowed[1], 2.0 * math.pi)) < 1e-12
                 if theta in (-math.pi, 1e17):
-                    _t, numeric = _numeric_return(page, (0.5, theta), direction)
+                    _t, numeric = _numeric_return(sys_, (0.5, theta), direction)
                     assert abs(math.remainder(rec.image[1] - numeric[1], 2.0 * math.pi)) < 1e-9
 
 
 def test_first_crossing_refuses_a_budget_below_the_return_time(ell_l21):
-    page = rk.build_page(ell_l21, 0.0)
     level = math.pi
     t_return = level / ell_l21.plane_rates()[1]
-    pt0 = rk.page_point(page, 0.5, 0.3)
+    pt0 = rk.page_point(0.5, 0.3)
     t_star, _pt = section._first_crossing(ell_l21, pt0, 1, level, 1.01 * t_return, 1e-10)
     assert abs(t_star - t_return) < 1e-9
     with pytest.raises(IntegrationFailure, match="no page crossing within time budget"):
@@ -253,33 +226,31 @@ def test_return_map_refuses_a_scan_beyond_the_step_ceiling(route):
     # b/a = 1e6: a scan over twice the return time would take about 3.2e7
     # steps; the closed route is refused as well, since a turn of 6e6 rad
     # leaves the image's angle no digits
-    page = rk.build_page(rk.ContactSystem("ellipsoid", a=1.0, b=1e6), 0.0)
+    sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=1e6)
     with pytest.raises(IntegrationFailure, match=f"needs more than {_MAX_STEPS} steps"):
         if route == "closed":
-            rk.return_map(page, (0.5, 0.0))
+            rk.return_map(sys_, (0.5, 0.0))
         else:
-            _numeric_return(page, (0.5, 0.0))
+            _numeric_return(sys_, (0.5, 0.0))
 
 
 @pytest.mark.parametrize("flow_method", ["auto", "x"])
 def test_return_map_refuses_an_unknown_flow_method(ell_l21, flow_method):
     # the return map has one route and takes no flow method; flow names its two
-    page = rk.build_page(ell_l21, 0.0)
     with pytest.raises(TypeError, match="flow_method"):
-        rk.return_map(page, (0.5, 0.3), flow_method=flow_method)
+        rk.return_map(ell_l21, (0.5, 0.3), flow_method=flow_method)
     with pytest.raises(ValueError, match="unknown method"):
-        rk.flow(ell_l21, rk.page_point(page, 0.5, 0.3), 1.0, method=flow_method)
+        rk.flow(ell_l21, rk.page_point(0.5, 0.3), 1.0, method=flow_method)
 
 
 def test_return_map_deck_equivariance(ell_l21):
     L = ell_l21.lens
-    page = rk.build_page(ell_l21, 0.0)
     start = (0.45, 0.9)
-    rec = rk.return_map(page, start)
+    rec = rk.return_map(ell_l21, start)
     # relabel the start by a deck element: same page, rotated coordinates
-    moved = rk.deck_action(L, 1, rk.page_point(page, *start))
-    r_m, th_m = rk.page_coords(page, moved)
-    rec2 = rk.return_map(page, (r_m, th_m))
+    moved = rk.deck_action(L, 1, rk.page_point(*start))
+    r_m, th_m = rk.page_coords(ell_l21, moved)
+    rec2 = rk.return_map(ell_l21, (r_m, th_m))
     assert rec2.return_time == pytest.approx(rec.return_time, abs=1e-9)
     assert rec2.image[0] == pytest.approx(rec.image[0], abs=1e-9)
     shift = math.remainder(rec2.image[1] - rec.image[1], 2 * math.pi)
@@ -292,10 +263,9 @@ def test_return_map_deck_equivariance(ell_l21):
 
 
 def test_fixed_point_at_page_center(ell_l21):
-    page = rk.build_page(ell_l21, 0.0)
-    r, _th = rk.fixed_point(page)
+    r, _th = rk.fixed_point(ell_l21)
     assert r < 1e-6
-    rec = rk.return_map(page, (1e-3, 0.0))
+    rec = rk.return_map(ell_l21, (1e-3, 0.0))
     _, Kp = rk.principal_orbits(ell_l21)
     assert rec.return_time == pytest.approx(Kp.prime_period, abs=1e-9)
 
@@ -306,7 +276,7 @@ def test_fixed_point_at_page_center(ell_l21):
 def test_fixed_point_at_the_centre_is_the_origin(b, lens):
     # every return turns the page rigidly about its centre, whatever the turn
     sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=b, lens=rk.LensParams(*lens))
-    assert rk.fixed_point(rk.build_page(sys_, 0.0)) == (0.0, 0.0)
+    assert rk.fixed_point(sys_) == (0.0, 0.0)
 
 
 def test_linking_of_second_orbit(ell_l21):
@@ -328,9 +298,9 @@ def test_linking_rejects_binding(ell_l21):
         rk.linking_with_binding(ell_l21, K)
 
 
-def _reference_linking(sys, orbit, page):
+def _reference_linking(sys, orbit):
     """Signed page crossings over one period, by a scan that steps ``flow``."""
-    level = 2.0 * math.pi / page.p
+    level = 2.0 * math.pi / sys.p
     w1, w2 = sys.plane_rates()
     # generic time offset so the scan does not start on a crossing
     pt0 = rk.flow(sys, orbit.anchor, 0.37 * level / max(w1, w2))
@@ -342,7 +312,7 @@ def _reference_linking(sys, orbit, page):
         t = min(t_prev + dt, T + 1e-12)
         pt = rk.flow(sys, pt0, t)
         h = h_prev + math.remainder(math.atan2(pt[3], pt[2]) - h_prev, 2.0 * math.pi)
-        ell_prev, ell = (h_prev - page.phase) / level, (h - page.phase) / level
+        ell_prev, ell = h_prev / level, h / level
         crossings = math.floor(max(ell_prev, ell)) - math.floor(min(ell_prev, ell))
         count += crossings if ell > ell_prev else -crossings
         t_prev, h_prev = t, h
@@ -356,22 +326,20 @@ LINK_B = DIFF_B + (17 + math.pi / 7,)
 def test_closed_linking_equals_flow_stepping_scan(lens):
     for b in LINK_B:
         sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=b, lens=rk.LensParams(*lens) if lens else None)
-        page = rk.build_page(sys_, 0.0)
         _, Kp = rk.principal_orbits(sys_)
         for m in range(1, 6):
             orbit = Kp.iterate(m)
             closed = rk.linking_with_binding(sys_, orbit)
-            assert closed == _reference_linking(sys_, orbit, page) == m, (b, m)
+            assert closed == _reference_linking(sys_, orbit) == m, (b, m)
 
 
 def test_linking_refuses_a_near_binding_orbit_off_a_whole_count():
     # |w| = 1e-10 keeps the orbit off the binding; over period 1 it turns
     # w2 / 2 pi = 0.7071 page levels, which the scan counted as no crossing
     sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=SQRT2)
-    page = rk.build_page(sys_, 0.0)
     anchor = np.array([math.sqrt(1.0 - 1e-20), 0.0, 1e-10, 0.0])
     orbit = rk.ClosedOrbit(sys_, anchor, 1.0, label="near-K")
-    assert _reference_linking(sys_, orbit, page) == 0
+    assert _reference_linking(sys_, orbit) == 0
     with pytest.raises(IllConditioned, match="0.707106781187"):
         rk.linking_with_binding(sys_, orbit)
 
@@ -381,24 +349,21 @@ def test_linking_refuses_a_near_binding_orbit_off_a_whole_count():
 
 
 def test_page_form_positive_on_interior(ell_l21):
-    page = rk.build_page(ell_l21, 0.0)
-    _rs, _ths, vals = page_form_samples(page, 101, 64)
+    _rs, _ths, vals = page_form_samples(ell_l21, 101, 64)
     assert vals.min() > 0
 
 
 def test_disk_area_bound_round_is_one_plus_pi():
     for p, q in [(1, 1), (2, 1), (3, 1)]:
         sys_ = rk.ContactSystem("round", lens=rk.LensParams(p, q))
-        page = rk.build_page(sys_, 0.0)
         # Stokes oracle: the integral of the positive form equals the action
         # of the boundary circle, the prime period pi of the Hopf fiber
-        assert rk.disk_area_bound(page) == pytest.approx(1 + math.pi, abs=1e-5)
+        assert rk.disk_area_bound(sys_) == pytest.approx(1 + math.pi, abs=1e-5)
 
 
 def test_disk_area_bound_ellipsoid_is_one_plus_a(ell_l21, ell_s3):
     for sys_ in (ell_l21, ell_s3):
-        page = rk.build_page(sys_, 0.0)
-        assert rk.disk_area_bound(page) == pytest.approx(1 + sys_.a, abs=1e-5)
+        assert rk.disk_area_bound(sys_) == pytest.approx(1 + sys_.a, abs=1e-5)
 
 
 @pytest.mark.parametrize("lens", DIFF_LENSES, ids=str)
@@ -411,7 +376,7 @@ def test_report_area_bound_is_one_plus_a(lens):
             report, _ = rk.verify_gss_conditions(sys_, C=0.1, n_samples=0)
             bound = report["page"]["area_bound"]
             assert abs(bound - (1.0 + a)) <= 1e-14, (b, a)
-            assert rk.disk_area_bound(rk.build_page(sys_, 0.0)) == pytest.approx(bound, rel=1e-6)
+            assert rk.disk_area_bound(sys_) == pytest.approx(bound, rel=1e-6)
 
 
 def test_gauss_nodes_equal_leggauss_bit_for_bit():
@@ -424,41 +389,37 @@ def test_gauss_nodes_equal_leggauss_bit_for_bit():
 def test_page_form_equals_the_form_on_filled_arrays_bit_for_bit(system):
     # the form as page_form_samples formed it on the (101, 100, 4) arrays of the grid
     sys_ = rk.system_from_json(json.loads(grid_systems()[system]))
-    for phase in (0.0, 2.0 * math.pi / sys_.p, 1.3):
-        page = rk.build_page(sys_, phase)
-        rs, ths, vals = page_form_samples(page, 101, 100)
-        pts, d_r, d_th = _reference_pdisk_arrays(rs[:, None], ths[None, :], phase)
-        want = _reference_dlambda_rows(
-            sys_, pts.reshape(-1, 4), d_r.reshape(-1, 4), d_th.reshape(-1, 4)
-        ).reshape(101, 100)
-        assert vals.tobytes() == want.tobytes(), phase
+    rs, ths, vals = page_form_samples(sys_, 101, 100)
+    pts, d_r, d_th = _reference_pdisk_arrays(rs[:, None], ths[None, :])
+    want = _reference_dlambda_rows(
+        sys_, pts.reshape(-1, 4), d_r.reshape(-1, 4), d_th.reshape(-1, 4)
+    ).reshape(101, 100)
+    assert vals.tobytes() == want.tobytes()
 
 
 def test_quad_area_matches_form_integral(ell_l21):
-    page = rk.build_page(ell_l21, 0.0)
     # small quadrilateral: boundary action vs integrand times coordinate area
     r0, th0, s = 0.5, 1.0, 1e-3
     corners = [(r0, th0), (r0 + s, th0), (r0 + s, th0 + s), (r0, th0 + s)]
-    area = rk.quad_dlambda_area(page, corners)
-    _rs, _ths, vals = page_form_samples(page, 3, 4)
+    area = rk.quad_dlambda_area(ell_l21, corners)
+    _rs, _ths, vals = page_form_samples(ell_l21, 3, 4)
     from reebkit.geometry import _dlambda_rows
 
-    pts, d_r, d_th = pdisk_arrays(r0 + s / 2, th0 + s / 2, page.phase)
-    q = _dlambda_rows(page.system, pts.reshape(-1, 4), d_r.reshape(-1, 4), d_th.reshape(-1, 4))[0]
+    pts, d_r, d_th = pdisk_arrays(r0 + s / 2, th0 + s / 2)
+    q = _dlambda_rows(ell_l21, pts.reshape(-1, 4), d_r.reshape(-1, 4), d_th.reshape(-1, 4))[0]
     assert area == pytest.approx(q * s * s, rel=1e-4)
 
 
 def test_return_map_preserves_quad_areas(ell_l21):
-    page = rk.build_page(ell_l21, 0.0)
     rng = np.random.default_rng(3)
     for _ in range(5):
         r0 = float(rng.uniform(0.2, 0.7))
         th0 = float(rng.uniform(0, 2 * math.pi))
         s = 0.02
         corners = [(r0, th0), (r0 + s, th0), (r0 + s, th0 + s), (r0, th0 + s)]
-        a0 = rk.quad_dlambda_area(page, corners)
-        mapped = [rk.return_map(page, c).image for c in corners]
-        a1 = rk.quad_dlambda_area(page, mapped)
+        a0 = rk.quad_dlambda_area(ell_l21, corners)
+        mapped = [rk.return_map(ell_l21, c).image for c in corners]
+        a1 = rk.quad_dlambda_area(ell_l21, mapped)
         assert abs(a1 - a0) / abs(a0) < 1e-4
 
 
@@ -490,8 +451,8 @@ def test_verifier_skips_dynamics_without_samples(ell_l21):
 def test_verifier_flags_a_theta_dependent_form(ell_l21, monkeypatch):
     real = section.page_form_samples
 
-    def tilted(page, n_r, n_th):
-        rs, ths, vals = real(page, n_r, n_th)
+    def tilted(sys_, n_r, n_th):
+        rs, ths, vals = real(sys_, n_r, n_th)
         return rs, ths, vals * (1.0 + 1e-3 * np.cos(ths))[None, :]
 
     monkeypatch.setattr(section, "page_form_samples", tilted)
@@ -568,13 +529,12 @@ def test_sample_starts_seeded_and_interior():
 
 def test_edge_action_closes_to_boundary_period(round_l21):
     # the full boundary circle of the page has action = upstairs prime period
-    page = rk.build_page(round_l21, 0.0)
     total = 0.0
     n = 64
     for j in range(n):
         a = (1.0, 2 * math.pi * j / n)
         b = (1.0, 2 * math.pi * (j + 1) / n)
-        total += _edge_action(page, a, b)
+        total += _edge_action(round_l21, a, b)
     assert total == pytest.approx(math.pi, abs=1e-9)
 
 
@@ -707,16 +667,16 @@ def _reference_profile_inverse(value):
     return brentq(lambda r: float(disk_profile(r)) - value, 0.0, 1.0, xtol=1e-14)
 
 
-def _reference_return_map(page, start, direction="forward", tol=1e-10):
+def _reference_return_map(sys_, start, direction="forward", tol=1e-10):
     """The return map of the crossing scan that steps ``flow``, with the numpy profile."""
     r, theta = start
     sgn = 1 if direction == "forward" else -1
-    level = 2.0 * math.pi / page.p
-    budget = 2.0 * level / page.system.plane_rates()[1]
+    level = 2.0 * math.pi / sys_.p
+    budget = 2.0 * level / sys_.plane_rates()[1]
     t_star, pt = _reference_first_crossing(
-        page.system, rk.page_point(page, r, theta), sgn, level, budget, tol
+        sys_, rk.page_point(r, theta), sgn, level, budget, tol
     )
-    return section.ReturnRecord(return_time=t_star, image=section.page_coords(page, pt))
+    return section.ReturnRecord(return_time=t_star, image=section.page_coords(sys_, pt))
 
 
 def _use_reference(monkeypatch, turned: dict):
@@ -734,10 +694,10 @@ def _use_reference(monkeypatch, turned: dict):
         drawn["radii"], drawn["thetas"] = real_starts(rng, n)
         return drawn["radii"], drawn["thetas"]
 
-    def returns(page, xy, direction):
+    def returns(sys_, xy, direction):
         radii, thetas = drawn.get("radii", [0.0]), drawn.get("thetas", [0.0])
         assert all(map(np.array_equal, xy, section._unit_columns(thetas))), direction
-        recs = [_reference_return_map(page, (r, th), direction)
+        recs = [_reference_return_map(sys_, (r, th), direction)
                 for r, th in zip(radii, thetas, strict=True)]
         turned[direction] += len(recs)
         # every start's scan returns in the same time, to the digits a report prints
@@ -765,15 +725,14 @@ def test_return_map_equals_flow_stepping_reference(lens):
     sys_ = rk.ContactSystem(
         "ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(*lens) if lens else None
     )
-    page = rk.build_page(sys_, 0.0)
-    level = 2.0 * math.pi / page.p
+    level = 2.0 * math.pi / sys_.p
     w2 = sys_.plane_rates()[1]
     budget, tol = 2.0 * level / w2, 1e-10
     for start in [(r, th) for r in REF_RADII for th in REF_ANGLES]:
-        pt0 = rk.page_point(page, *start)
+        pt0 = rk.page_point(*start)
         for sgn, direction in ((1, "forward"), (-1, "backward")):
             t_ref, _pt = _reference_first_crossing(sys_, pt0, sgn, level, budget, tol)
-            rec = rk.return_map(page, start, direction)
+            rec = rk.return_map(sys_, start, direction)
             assert rec.return_time == level / w2
             assert abs(t_ref - rec.return_time) <= tol, (start, direction)
 
@@ -873,25 +832,25 @@ def test_brentq_port_equals_scipy_inside_return_maps(monkeypatch):
     monkeypatch.setattr(section, "brentq", both)
     flowed = []
     for lens in (None, (2, 1), (3, 2)):
-        page = rk.build_page(rk.ContactSystem(
-            "ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(*lens) if lens else None))
+        sys_ = rk.ContactSystem(
+            "ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(*lens) if lens else None)
         for start in zip(*sample_starts(np.random.default_rng(3), 20)):
             for sgn, direction in ((1, "forward"), (-1, "backward")):
-                t_star = rk.return_map(page, start, direction).return_time
-                flowed.append((page, rk.flow(page.system, rk.page_point(page, *start), sgn * t_star)))
+                t_star = rk.return_map(sys_, start, direction).return_time
+                flowed.append((sys_, rk.flow(sys_, rk.page_point(*start), sgn * t_star)))
     # the closed-form return solves nothing
     assert calls == []
     # reading the flowed points back inverts the disk profile once each
-    for page, pt in flowed:
-        rk.page_coords(page, pt)
+    for sys_, pt in flowed:
+        rk.page_coords(sys_, pt)
     assert len(calls) == 3 * 20 * 2 and min(calls) >= 3
     # the numeric flow's crossing scan refines the crossing time as well
     calls.clear()
-    page = rk.build_page(rk.ContactSystem("ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(12, 5)))
+    sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=SQRT2, lens=rk.LensParams(12, 5))
     for start in zip(*sample_starts(np.random.default_rng(4), 2)):
         for direction in ("forward", "backward"):
             for tol in (1e-14, 2e-12, 1e-10):
-                _numeric_return(page, start, direction, tol)
+                _numeric_return(sys_, start, direction, tol)
     assert len(calls) == 2 * 2 * 2 * 3 and min(calls) >= 3
 
 
