@@ -52,8 +52,9 @@ CLOSURE_TOL = 1e-8
 _DET_TOL = 1e-6  # largest |det - 1| of a linearized path's samples before normalizing
 # most iterates a catalog holds or an index is read for; C = 1e4 on L(2,1) would build 34 142
 _MAX_CATALOG = 10_000
-# intervals of the time grid every orbit's frame and linearized path are sampled on
+# intervals of the grid of ``disk_frame`` and ``linearized_path``; the most an orbit's lift samples
 _GRID_INTERVALS = 512
+_MIN_GRID = 64  # fewest intervals an orbit's lift samples; it doubles up to _GRID_INTERVALS
 _SYM_TOL = 1e-6  # largest relative symmetry defect of an extracted S(t)
 
 
@@ -191,6 +192,7 @@ def disk_frame(orbit: ClosedOrbit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def linearized_path(orbit: ClosedOrbit) -> SymplecticPath:
     """The transverse linearized flow over one period, expressed in the disk frame.
 
+    It is sampled on the ``_GRID_INTERVALS``-interval grid of ``disk_frame``.
     The flow is linear, so the anchor and the frame's vectors at the anchor
     are turned on one table of cos and sin values (``_turn_table``); the
     turned anchor gives the points of ``disk_frame``, one call builds the
@@ -202,8 +204,12 @@ def linearized_path(orbit: ClosedOrbit) -> SymplecticPath:
     layer's phase unwrapping refuses a rotation path, and past pi the turns
     alias.
     """
+    return _linearize(orbit, _GRID_INTERVALS)
+
+
+def _linearize(orbit: ClosedOrbit, n: int) -> SymplecticPath:
+    """``linearized_path`` of ``orbit`` sampled on the n-interval grid."""
     sys = orbit.system
-    n = _GRID_INTERVALS
     turn = sum(sys.plane_rates()) * orbit.period / n
     if turn > math.pi / 2:
         raise GridTooCoarse(
@@ -296,10 +302,18 @@ def _orbit_lift(orbit: ClosedOrbit):
     Every iterate is read off rho and the monodromy A by the Sp(2) iteration
     formula mu = mu_tilde({j rho}); the j-th lift iterate is degenerate when
     det(A^j - I) vanishes.  Callers bound k with ``_check_iterate``.
+
+    The lift samples the coarsest grid of n = ``_MIN_GRID`` * 2^m <= ``_GRID_INTERVALS``
+    intervals that turns at most pi/2 per interval, so its whole turns are exact;
+    n is a power of two, so T n / n is T and A the same floats on every such grid.
+    Past ``_GRID_INTERVALS`` it is refused as ``linearized_path`` refuses.
     """
     m_close = _closure_order(orbit)
     base = orbit._repeated(m_close)
-    lift_path = linearized_path(base)
+    turn, n = sum(base.system.plane_rates()) * base.period, _MIN_GRID
+    while n < _GRID_INTERVALS and turn / n > math.pi / 2:
+        n *= 2
+    lift_path = _linearize(base, n)
     mats = lift_path.mats
     if np.max(np.abs(np.transpose(mats, (0, 2, 1)) @ mats - np.eye(2))) > 1e-8:
         raise IllConditioned(f"the lift of {orbit.label} is not a rotation path")

@@ -66,13 +66,13 @@ def round_l21() -> rk.ContactSystem:
 
 @pytest.fixture
 def linearize_calls(monkeypatch) -> list:
-    """Labels of the orbits of every ``orbits.linearized_path`` call in the test."""
+    """(label, n) of the orbit and the grid of every ``orbits._linearize`` call in the test."""
     calls = []
-    original = rk.orbits.linearized_path
+    original = rk.orbits._linearize
 
-    def counted(orbit, *args, **kwargs):
-        calls.append(orbit.label)
-        return original(orbit, *args, **kwargs)
+    def counted(orbit, n):
+        calls.append((orbit.label, n))
+        return original(orbit, n)
 
-    monkeypatch.setattr(rk.orbits, "linearized_path", counted)
+    monkeypatch.setattr(rk.orbits, "_linearize", counted)
     return calls

@@ -13,12 +13,16 @@ _METRICS = [
     {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
 ]
 
-# a stand-in for perfbench/run.py: it logs its checkout and argv, then prints
-# the environment line and the result line of its checkout's next run
+# a stand-in for perfbench/run.py: it imports its checkout's src/reebkit when there
+# is one, logs its checkout and argv, then prints the environment line and the
+# result line of its checkout's next run
 _STUB = textwrap.dedent("""
     import json, sys
     from pathlib import Path
     here = Path(__file__).resolve().parents[1]
+    if (here / "src" / "reebkit").is_dir():
+        sys.path.insert(0, str(here / "src"))
+        import reebkit
     log = here.parent / "runs.log"
     with log.open("a") as fh:
         fh.write(json.dumps([here.name, sys.argv[1:]]) + "\\n")
@@ -80,3 +84,25 @@ def test_bench_pairs_meets_the_rule_on_a_clear_gain(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("meets the gain rule") == 2
     assert "does not meet" not in proc.stdout
+
+
+def test_bench_pairs_refuses_a_bytecode_cache_and_writes_none(tmp_path):
+    parent = _checkout(tmp_path, "parent", [[100.0, 40.0]])
+    change = _checkout(tmp_path, "change", [[130.0, 39.0]])
+    for side in (parent, change):
+        (side / "src" / "reebkit").mkdir(parents=True)
+        (side / "src" / "reebkit" / "__init__.py").write_text("")
+    cache = change / "src" / "reebkit" / "__pycache__"
+    cache.mkdir()
+    argv = [sys.executable, str(TOOL), str(parent), str(change), "--workload", "orbit-sweep",
+            "--seed", "1", "--seconds", "1", "--pairs", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and str(cache) in proc.stderr
+    assert not (tmp_path / "runs.log").exists()
+    # on clean checkouts both runs import the package and neither writes a cache
+    cache.rmdir()
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "runs.log").read_text().splitlines()) == 2
+    assert not any((side / "src" / "reebkit" / "__pycache__").exists() for side in (parent, change))

@@ -14,7 +14,9 @@ from reebkit.geometry import (
     _dlambda_rows, _lambda_rows, _turn, _turn_rows, _turn_table, from_complex, to_complex,
 )
 from reebkit.integrate import dopri45
-from reebkit.orbits import _GRID_INTERVALS, _MAX_CATALOG, _closure_order, _frame_rows
+from reebkit.orbits import (
+    _GRID_INTERVALS, _MAX_CATALOG, _MIN_GRID, _closure_order, _frame_rows, _linearize,
+)
 from test_geometry import _reference_dlambda_rows
 from test_golden import grid_systems
 from test_index import _scanned_winding_interval
@@ -281,6 +283,71 @@ def test_linearized_path_refuses_coarse_grid_up_front(monkeypatch):
         rk.index_table(Kp, 1)
 
 
+def _lift_grids(orbit):
+    """The iterate an orbit's lift linearizes, and each grid of 64 * 2^m <= 512 intervals
+    on which it turns at most pi/2 per interval."""
+    base = orbit._repeated(_closure_order(orbit))
+    turn = sum(base.system.plane_rates()) * base.period
+    return base, [n for n in (64, 128, 256, 512) if turn / n <= math.pi / 2]
+
+
+def _row_bits(rows):
+    return [(r["k"], r["mu_cz"], r["rho"].hex(), r["degenerate"], r["convention"]) for r in rows]
+
+
+def _full_grid_rows(orbit, k_max, monkeypatch):
+    """``index_table`` rows read off the lift sampled on the full ``_GRID_INTERVALS`` grid."""
+    original = rk.orbits._linearize
+    with monkeypatch.context() as patch:
+        patch.setattr(rk.orbits, "_linearize", lambda orbit, n: original(orbit, _GRID_INTERVALS))
+        return rk.index_table(orbit, k_max)
+
+
+@pytest.mark.parametrize("system", sorted(grid_systems()))
+def test_lift_monodromy_is_the_same_bytes_on_every_admissible_grid(system):
+    # the last time T n / n is T for n a power of two, and every kernel acts row by row
+    sys_ = rk.system_from_json(json.loads(grid_systems()[system]))
+    for orbit in rk.principal_orbits(sys_):
+        base, grids = _lift_grids(orbit)
+        assert grids[-1] == _GRID_INTERVALS
+        full = rk.linearized_path(base).monodromy.tobytes()
+        for n in grids:
+            assert _linearize(base, n).monodromy.tobytes() == full, (orbit.label, n)
+
+
+@pytest.mark.parametrize("system", sorted(grid_systems()))
+def test_index_rows_equal_the_rows_of_the_full_grid_lift(system, monkeypatch):
+    sys_ = rk.system_from_json(json.loads(grid_systems()[system]))
+    for orbit in rk.principal_orbits(sys_):
+        rows = _row_bits(rk.index_table(orbit, 6))
+        assert rows == _row_bits(_full_grid_rows(orbit, 6, monkeypatch)), orbit.label
+
+
+def test_readme_system_lifts_are_read_on_the_coarsest_grid(ell_l21, linearize_calls):
+    for orbit in rk.principal_orbits(ell_l21):
+        rk.index_table(orbit, 5)
+    assert linearize_calls == [("K", _MIN_GRID), ("K'", _MIN_GRID)]
+
+
+@pytest.mark.parametrize("b, n", [(20 + SQRT2, 128), (40 + SQRT2, 256), (100 + SQRT2, 512)])
+def test_lift_grid_doubles_with_the_turn_and_keeps_the_rows(b, n, linearize_calls, monkeypatch):
+    # K' on S^3 turns 2 pi (1 + b) over its period b, more than pi/2 on n / 2 intervals
+    _, Kp = rk.principal_orbits(rk.ContactSystem("ellipsoid", a=1.0, b=b))
+    rows = rk.index_table(Kp, 6)
+    assert linearize_calls == [("K'", n)]
+    assert _row_bits(rows) == _row_bits(_full_grid_rows(Kp, 6, monkeypatch))
+
+
+def test_lift_past_the_full_grid_is_refused_with_the_full_grid_message():
+    _, Kp = rk.principal_orbits(rk.ContactSystem("ellipsoid", a=1.0, b=127.5))
+    message = ("the linearized flow of K' turns 1.58 rad per interval of the 512-interval grid, "
+               "more than pi/2")
+    for read in (lambda: rk.index_table(Kp, 6), lambda: rk.linearized_path(Kp)):
+        with pytest.raises(GridTooCoarse) as info:
+            read()
+        assert str(info.value) == message
+
+
 def test_disk_frame_pairing_normalized(ell_s3):
     K, Kp = rk.principal_orbits(ell_s3)
     for orbit in (K, Kp):
@@ -436,7 +503,7 @@ def test_index_table_equals_per_k_orbit_index(lens):
 def test_index_table_linearizes_once(ell_s3, linearize_calls):
     K, _ = rk.principal_orbits(ell_s3)
     assert len(rk.index_table(K, 6)) == 6
-    assert linearize_calls == ["K"]
+    assert [label for label, _ in linearize_calls] == ["K"]
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +625,7 @@ def test_large_iterates_refused_before_linearizing(ell_l21, linearize_calls):
 
 def test_index_reader_refuses_non_rotation_monodromy(ell_s3, monkeypatch):
     # the iteration formula is exact for rotations only
-    monkeypatch.setattr(rk.orbits, "linearized_path", lambda *a, **kw: rk.make_hyperbolic_path(1.0))
+    monkeypatch.setattr(rk.orbits, "_linearize", lambda orbit, n: rk.make_hyperbolic_path(1.0))
     K, _ = rk.principal_orbits(ell_s3)
     with pytest.raises(IllConditioned):
         rk.index_table(K, 2)
@@ -576,7 +643,7 @@ def test_index_reader_refuses_lift_that_is_not_a_rotation_path(ell_s3, monkeypat
     mats[0] = np.eye(2)
     path = rk.SymplecticPath(mats)
     assert np.max(np.abs(path.monodromy.T @ path.monodromy - np.eye(2))) < 1e-15
-    monkeypatch.setattr(rk.orbits, "linearized_path", lambda *a, **kw: path)
+    monkeypatch.setattr(rk.orbits, "_linearize", lambda orbit, n: path)
     K, _ = rk.principal_orbits(ell_s3)
     with pytest.raises(IllConditioned, match="not a rotation path"):
         rk.index_table(K, 2)

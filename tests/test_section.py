@@ -544,7 +544,7 @@ def test_edge_action_closes_to_boundary_period(round_l21):
 
 def test_verifier_linearizes_each_principal_orbit_once(ell_l21, linearize_calls):
     report, _ = rk.verify_gss_conditions(ell_l21, C=5.0, n_samples=0, seed=0)
-    assert linearize_calls == ["K", "K'"]
+    assert [label for label, _ in linearize_calls] == ["K", "K'"]
 
     # the shared lifts give the same rows as independent per-orbit calls
     K, _ = rk.principal_orbits(ell_l21)
@@ -582,7 +582,7 @@ def test_report_contractible_column_is_the_deck_formula(name):
 def test_verifier_empty_catalog_linearizes_only_the_binding(ell_l21, linearize_calls):
     report, _ = rk.verify_gss_conditions(ell_l21, C=0.3, n_samples=0, seed=0)
     assert report["pstar"]["orbits"] == []
-    assert linearize_calls == ["K"]
+    assert [label for label, _ in linearize_calls] == ["K"]
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,18 @@ least nine tenths of the pairs and the medians differ by more than the
 distance between the parent's quartiles.  This script runs the benchmark as
 a program and imports nothing from the package.  It exits 1 when a run fails
 or reads ``correct: false`` or a failed job.
+
+A bytecode cache under a checkout's ``src/reebkit`` is read in place of its
+source when the timestamps allow, so a checkout that holds one is refused,
+with exit 1, before any run; each run is a child with
+``PYTHONDONTWRITEBYTECODE=1``, so no run writes one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -51,6 +57,7 @@ def run_once(checkout: Path, args) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
          str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -88,6 +95,12 @@ def summarize(name: str, unit: str, better: str, pairs: list) -> list[str]:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    for side in (args.parent, args.change):
+        cache = side / "src" / "reebkit" / "__pycache__"
+        if cache.exists():
+            print(f"{cache}: a bytecode cache in a checkout can stand in for its source; "
+                  "remove it", file=sys.stderr)
+            return 1
     metrics = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     values: dict[str, list[tuple[float, float, str]]] = {m["name"]: [] for m in metrics}
     ok = True
