@@ -262,18 +262,21 @@ def _reeb_rows(sys: ContactSystem, pts: np.ndarray) -> np.ndarray:
     return ambient_rotation(pts) * np.array([w1, w1, w2, w2])
 
 
-def reeb_vector(sys: ContactSystem, pt, method: str = "closed") -> np.ndarray:
-    """The Reeb vector field at ``pt``: i_R dlambda = 0 and lambda(R) = 1.
+def reeb_vector(sys: ContactSystem, pt) -> np.ndarray:
+    """The Reeb vector field at ``pt``: the toric rotation field, i z and i w at the plane rates.
 
-    ``method='closed'`` returns the toric rotation field; ``method='solve'``
-    recovers R from the defining equations as a least-squares system in an
-    orthonormal tangent frame (used as an independent cross-check).
+    ``_solved_reeb_vector`` is its independent cross-check.
+    """
+    return _reeb_rows(sys, check_point(pt)[None])[0]
+
+
+def _solved_reeb_vector(sys: ContactSystem, pt) -> np.ndarray:
+    """The Reeb field solved from its defining equations, the reference for ``reeb_vector``.
+
+    i_R dlambda = 0 and lambda(R) = 1 are solved as a least-squares system in
+    an orthonormal tangent frame.
     """
     pt = check_point(pt)
-    if method == "closed":
-        return _reeb_rows(sys, pt[None])[0]
-    if method != "solve":
-        raise ValueError(f"unknown method {method!r}")
     # i_R dlambda = 0 against every tangent basis vector plus lambda(R) = 1;
     # the dlambda rows have rank 2, the normalization row completes them
     basis = tangent_basis(pt)
@@ -333,42 +336,41 @@ def _project_sphere(y: np.ndarray) -> np.ndarray:
     return y / np.linalg.norm(y)
 
 
-def flow(sys: ContactSystem, pt, t: float, tol: float = 1e-10, method: str = "closed") -> np.ndarray:
-    """Time-``t`` Reeb flow of ``pt``.
+def flow(sys: ContactSystem, pt, t: float) -> np.ndarray:
+    """Time-``t`` Reeb flow of ``pt``: the z- and w-planes turned at the plane rates.
 
-    ``method='closed'`` (the default) turns the z- and w-planes at the plane
-    rates; ``'numeric'`` integrates the Reeb field with the adaptive stepper
-    and post-step renormalization to the sphere (error bound ~ tol per unit
-    time).  Any other method is a ``ValueError``.
+    A time whose turn max(w1, w2) |t| overflows is refused.  ``_numeric_flow``
+    is its independent cross-check.
     """
-    if method not in ("closed", "numeric"):
-        raise ValueError(f"unknown method {method!r}")
-    if tol <= 0:
-        raise PreconditionViolation("tol must be positive")
     if not math.isfinite(t):
         raise PreconditionViolation(f"flow time must be finite, got {t}")
     pt = check_point(pt)
     if t == 0.0:
         return pt.copy()
     w1, w2 = sys.plane_rates()
-    if method == "closed":
-        z, w = to_complex(pt)
-        return from_complex(_turn(z, w1, t), _turn(w, w2, t))
+    if not math.isfinite(max(w1, w2) * abs(t)):
+        raise PreconditionViolation(f"flow over time {t:g} turns a plane by a non-finite angle")
+    z, w = to_complex(pt)
+    return from_complex(_turn(z, w1, t), _turn(w, w2, t))
+
+
+def _numeric_flow(sys: ContactSystem, pt, t: float, tol: float) -> np.ndarray:
+    """Time-``t`` Reeb flow of ``pt`` integrated numerically, the reference for ``flow``.
+
+    The adaptive stepper integrates the Reeb field with post-step
+    renormalization to the sphere (error bound ~ tol per unit time).
+    """
+    pt = check_point(pt)
+    if t == 0.0:
+        return pt.copy()
+    w1, w2 = sys.plane_rates()
 
     def rhs(_t, y):
         # the projected point is on the sphere: no need for reeb_vector's check
         return _reeb_rows(sys, _project_sphere(y))
 
-    res = dopri45(
-        rhs,
-        0.0,
-        pt,
-        t,
-        rtol=tol,
-        atol=tol,
-        project=_project_sphere,
-        max_step=0.5 / max(w1, w2),
-    )
+    res = dopri45(rhs, 0.0, pt, t, rtol=tol, atol=tol, project=_project_sphere,
+                  max_step=0.5 / max(w1, w2))
     return res.y_end
 
 

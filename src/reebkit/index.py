@@ -40,7 +40,7 @@ from .errors import (
 MINUS_I = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 DEGENERACY_TOL = 1e-9
-MIN_GRID = 64
+MIN_GRID = 64  # fewest intervals a ``SymplecticPath`` samples
 _ENDPOINT_TOL = 1e-9  # interval endpoints this close to an integer sit on it (``mu_tilde``)
 
 
@@ -82,10 +82,6 @@ class SymplecticPath:
     @property
     def n_intervals(self) -> int:
         return self.mats.shape[0] - 1
-
-    @property
-    def ts(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.mats.shape[0])
 
     @property
     def monodromy(self) -> np.ndarray:
@@ -151,15 +147,7 @@ def make_hyperbolic_path(rate: float, n: int = 512) -> SymplecticPath:
 
 def prepend_loop(path: SymplecticPath, maslov: int) -> SymplecticPath:
     """Multiply by the full-rotation loop of the given Maslov index pointwise."""
-    ts = path.ts
-    ang = 2.0 * math.pi * maslov * ts
-    c, s = np.cos(ang), np.sin(ang)
-    rot = np.empty_like(path.mats)
-    rot[:, 0, 0] = c
-    rot[:, 0, 1] = -s
-    rot[:, 1, 0] = s
-    rot[:, 1, 1] = c
-    mats = rot @ path.mats
+    mats = make_rotation_path(2.0 * math.pi * maslov, path.n_intervals).mats @ path.mats
     mats[0] = np.eye(2)
     return SymplecticPath(mats)
 

@@ -41,6 +41,7 @@ from .geometry import (
 from .index import (
     DEGENERACY_TOL,
     MINUS_I,
+    MIN_GRID,
     SymmetricLoop,
     SymplecticPath,
     _rotation_candidates,
@@ -54,7 +55,6 @@ _DET_TOL = 1e-6  # largest |det - 1| of a linearized path's samples before norma
 _MAX_CATALOG = 10_000
 # intervals of the grid of ``disk_frame`` and ``linearized_path``; the most an orbit's lift samples
 _GRID_INTERVALS = 512
-_MIN_GRID = 64  # fewest intervals an orbit's lift samples; it doubles up to _GRID_INTERVALS
 _SYM_TOL = 1e-6  # largest relative symmetry defect of an extracted S(t)
 
 
@@ -303,14 +303,14 @@ def _orbit_lift(orbit: ClosedOrbit):
     formula mu = mu_tilde({j rho}); the j-th lift iterate is degenerate when
     det(A^j - I) vanishes.  Callers bound k with ``_check_iterate``.
 
-    The lift samples the coarsest grid of n = ``_MIN_GRID`` * 2^m <= ``_GRID_INTERVALS``
+    The lift samples the coarsest grid of n = ``MIN_GRID`` * 2^m <= ``_GRID_INTERVALS``
     intervals that turns at most pi/2 per interval, so its whole turns are exact;
     n is a power of two, so T n / n is T and A the same floats on every such grid.
     Past ``_GRID_INTERVALS`` it is refused as ``linearized_path`` refuses.
     """
     m_close = _closure_order(orbit)
     base = orbit._repeated(m_close)
-    turn, n = sum(base.system.plane_rates()) * base.period, _MIN_GRID
+    turn, n = sum(base.system.plane_rates()) * base.period, MIN_GRID
     while n < _GRID_INTERVALS and turn / n > math.pi / 2:
         n *= 2
     lift_path = _linearize(base, n)

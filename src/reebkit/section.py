@@ -9,10 +9,11 @@ takes the system alone.  Every first return to the page takes level / w2
 with level = 2 pi / p and is one rigid rotation of the disk, the same for
 every start: ``_returns``, the only code that turns a page point, forms it
 once per call.  An orbit of period T crosses the page w2 T / level times,
-its linking number with the binding.  The numeric reference
-``_first_crossing`` scans the numeric flow for its crossings and refines
-each in time with ``brentq``, this module's port of scipy's Brent solver,
-and ``page_coords`` reads the flowed point back with the same solver.
+its linking number with the binding.  This module takes no flow from
+``geometry`` but the numeric reference ``_numeric_flow``: the reference
+``_first_crossing`` scans it for its crossings and refines each in time with
+``brentq``, this module's port of scipy's Brent solver, and ``page_coords``
+reads the flowed point back with the same solver.
 
 The form is toric, so the pulled-back dlambda depends on r alone: a rigid
 rotation preserves it, the centre is the fixed point, and by Stokes the
@@ -41,9 +42,9 @@ from .geometry import (
     _deck_turns,
     _dlambda_cols,
     _lambda_rows,
+    _numeric_flow,
     check_point,
     deck_action,
-    flow,
     to_complex,
 )
 from .integrate import _MAX_STEPS
@@ -59,6 +60,7 @@ from .knots import (
 from .orbits import ClosedOrbit, _check_iterate, _orbit_lift, catalog, principal_orbits
 
 PAGE_TOL = 1e-8  # largest miss of the page that ``page_coords`` reads
+_FLOW_TOL = 1e-10  # tolerance per unit time of the numeric flow that ``_first_crossing`` scans
 _R_LO, _R_HI = 0.05, 0.95  # radii between which ``sample_starts`` draws return starts
 
 log = logging.getLogger("reebkit")
@@ -223,17 +225,17 @@ def _first_crossing(
     """First positive time at which the numeric flow's w-phase moves by a multiple of ``level``.
 
     Scans the trajectory with steps small against the phase rate, each
-    integrated by ``flow(..., method='numeric')`` from the previous scan
-    point, and refines the bracketing step with the in-package ``brentq`` to
-    ``tol`` in time, each evaluation integrated from the bracket's left end,
-    so a scan costs O(time_budget) of integration.  It is the numeric
-    cross-check of ``return_map``'s closed-form return time level / w2.  A
-    scan of more than ``_MAX_STEPS`` steps is refused up front.
+    integrated by ``geometry._numeric_flow`` to ``_FLOW_TOL`` from the
+    previous scan point, and refines the bracketing step with the in-package
+    ``brentq`` to ``tol`` in time, each evaluation integrated from the
+    bracket's left end, so a scan costs O(time_budget) of integration.  It is
+    the numeric cross-check of ``return_map``'s closed-form return time
+    level / w2.  A scan of more than ``_MAX_STEPS`` steps is refused up front.
     """
     dt = _scan_step(sys, level, time_budget)
 
     def flow_for(pt: np.ndarray, t: float) -> np.ndarray:
-        return flow(sys, pt, direction * t, method="numeric")
+        return _numeric_flow(sys, pt, direction * t, _FLOW_TOL)
 
     def phase_and_g(pt: np.ndarray, href: float) -> tuple[float, float]:
         # the w-phase of pt unwrapped against href, and sin(pi * levels moved)

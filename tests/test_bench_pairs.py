@@ -6,6 +6,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 _METRICS = [
@@ -106,3 +108,37 @@ def test_bench_pairs_refuses_a_bytecode_cache_and_writes_none(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert len((tmp_path / "runs.log").read_text().splitlines()) == 2
     assert not any((side / "src" / "reebkit" / "__pycache__").exists() for side in (parent, change))
+
+
+@pytest.mark.parametrize(
+    "parent_jobs, change_jobs, line",
+    [
+        # 30% fewer jobs per second is worse than the 25% bound
+        ([100.0, 102.0, 98.0, 100.0], [70.0, 71.0, 69.0, 70.0],
+         "change median -30.0% against the parent's; quartile spreads 1.0% / 0.7% against "
+         "the bound 25.0%: regression"),
+        # the same median, but the change's runs spread wider than the bound
+        ([100.0] * 4, [50.0, 150.0, 95.0, 105.0],
+         "change median +0.0% against the parent's; quartile spreads 0.0% / 32.5% against "
+         "the bound 25.0%: unresolved"),
+        # as wide a spread, but every run of the change beats every run of the parent
+        ([100.0] * 4, [120.0, 200.0, 130.0, 300.0],
+         "change median +65.0% against the parent's; quartile spreads 0.0% / 59.1% against "
+         "the bound 25.0%: no regression"),
+    ],
+    ids=["regression", "unresolved", "no-regression"],
+)
+def test_bench_pairs_prints_the_regression_verdict(tmp_path, parent_jobs, change_jobs, line):
+    parent = _checkout(tmp_path, "parent", [[jobs, 40.0] for jobs in parent_jobs])
+    change = _checkout(tmp_path, "change", [[jobs, 40.0] for jobs in change_jobs])
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(parent), str(change), "--workload", "path-corpus",
+         "--seed", "1", "--seconds", "1", "--pairs", "4"],
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    # the verdict leaves the exit code to the runs' correctness
+    assert proc.returncode == 0, proc.stderr
+    jobs, rss = proc.stdout.split("peak_rss_mb")
+    assert jobs.rstrip().endswith(line)
+    assert rss.rstrip().endswith("change median +0.0% against the parent's; quartile spreads "
+                                 "0.0% / 0.0% against the bound 10.0%: no regression")

@@ -87,7 +87,7 @@ def test_reeb_solve_matches_closed_form():
     ):
         for pt in random_sphere_points(rng, 12):
             closed = rk.reeb_vector(sys_, pt)
-            solved = rk.reeb_vector(sys_, pt, method="solve")
+            solved = rk.geometry._solved_reeb_vector(sys_, pt)
             assert np.linalg.norm(closed - solved) < 1e-9
 
 
@@ -208,6 +208,16 @@ def test_flow_short_orbit_period_is_a():
     assert np.linalg.norm(rk.flow(sys_, E1, 1.0) - E1) < 1e-12
 
 
+def test_flow_refuses_a_turn_that_overflows(ell_l21):
+    # the time is finite, but w t is not, and math.cos takes no infinite angle
+    for t in (1e308, -1e308):
+        with pytest.raises(PreconditionViolation, match="non-finite angle"):
+            rk.flow(ell_l21, E1, t)
+    sys_ = rk.ContactSystem("ellipsoid", a=1e-160, b=1e160)
+    with pytest.raises(PreconditionViolation, match="non-finite angle"):
+        rk.flow(sys_, E3, 1e160)
+
+
 def test_flow_numeric_matches_closed_form():
     sys_ = rk.ContactSystem("ellipsoid", a=1.0, b=math.sqrt(2.0))
     rng = np.random.default_rng(3)
@@ -215,7 +225,7 @@ def test_flow_numeric_matches_closed_form():
     for pt in random_sphere_points(rng, 3):
         for t in (0.7, 5.3, 20.0):
             closed = rk.flow(sys_, pt, t)
-            numeric = rk.flow(sys_, pt, t, tol=tol, method="numeric")
+            numeric = rk.geometry._numeric_flow(sys_, pt, t, tol)
             assert np.linalg.norm(closed - numeric) < tol * 100 * max(1.0, t)
 
 
@@ -236,7 +246,7 @@ def test_flow_numeric_integrates_reeb_vector_bitwise():
                 rtol=1e-10, atol=1e-10, project=lambda y: y / np.linalg.norm(y),
                 max_step=0.5 / max(w1, w2),
             ).y_end
-            assert rk.flow(sys_, pt, 2.3, method="numeric").tobytes() == ref.tobytes()
+            assert rk.geometry._numeric_flow(sys_, pt, 2.3, 1e-10).tobytes() == ref.tobytes()
 
 
 def test_flow_preserves_lambda_along_transported_vectors():

@@ -13,9 +13,10 @@ from reebkit.errors import DegenerateInput, GridTooCoarse, IllConditioned, Preco
 from reebkit.geometry import (
     _dlambda_rows, _lambda_rows, _turn, _turn_rows, _turn_table, from_complex, to_complex,
 )
+from reebkit.index import MIN_GRID
 from reebkit.integrate import dopri45
 from reebkit.orbits import (
-    _GRID_INTERVALS, _MAX_CATALOG, _MIN_GRID, _closure_order, _frame_rows, _linearize,
+    _GRID_INTERVALS, _MAX_CATALOG, _closure_order, _frame_rows, _linearize,
 )
 from test_geometry import _reference_dlambda_rows
 from test_golden import grid_systems
@@ -326,7 +327,7 @@ def test_index_rows_equal_the_rows_of_the_full_grid_lift(system, monkeypatch):
 def test_readme_system_lifts_are_read_on_the_coarsest_grid(ell_l21, linearize_calls):
     for orbit in rk.principal_orbits(ell_l21):
         rk.index_table(orbit, 5)
-    assert linearize_calls == [("K", _MIN_GRID), ("K'", _MIN_GRID)]
+    assert linearize_calls == [("K", MIN_GRID), ("K'", MIN_GRID)]
 
 
 @pytest.mark.parametrize("b, n", [(20 + SQRT2, 128), (40 + SQRT2, 256), (100 + SQRT2, 512)])

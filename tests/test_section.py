@@ -158,7 +158,7 @@ def _refuse(*_args, **_kwargs):
 def test_return_map_reaches_no_flow_or_profile_inverse(monkeypatch, tmp_path):
     # nor does verify reach the area quadratures: it reads the area constant,
     # area preservation and the fixed point off the symmetry
-    for name in ("flow", "page_point", "page_coords", "_profile_inverse", "brentq",
+    for name in ("_numeric_flow", "page_point", "page_coords", "_profile_inverse", "brentq",
                  "disk_area_bound", "_page_form_integral", "quad_dlambda_area"):
         monkeypatch.setattr(section, name, _refuse)
     for lens in DIFF_LENSES:
@@ -236,11 +236,13 @@ def test_return_map_refuses_a_scan_beyond_the_step_ceiling(route):
 
 @pytest.mark.parametrize("flow_method", ["auto", "x"])
 def test_return_map_refuses_an_unknown_flow_method(ell_l21, flow_method):
-    # the return map has one route and takes no flow method; flow names its two
+    # the return map, the flow and the Reeb field each have one route and take no method
     with pytest.raises(TypeError, match="flow_method"):
         rk.return_map(ell_l21, (0.5, 0.3), flow_method=flow_method)
-    with pytest.raises(ValueError, match="unknown method"):
+    with pytest.raises(TypeError, match="method"):
         rk.flow(ell_l21, rk.page_point(0.5, 0.3), 1.0, method=flow_method)
+    with pytest.raises(TypeError, match="method"):
+        rk.reeb_vector(ell_l21, rk.page_point(0.5, 0.3), method=flow_method)
 
 
 def test_return_map_deck_equivariance(ell_l21):
@@ -626,7 +628,7 @@ def test_verifier_checks_the_linking_of_rotation_number_one_orbits(ell_l21, monk
 # float-arithmetic scans against a reference that steps ``flow``
 
 
-def _reference_first_crossing(sys, pt0, direction, level, time_budget, tol, flow_method="closed"):
+def _reference_first_crossing(sys, pt0, direction, level, time_budget, tol):
     """The crossing scan that calls ``geometry.flow`` at every phase evaluation."""
     w1, w2 = sys.plane_rates()
     dt = level / max(w1, w2) / 16.0
@@ -634,7 +636,7 @@ def _reference_first_crossing(sys, pt0, direction, level, time_budget, tol, flow
         raise IntegrationFailure("scan too long")
 
     def phase_rel(t, href):
-        pt = rk.geometry.flow(sys, pt0, direction * t, method=flow_method)
+        pt = rk.geometry.flow(sys, pt0, direction * t)
         return href + math.remainder(math.atan2(pt[3], pt[2]) - href, 2.0 * math.pi)
 
     h0 = math.atan2(pt0[3], pt0[2])
@@ -652,7 +654,7 @@ def _reference_first_crossing(sys, pt0, direction, level, time_budget, tol, flow
                 return math.sin(math.pi * (phase_rel(tc, href) - h0) / level)
 
             t_star = brentq(gfun, t_prev, t, xtol=tol)
-            return t_star, rk.geometry.flow(sys, pt0, direction * t_star, method=flow_method)
+            return t_star, rk.geometry.flow(sys, pt0, direction * t_star)
         t_prev, h_prev, g_prev = t, h, g
     raise IntegrationFailure("no crossing")
 

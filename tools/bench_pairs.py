@@ -13,9 +13,14 @@ every end-to-end metric of the parent's ``BENCHMARK.json`` it prints each
 pair, each side's median and quartiles, and how many pairs the change won
 (ties count for neither side).  A gain meets the rule when the change wins at
 least nine tenths of the pairs and the medians differ by more than the
-distance between the parent's quartiles.  This script runs the benchmark as
-a program and imports nothing from the package.  It exits 1 when a run fails
-or reads ``correct: false`` or a failed job.
+distance between the parent's quartiles.  Each metric then gets a verdict
+against its ``bound``: ``regression`` when the change's median is worse than
+the parent's by more than the bound, a fraction of the parent's median;
+``unresolved`` when it is not, but either side's quartile spread, a fraction
+of its own median, is wider than the bound, unless every run of the change
+beats every run of the parent; ``no regression`` otherwise.  This script runs
+the benchmark as a program and imports nothing from the package.  It exits 1
+when a run fails or reads ``correct: false`` or a failed job.
 
 A bytecode cache under a checkout's ``src/reebkit`` is read in place of its
 source when the timestamps allow, so a checkout that holds one is refused,
@@ -72,7 +77,7 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(name: str, unit: str, better: str, pairs: list) -> list[str]:
+def summarize(name: str, unit: str, better: str, bound: float, pairs: list) -> list[str]:
     """The report lines of one metric over all pairs of (parent, change, side run first)."""
     sign = 1.0 if better == "higher" else -1.0
     lines = [f"{name} ({unit}, {better} is better)"]
@@ -82,14 +87,25 @@ def summarize(name: str, unit: str, better: str, pairs: list) -> list[str]:
     wins = sum(sign * (new - old) > 0 for old, new, _ in pairs)
     spread = quartiles(olds)[1] - quartiles(olds)[0]
     gain = sign * (statistics.median(news) - statistics.median(olds))
+    spreads = []  # each side's quartile spread as a fraction of its median
     for side, values in (("parent", olds), ("change", news)):
         q1, q3 = quartiles(values)
+        spreads.append((q3 - q1) / statistics.median(values))
         lines.append(f"  {side}: median {statistics.median(values):.6g}, "
                      f"quartiles {q1:.6g} / {q3:.6g}")
     meets = wins >= 0.9 * len(pairs) and gain > spread
     lines.append(f"  change wins {wins}/{len(pairs)}; median gain {gain:.6g} against the "
                  f"parent's quartile spread {spread:.6g}: "
                  f"{'meets' if meets else 'does not meet'} the gain rule")
+    rel = statistics.median(news) / statistics.median(olds) - 1.0
+    if -sign * rel > bound:
+        verdict = "regression"
+    elif max(spreads) > bound and min(sign * v for v in news) <= max(sign * v for v in olds):
+        verdict = "unresolved"
+    else:
+        verdict = "no regression"
+    lines.append(f"  change median {rel:+.1%} against the parent's; quartile spreads "
+                 f"{spreads[0]:.1%} / {spreads[1]:.1%} against the bound {bound:.1%}: {verdict}")
     return lines
 
 
@@ -115,7 +131,8 @@ def main(argv=None) -> int:
             pairs.append((results["parent"]["metrics"][name]["value"],
                           results["change"]["metrics"][name]["value"], order[0]))
     for m in metrics:
-        print("\n".join(summarize(m["name"], m["unit"], m["better"], values[m["name"]])))
+        print("\n".join(summarize(m["name"], m["unit"], m["better"], m["bound"],
+                                   values[m["name"]])))
     return 0 if ok else 1
 
 
