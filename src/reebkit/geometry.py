@@ -29,6 +29,7 @@ from .integrate import dopri45
 SPHERE_TOL = 1e-12
 TANGENT_TOL = 1e-10
 DECK_TOL = 1e-9  # largest distance at which ``lens_equivalent`` matches two points
+_NUMERIC_FLOW_TOL = 1e-10  # tolerance per unit time of ``_numeric_flow``
 _MAX_ORDER = 2**53  # largest lens order p; a float holds every integer up to it
 
 
@@ -339,26 +340,25 @@ def _project_sphere(y: np.ndarray) -> np.ndarray:
 def flow(sys: ContactSystem, pt, t: float) -> np.ndarray:
     """Time-``t`` Reeb flow of ``pt``: the z- and w-planes turned at the plane rates.
 
-    A time whose turn max(w1, w2) |t| overflows is refused.  ``_numeric_flow``
-    is its independent cross-check.
+    A time whose turn max(w1, w2) |t| is not finite, a non-finite time among
+    them, is refused.  ``_numeric_flow`` is its independent cross-check.
     """
-    if not math.isfinite(t):
-        raise PreconditionViolation(f"flow time must be finite, got {t}")
-    pt = check_point(pt)
-    if t == 0.0:
-        return pt.copy()
     w1, w2 = sys.plane_rates()
     if not math.isfinite(max(w1, w2) * abs(t)):
         raise PreconditionViolation(f"flow over time {t:g} turns a plane by a non-finite angle")
+    pt = check_point(pt)
+    if t == 0.0:
+        return pt.copy()
     z, w = to_complex(pt)
     return from_complex(_turn(z, w1, t), _turn(w, w2, t))
 
 
-def _numeric_flow(sys: ContactSystem, pt, t: float, tol: float) -> np.ndarray:
+def _numeric_flow(sys: ContactSystem, pt, t: float) -> np.ndarray:
     """Time-``t`` Reeb flow of ``pt`` integrated numerically, the reference for ``flow``.
 
     The adaptive stepper integrates the Reeb field with post-step
-    renormalization to the sphere (error bound ~ tol per unit time).
+    renormalization to the sphere (error bound ~ ``_NUMERIC_FLOW_TOL`` per
+    unit time).
     """
     pt = check_point(pt)
     if t == 0.0:
@@ -369,8 +369,16 @@ def _numeric_flow(sys: ContactSystem, pt, t: float, tol: float) -> np.ndarray:
         # the projected point is on the sphere: no need for reeb_vector's check
         return _reeb_rows(sys, _project_sphere(y))
 
-    res = dopri45(rhs, 0.0, pt, t, rtol=tol, atol=tol, project=_project_sphere,
-                  max_step=0.5 / max(w1, w2))
+    res = dopri45(
+        rhs,
+        0.0,
+        pt,
+        t,
+        rtol=_NUMERIC_FLOW_TOL,
+        atol=_NUMERIC_FLOW_TOL,
+        project=_project_sphere,
+        max_step=0.5 / max(w1, w2),
+    )
     return res.y_end
 
 

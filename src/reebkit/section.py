@@ -60,7 +60,6 @@ from .knots import (
 from .orbits import ClosedOrbit, _check_iterate, _orbit_lift, catalog, principal_orbits
 
 PAGE_TOL = 1e-8  # largest miss of the page that ``page_coords`` reads
-_FLOW_TOL = 1e-10  # tolerance per unit time of the numeric flow that ``_first_crossing`` scans
 _R_LO, _R_HI = 0.05, 0.95  # radii between which ``sample_starts`` draws return starts
 
 log = logging.getLogger("reebkit")
@@ -225,17 +224,17 @@ def _first_crossing(
     """First positive time at which the numeric flow's w-phase moves by a multiple of ``level``.
 
     Scans the trajectory with steps small against the phase rate, each
-    integrated by ``geometry._numeric_flow`` to ``_FLOW_TOL`` from the
-    previous scan point, and refines the bracketing step with the in-package
-    ``brentq`` to ``tol`` in time, each evaluation integrated from the
-    bracket's left end, so a scan costs O(time_budget) of integration.  It is
-    the numeric cross-check of ``return_map``'s closed-form return time
-    level / w2.  A scan of more than ``_MAX_STEPS`` steps is refused up front.
+    integrated by ``geometry._numeric_flow`` from the previous scan point,
+    and refines the bracketing step with the in-package ``brentq`` to ``tol``
+    in time, each evaluation integrated from the bracket's left end, so a
+    scan costs O(time_budget) of integration.  It is the numeric cross-check
+    of ``return_map``'s closed-form return time level / w2.  A scan of more
+    than ``_MAX_STEPS`` steps is refused up front.
     """
     dt = _scan_step(sys, level, time_budget)
 
     def flow_for(pt: np.ndarray, t: float) -> np.ndarray:
-        return _numeric_flow(sys, pt, direction * t, _FLOW_TOL)
+        return _numeric_flow(sys, pt, direction * t)
 
     def phase_and_g(pt: np.ndarray, href: float) -> tuple[float, float]:
         # the w-phase of pt unwrapped against href, and sin(pi * levels moved)
